@@ -11,22 +11,35 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import __version__
-from .entropy import analyze_bipartite
+from .entropy import bipartite_entropies, spectra
 from .hermite import DEFAULT_QUAD_ORDER, MIN_QUAD_ORDER
-from .model import CircuitParams, FrequencyMethod, normal_modes
-from .state import subspace_validity, thermal_density, transform_density
-from .transform import TransformMethod, build_transform
+from .model import CircuitParams, FrequencyMethod, NormalModes, normal_modes
+from .state import (
+    partial_traces,
+    rotate_thermal,
+    thermal_weights,
+    validity_diagnostics,
+)
+from .transform import TransformMethod, TransformTensor, build_transform
 
 __all__ = ["SweepConfig", "SweepError", "emit", "main", "parse_config", "run_sweep"]
 
 QUAD_ORDER_ENV = "QUBIT_ENTROPY_QUAD_ORDER"
+
+# The sweep evaluates temperatures in chunks whose stacked d_big states
+# take at most this many bytes (8 * levels_big**4 per temperature, at
+# least one temperature per chunk).  Larger chunks save little time and
+# raise peak memory.
+CHUNK_BYTES = 256 * 1024
 
 CSV_COLUMNS = (
     "T",
@@ -62,7 +75,21 @@ class SweepConfig:
     output: str | None = None
     quad_order: int = DEFAULT_QUAD_ORDER
 
+    @cached_property
+    def modes(self) -> NormalModes:
+        """Small-angle normal modes of the circuit, built once per config."""
+        params = CircuitParams(lam=self.lam, g=self.g)
+        return normal_modes(params, FrequencyMethod.SMALL_ANGLE)
+
     def validate(self) -> None:
+        for name, value in (
+            ("lambda", self.lam), ("g", self.g),
+            ("t-min", self.t_min), ("t-max", self.t_max),
+        ):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if not all(math.isfinite(q) for q in self.q_values):
+            raise ValueError("q values must be finite")
         if self.t_min <= 0:
             raise ValueError("t-min must be positive")
         if self.t_max <= self.t_min:
@@ -149,8 +176,9 @@ def parse_config(argv: list[str] | None = None) -> SweepConfig:
 
     Flags override file values, which override defaults.  The
     quadrature order comes from the QUBIT_ENTROPY_QUAD_ORDER
-    environment variable only.  Configuration problems terminate with
-    exit code 2.
+    environment variable only.  Configuration problems, including a
+    circuit whose small-angle normal modes cannot be built, terminate
+    with exit code 2.
     """
     parser = argparse.ArgumentParser(
         prog="qubit-entropy",
@@ -192,7 +220,7 @@ def parse_config(argv: list[str] | None = None) -> SweepConfig:
             overrides["quad_order"] = int(env_order)
         config = replace(config, **overrides)
         config.validate()
-        CircuitParams(lam=config.lam, g=config.g)
+        config.modes  # DegenerateFrequencies, UnstableMode: bad configuration
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
     return config
@@ -207,12 +235,13 @@ def _temperature_grid(config: SweepConfig) -> np.ndarray:
 def run_sweep(config: SweepConfig) -> list[dict[str, float]]:
     """Compute one row per (T, q) grid point, in T-major order.
 
-    Both transform tensors are built once and reused across the grid;
-    the diagnostics columns depend on T only and repeat across the q
-    rows of one temperature.
+    Both transform tensors are built once and reused across the grid,
+    which is evaluated in chunks of temperatures (see CHUNK_BYTES); the
+    rows do not depend on the chunking.  The diagnostics columns depend
+    on T only and repeat across the q rows of one temperature.
     """
     params = CircuitParams(lam=config.lam, g=config.g)
-    modes = normal_modes(params, FrequencyMethod.SMALL_ANGLE)
+    modes = config.modes
     small_method = (
         TransformMethod.CLOSED_FORM
         if config.method == "closed-form"
@@ -226,42 +255,79 @@ def run_sweep(config: SweepConfig) -> list[dict[str, float]]:
         params, modes, d=config.levels_big, method=TransformMethod.QUADRATURE,
         order=config.quad_order,
     )
-    rows: list[dict[str, float]] = []
-    for temperature in _temperature_grid(config):
-        temperature = float(temperature)
-        current_q: float | None = None
+    grid = _temperature_grid(config)
+    step = max(1, CHUNK_BYTES // (8 * config.levels_big**4))
+    diagnostics, entropies = [], []
+    for start in range(0, len(grid), step):
+        temps = grid[start:start + step]
         try:
-            diag = subspace_validity(
-                modes, params, temperature,
-                d_small=config.levels_small, d_big=config.levels_big,
-                transform=u_big,
+            diag, by_q = _sweep_chunk(config, modes, u_small, u_big, temps)
+        except SweepError:
+            if len(temps) == 1:
+                raise
+            # name the first failing temperature of the chunk
+            for k in range(len(temps)):
+                _sweep_chunk(config, modes, u_small, u_big, temps[k:k + 1])
+            raise
+        diagnostics.append(diag)
+        entropies.append(by_q)
+    mu_block, mu_complement, offdiag = np.concatenate(diagnostics, axis=1).tolist()
+    by_q = np.concatenate(entropies, axis=2).tolist()
+    rows: list[dict[str, float]] = []
+    for i, temperature in enumerate(grid.tolist()):
+        for q, (s_joint, s_first, s_second, margin) in zip(config.q_values, by_q):
+            rows.append(
+                {
+                    "T": temperature,
+                    "q": q,
+                    "S_joint": s_joint[i],
+                    "S_1": s_first[i],
+                    "S_2": s_second[i],
+                    "I": margin[i],
+                    "margin": margin[i],
+                    "mu_I": mu_block[i],
+                    "mu_II": mu_complement[i],
+                    "offdiag_sum": offdiag[i],
+                }
             )
-            state = transform_density(
-                thermal_density(modes, temperature, config.levels_small), u_small
-            )
-            for q in config.q_values:
-                current_q = q
-                report = analyze_bipartite(state, q)
-                rows.append(
-                    {
-                        "T": temperature,
-                        "q": q,
-                        "S_joint": report.s_joint,
-                        "S_1": report.s_first,
-                        "S_2": report.s_second,
-                        "I": report.mutual_info,
-                        "margin": report.subadditivity_margin,
-                        "mu_I": diag.mu_block,
-                        "mu_II": diag.mu_complement,
-                        "offdiag_sum": diag.offdiag_sum,
-                    }
-                )
-        except Exception as exc:
-            where = f"T={temperature:.12g}"
-            if current_q is not None:
-                where += f", q={current_q:.12g}"
-            raise SweepError(f"sweep failed at {where}: {exc}") from exc
     return rows
+
+
+def _sweep_chunk(
+    config: SweepConfig,
+    modes: NormalModes,
+    u_small: TransformTensor,
+    u_big: TransformTensor,
+    temps: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Columns for a chunk of temperatures, every stage stacked over the chunk.
+
+    Returns the diagnostics ``(mu_I, mu_II, offdiag_sum)`` with shape
+    ``(3, k)`` and, per q, ``(S_joint, S_1, S_2, margin)`` with shape
+    ``(len(q_values), 4, k)``.
+    """
+    current_q: float | None = None
+    try:
+        big = rotate_thermal(thermal_weights(modes, temps, config.levels_big), u_big)
+        diag = validity_diagnostics(big, config.levels_small)
+        joint = rotate_thermal(
+            thermal_weights(modes, temps, config.levels_small), u_small
+        )
+        joint_spectra = spectra(joint)
+        marginal_spectra = spectra(partial_traces(joint))
+        by_q = []
+        for q in config.q_values:
+            current_q = q
+            by_q.append(bipartite_entropies(joint_spectra, marginal_spectra, q))
+    except Exception as exc:
+        if len(temps) == 1:
+            where = f"T={temps[0]:.12g}"
+        else:
+            where = f"T in [{temps[0]:.12g}, {temps[-1]:.12g}]"
+        if current_q is not None:
+            where += f", q={current_q:.12g}"
+        raise SweepError(f"sweep failed at {where}: {exc}") from exc
+    return np.array(diag), np.array(by_q)
 
 
 def _fmt(value: float) -> str:

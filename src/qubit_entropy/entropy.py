@@ -5,12 +5,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import DensityMatrix, partial_trace, purity
+from .state import DensityMatrix, partial_traces, purity
 
 __all__ = [
     "EntropyReport",
     "NonPositiveQ",
     "analyze_bipartite",
+    "bipartite_entropies",
+    "spectra",
+    "spectrum_entropies",
     "tsallis_entropy",
     "von_neumann_entropy",
 ]
@@ -25,17 +28,47 @@ class NonPositiveQ(ValueError):
     """Entropic index q must be positive."""
 
 
-def _spectrum(rho: DensityMatrix) -> np.ndarray:
-    evals = np.linalg.eigvalsh(rho.entries)
+def spectra(states: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of each state in a stack, clipped at zero."""
     # rounding can leave tiny negatives even after upstream clamping
-    return np.clip(evals, 0.0, None)
+    return np.clip(np.linalg.eigvalsh(states), 0.0, None)
+
+
+def _von_neumann(p: np.ndarray) -> np.ndarray:
+    """-sum(p * ln p) over the positive entries of each ascending spectrum.
+
+    The zeros of an ascending clipped spectrum lead it; rows are grouped
+    by how many, so each sum runs over exactly the positive entries, in
+    order, as a one-spectrum sum would.
+    """
+    rows = p.reshape(-1, p.shape[-1])
+    out = np.empty(len(rows))
+    zeros = np.count_nonzero(rows == 0.0, axis=1)
+    for k in set(zeros.tolist()):
+        group = zeros == k
+        kept = rows[group, k:]
+        out[group] = -(kept * np.log(kept)).sum(axis=1)
+    return out.reshape(p.shape[:-1])
+
+
+def spectrum_entropies(p: np.ndarray, q: float) -> np.ndarray:
+    """Tsallis entropy S_q = (1 - sum(p^q)) / (q - 1) of each spectrum.
+
+    ``p`` is a stack of spectra from :func:`spectra` along its last
+    axis.  Continuous in q: for |q - 1| < 1e-6 the von Neumann value
+    ``-sum(p ln p)`` (with 0 ln 0 = 0) is returned, which the spectral
+    formula approaches in that limit.
+    """
+    if q <= 0:
+        raise NonPositiveQ(f"entropic index must be positive, got q={q}")
+    if abs(q - 1.0) < VON_NEUMANN_WINDOW:
+        return _von_neumann(p)
+    return (1.0 - (p**q).sum(axis=-1)) / (q - 1.0)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S = -sum(p * ln p) over the spectrum, with 0 ln 0 = 0."""
-    p = _spectrum(rho)
-    p = p[p > 0]
-    return float(-(p * np.log(p)).sum())
+    return float(_von_neumann(spectra(rho.entries[None]))[0])
 
 
 def tsallis_entropy(rho: DensityMatrix, q: float) -> float:
@@ -44,12 +77,22 @@ def tsallis_entropy(rho: DensityMatrix, q: float) -> float:
     Continuous in q: for |q - 1| < 1e-6 the von Neumann value is
     returned, which the spectral formula approaches in that limit.
     """
-    if q <= 0:
-        raise NonPositiveQ(f"entropic index must be positive, got q={q}")
-    if abs(q - 1.0) < VON_NEUMANN_WINDOW:
-        return von_neumann_entropy(rho)
-    p = _spectrum(rho)
-    return float((1.0 - (p**q).sum()) / (q - 1.0))
+    return float(spectrum_entropies(spectra(rho.entries[None]), q)[0])
+
+
+def bipartite_entropies(
+    joint: np.ndarray, marginals: np.ndarray, q: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Joint and marginal entropies of a stack of two-mode states at one q.
+
+    ``joint`` holds the joint spectra and ``marginals`` the spectra of
+    both marginals (leading axis 2, as :func:`partial_traces` orders
+    them).  Returns ``(s_joint, s_first, s_second, margin)`` with the
+    margin ``s_first + s_second - s_joint``.
+    """
+    s_joint = spectrum_entropies(joint, q)
+    s_first, s_second = spectrum_entropies(marginals, q)
+    return s_joint, s_first, s_second, s_first + s_second - s_joint
 
 
 @dataclass(frozen=True)
@@ -76,10 +119,11 @@ def analyze_bipartite(rho: DensityMatrix, q: float = 1.0) -> EntropyReport:
     not additive over products), so callers should treat it as a
     diagnostic rather than an inequality.
     """
-    s_joint = tsallis_entropy(rho, q)
-    s_first = tsallis_entropy(partial_trace(rho, 1), q)
-    s_second = tsallis_entropy(partial_trace(rho, 2), q)
-    margin = s_first + s_second - s_joint
+    joint = spectra(rho.entries[None])
+    marginals = spectra(partial_traces(rho.entries[None]))
+    s_joint, s_first, s_second, margin = (
+        float(x[0]) for x in bipartite_entropies(joint, marginals, q)
+    )
     return EntropyReport(
         q=q,
         s_joint=s_joint,

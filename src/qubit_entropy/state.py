@@ -19,12 +19,17 @@ __all__ = [
     "NonPositiveTemperature",
     "NotAProductDimension",
     "SubspaceDiagnostics",
+    "canonical_densities",
     "density_from_array",
     "partial_trace",
+    "partial_traces",
     "purity",
+    "rotate_thermal",
     "subspace_validity",
     "thermal_density",
+    "thermal_weights",
     "transform_density",
+    "validity_diagnostics",
 ]
 
 # Eigenvalues in [-PSD_CLAMP, 0) are treated as rounding debris and
@@ -77,76 +82,152 @@ class DensityMatrix:
         return self.entries.shape[0]
 
 
+def canonical_densities(entries: np.ndarray) -> np.ndarray:
+    """Canonicalize a stack of arrays (leading axes) into density matrices.
+
+    Each matrix is symmetrized and scaled to unit trace.  Eigenvalues in
+    ``[-1e-10, 0)`` are clamped to zero, with one more symmetrization and
+    trace fix, in the matrices that have any; a smaller eigenvalue, a
+    non-positive trace or a non-finite result raises ValueError, naming
+    the first offending matrix's value.
+    """
+    arr = np.asarray(entries, dtype=float)
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
+        raise ValueError(f"density matrix must be square, got {arr.shape}")
+    arr = 0.5 * (arr + np.swapaxes(arr, -1, -2))
+    traces = np.trace(arr, axis1=-2, axis2=-1)
+    bad = ~(traces > 0)
+    if bad.any():
+        raise ValueError(f"trace must be positive, got {float(traces[bad][0])}")
+    arr /= traces[..., None, None]
+    evals, vecs = np.linalg.eigh(arr)
+    lowest = evals[..., 0]
+    bad = lowest < -PSD_CLAMP
+    if bad.any():
+        raise ValueError(
+            f"matrix is not positive semidefinite (min eigenvalue {lowest[bad][0]:.3e})"
+        )
+    clamp = lowest < 0.0
+    if clamp.any():
+        vecs = vecs[clamp]
+        fixed = (vecs * np.clip(evals[clamp], 0.0, None)[..., None, :]) @ np.swapaxes(
+            vecs, -1, -2
+        )
+        fixed = 0.5 * (fixed + np.swapaxes(fixed, -1, -2))
+        fixed /= np.trace(fixed, axis1=-2, axis2=-1)[..., None, None]
+        arr[clamp] = fixed
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("density matrix contains non-finite entries")
+    return arr
+
+
 def density_from_array(
     entries: np.ndarray,
     basis: Basis = Basis.PHYSICAL,
     temperature: float | None = None,
 ) -> DensityMatrix:
-    """Canonicalize an array into a DensityMatrix.
+    """Canonicalize one array into a DensityMatrix.
 
     The array is symmetrized, scaled to unit trace, and eigenvalues in
     ``[-1e-10, 0)`` are clamped to zero (with one more trace fix).  A
     smaller eigenvalue raises ValueError: that is not rounding noise.
+    See :func:`canonical_densities`, which does the work.
     """
-    arr = np.array(entries, dtype=float)
-    arr = 0.5 * (arr + arr.T)
-    trace = float(np.trace(arr))
-    if not trace > 0:
-        raise ValueError(f"trace must be positive, got {trace}")
-    arr /= trace
-    evals, vecs = np.linalg.eigh(arr)
-    if evals[0] < -PSD_CLAMP:
-        raise ValueError(
-            f"matrix is not positive semidefinite (min eigenvalue {evals[0]:.3e})"
+    arr = np.asarray(entries, dtype=float)
+    if arr.ndim != 2:
+        raise ValueError(f"density matrix must be square, got {arr.shape}")
+    return DensityMatrix(canonical_densities(arr[None])[0], basis, temperature)
+
+
+def thermal_weights(modes: NormalModes, temperatures, d: int) -> np.ndarray:
+    """Thermal populations of the two normal modes, one row per temperature.
+
+    Row ``k`` holds ``exp(-(n*omega1 + m*omega2)/T_k)`` at index
+    ``n*d + m`` (second label fastest), normalized by the truncated
+    sum; the zero-point energy cancels against the ground state.  Below
+    ``GROUND_STATE_T`` every excited weight underflows and the row is
+    the exact ground-state projector.
+    """
+    temps = np.asarray(temperatures, dtype=float)
+    bad = ~(temps > 0)
+    if bad.any():
+        raise NonPositiveTemperature(
+            f"temperature must be positive, got {float(temps[bad][0])}"
         )
-    if evals[0] < 0.0:
-        evals = np.clip(evals, 0.0, None)
-        arr = (vecs * evals) @ vecs.T
-        arr = 0.5 * (arr + arr.T)
-        arr /= float(np.trace(arr))
-    return DensityMatrix(arr, basis, temperature)
+    if d < 2:
+        raise ValueError(f"need at least two levels per mode, got d={d}")
+    n = np.arange(d, dtype=float)
+    gaps = (modes.omega1 * n[:, None] + modes.omega2 * n[None, :]).ravel()
+    weights = np.zeros((temps.size, d * d))
+    weights[:, 0] = 1.0
+    warm = temps >= GROUND_STATE_T
+    boltzmann = np.exp(-gaps / temps[warm, None])
+    weights[warm] = boltzmann / boltzmann.sum(axis=1, keepdims=True)
+    return weights
 
 
 def thermal_density(modes: NormalModes, temperature: float, d: int) -> DensityMatrix:
     """Thermal state of the two normal modes, truncated to d levels each.
 
-    Diagonal in the normal-mode number basis with weights
-    ``exp(-(n*omega1 + m*omega2)/T)`` normalized by the truncated sum;
-    the zero-point energy cancels against the ground state.  Row index
-    is ``n*d + m`` (second label fastest).
+    Diagonal in the normal-mode number basis with the populations of
+    :func:`thermal_weights`; row index is ``n*d + m``.
     """
-    if temperature <= 0:
-        raise NonPositiveTemperature(f"temperature must be positive, got {temperature}")
-    if d < 2:
-        raise ValueError(f"need at least two levels per mode, got d={d}")
-    weights = np.zeros(d * d)
-    if temperature < GROUND_STATE_T:
-        weights[0] = 1.0
-    else:
-        n = np.arange(d, dtype=float)
-        gaps = modes.omega1 * n[:, None] + modes.omega2 * n[None, :]
-        weights = np.exp(-gaps / temperature).ravel()
-        weights /= weights.sum()
+    weights = thermal_weights(modes, [temperature], d)[0]
     return DensityMatrix(np.diag(weights), Basis.NORMAL_MODE, temperature)
 
 
-def transform_density(rho: DensityMatrix, transform: TransformTensor) -> DensityMatrix:
-    """Express a normal-mode state in the bare product basis.
+def rotate_thermal(weights: np.ndarray, transform: TransformTensor) -> np.ndarray:
+    """Express a stack of thermal normal-mode states in the bare basis.
 
-    Applies ``U^T rho U`` with the truncated overlap tensor, then
-    symmetrizes and renormalizes; truncation makes U only approximately
+    ``weights`` holds one row of normal-mode populations per state (the
+    diagonal of each state).  Applies ``U^T diag(w) U`` as
+    ``(U^T * w) @ U``, which rounds identically, then canonicalizes with
+    :func:`canonical_densities`; truncation makes U only approximately
     orthogonal, so a little weight is shed and restored by the
     normalization.
     """
+    u = transform.entries
+    if weights.shape[-1] != u.shape[0]:
+        raise DimensionMismatch(
+            f"state dimension {weights.shape[-1]} does not match transform {u.shape[0]}"
+        )
+    # U^T * w must be C-ordered: BLAS rounds a transposed operand differently
+    scaled = np.ascontiguousarray(u.T) * weights[:, None, :]
+    return canonical_densities(scaled @ u)
+
+
+def transform_density(rho: DensityMatrix, transform: TransformTensor) -> DensityMatrix:
+    """Express a diagonal (thermal) normal-mode state in the bare product basis.
+
+    See :func:`rotate_thermal`, which does the work.
+    """
     if rho.basis is not Basis.NORMAL_MODE:
         raise ValueError(f"expected a normal-mode state, got basis={rho.basis}")
-    u = transform.entries
-    if rho.dim != u.shape[0]:
-        raise DimensionMismatch(
-            f"state dimension {rho.dim} does not match transform {u.shape[0]}"
+    weights = np.diag(rho.entries)
+    if np.count_nonzero(rho.entries - np.diag(weights)):
+        raise ValueError("expected a diagonal normal-mode state")
+    rotated = rotate_thermal(weights[None], transform)[0]
+    return DensityMatrix(rotated, Basis.PHYSICAL, rho.temperature)
+
+
+def partial_traces(states: np.ndarray) -> np.ndarray:
+    """Both single-mode marginals of a stack of two-mode states.
+
+    Returns shape ``(2, *lead, d, d)``: index 0 keeps the first label of
+    the ``n*d + m`` composite index, index 1 the second.  The marginals
+    are canonicalized with :func:`canonical_densities`.
+    """
+    dim = states.shape[-1]
+    d = math.isqrt(dim)
+    if d * d != dim:
+        raise NotAProductDimension(
+            f"dimension {dim} is not a product of two equal factors"
         )
-    rotated = u.T @ rho.entries @ u
-    return density_from_array(rotated, Basis.PHYSICAL, rho.temperature)
+    blocks = states.reshape(*states.shape[:-2], d, d, d, d)
+    reduced = np.stack(
+        [np.einsum("...imjm->...ij", blocks), np.einsum("...ninj->...ij", blocks)]
+    )
+    return canonical_densities(reduced)
 
 
 def partial_trace(rho: DensityMatrix, subsystem: int) -> DensityMatrix:
@@ -157,17 +238,8 @@ def partial_trace(rho: DensityMatrix, subsystem: int) -> DensityMatrix:
     """
     if subsystem not in (1, 2):
         raise ValueError(f"subsystem must be 1 or 2, got {subsystem}")
-    d = math.isqrt(rho.dim)
-    if d * d != rho.dim:
-        raise NotAProductDimension(
-            f"dimension {rho.dim} is not a product of two equal factors"
-        )
-    blocks = rho.entries.reshape(d, d, d, d)
-    if subsystem == 1:
-        reduced = np.einsum("imjm->ij", blocks)
-    else:
-        reduced = np.einsum("ninj->ij", blocks)
-    return density_from_array(reduced, rho.basis, rho.temperature)
+    reduced = partial_traces(rho.entries[None])[subsystem - 1, 0]
+    return DensityMatrix(reduced, rho.basis, rho.temperature)
 
 
 def purity(rho: DensityMatrix) -> float:
@@ -218,14 +290,33 @@ def subspace_validity(
         raise DimensionMismatch(
             f"prebuilt transform has d={transform.d}, expected {d_big}"
         )
-    state = transform_density(thermal_density(modes, temperature, d_big), transform)
+    state = rotate_thermal(thermal_weights(modes, [temperature], d_big), transform)
+    mu_block, mu_complement, offdiag = validity_diagnostics(state, d_small)
+    return SubspaceDiagnostics(
+        float(mu_block[0]), float(mu_complement[0]), float(offdiag[0])
+    )
+
+
+def validity_diagnostics(
+    states: np.ndarray, d_small: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Block and complement sums of :func:`subspace_validity` over a stack.
+
+    ``states`` is a ``(k, d_big^2, d_big^2)`` stack of bare-basis states;
+    returns the arrays ``(mu_block, mu_complement, offdiag_sum)``.
+    """
+    count = len(states)
+    d_big = math.isqrt(states.shape[-1])
     kept = [n * d_big + m for n in range(d_small) for m in range(d_small)]
     rest = [i for i in range(d_big * d_big) if i not in kept]
-    block = state.entries[np.ix_(kept, kept)]
-    block_weight = float(np.trace(block))
-    block = block / block_weight
-    complement = state.entries[np.ix_(rest, rest)]
-    mu_block = float(np.sum(block * block))
-    mu_complement = float(np.sum(complement * complement))
-    offdiag = float(np.sum(np.abs(block)) - np.sum(np.abs(np.diag(block))))
-    return SubspaceDiagnostics(mu_block, mu_complement, offdiag)
+    # np.ix_ keeps the selections C-ordered, so each sum rounds as it
+    # would on a single state
+    block = states[np.ix_(range(count), kept, kept)]
+    block /= np.trace(block, axis1=1, axis2=2)[:, None, None]
+    complement = states[np.ix_(range(count), rest, rest)]
+    mu_block = (block * block).reshape(count, -1).sum(axis=1)
+    mu_complement = (complement * complement).reshape(count, -1).sum(axis=1)
+    offdiag = np.abs(block).reshape(count, -1).sum(axis=1) - np.abs(
+        np.diagonal(block, axis1=1, axis2=2)
+    ).sum(axis=1)
+    return mu_block, mu_complement, offdiag

@@ -1,11 +1,13 @@
 """Sweep configuration, output formats, and the command-line contract."""
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import qubit_entropy.cli as cli_mod
 from qubit_entropy.cli import (
     CSV_COLUMNS,
     SweepConfig,
@@ -15,8 +17,58 @@ from qubit_entropy.cli import (
     parse_config,
     run_sweep,
 )
+from qubit_entropy.entropy import analyze_bipartite
+from qubit_entropy.model import CircuitParams, normal_modes
+from qubit_entropy.state import (
+    GROUND_STATE_T,
+    subspace_validity,
+    thermal_density,
+    transform_density,
+)
+from qubit_entropy.transform import TransformMethod, build_transform
 
 FAST = ["--t-steps", "3", "--q", "1.0,2.0"]
+DIAGNOSTIC_COLUMNS = ("mu_I", "mu_II", "offdiag_sum")
+
+
+def failing_entropies(joint, marginals, q):
+    raise RuntimeError("synthetic")
+
+
+def per_temperature_rows(config):
+    """The sweep composed one temperature at a time from the public
+    single-matrix functions: the reference for the chunked sweep."""
+    params = CircuitParams(lam=config.lam, g=config.g)
+    modes = normal_modes(params)
+    small_method = (
+        TransformMethod.CLOSED_FORM
+        if config.method == "closed-form"
+        else TransformMethod.QUADRATURE
+    )
+    u_small = build_transform(params, modes, d=config.levels_small, method=small_method)
+    u_big = build_transform(
+        params, modes, d=config.levels_big, method=TransformMethod.QUADRATURE
+    )
+    rows = []
+    for temperature in cli_mod._temperature_grid(config).tolist():
+        diag = subspace_validity(
+            modes, params, temperature,
+            d_small=config.levels_small, d_big=config.levels_big, transform=u_big,
+        )
+        state = transform_density(
+            thermal_density(modes, temperature, config.levels_small), u_small
+        )
+        for q in config.q_values:
+            report = analyze_bipartite(state, q)
+            rows.append({
+                "T": temperature, "q": q,
+                "S_joint": report.s_joint, "S_1": report.s_first,
+                "S_2": report.s_second, "I": report.mutual_info,
+                "margin": report.subadditivity_margin,
+                "mu_I": diag.mu_block, "mu_II": diag.mu_complement,
+                "offdiag_sum": diag.offdiag_sum,
+            })
+    return rows
 
 
 def parse_csv(text):
@@ -69,6 +121,27 @@ class TestParseConfig:
     def test_single_step_grid_rejected(self):
         with pytest.raises(SystemExit) as err:
             parse_config(["--t-steps", "1"])
+        assert err.value.code == 2
+
+    def test_degenerate_frequencies_exits(self):
+        # the small-angle modes are built while parsing: lam = 1 is singular
+        with pytest.raises(SystemExit) as err:
+            parse_config(["--lambda", "1"])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--lambda", "inf"),
+            ("--g", "nan"),
+            ("--t-min", "nan"),
+            ("--t-max", "inf"),
+            ("--q", "1.0,nan"),
+        ],
+    )
+    def test_non_finite_value_exits(self, flag, value):
+        with pytest.raises(SystemExit) as err:
+            parse_config([flag, value])
         assert err.value.code == 2
 
     def test_unstable_coupling_exits(self):
@@ -126,14 +199,51 @@ class TestRunSweep:
         assert rows[0]["offdiag_sum"] == rows[1]["offdiag_sum"]
 
     def test_point_failures_carry_coordinates(self, monkeypatch):
-        import qubit_entropy.cli as cli_mod
-
-        def boom(rho, q):
-            raise RuntimeError("synthetic")
-
-        monkeypatch.setattr(cli_mod, "analyze_bipartite", boom)
+        monkeypatch.setattr(cli_mod, "bipartite_entropies", failing_entropies)
         with pytest.raises(SweepError, match=r"T=.*q="):
             run_sweep(parse_config(FAST))
+
+    def test_failure_names_first_failing_temperature(self, monkeypatch):
+        # levels-big 6 gives chunks of 25 temperatures; the failures at
+        # grid indices 30 and 41 both fall in the second chunk
+        config = parse_config(["--t-steps", "60", "--q", "1.0"])
+        grid = cli_mod._temperature_grid(config)
+        bad = grid[[41, 30]]
+        real_weights = cli_mod.thermal_weights
+
+        def negative_weights(modes, temps, d):
+            weights = real_weights(modes, temps, d)
+            weights[np.isin(temps, bad)] *= -1.0
+            return weights
+
+        monkeypatch.setattr(cli_mod, "thermal_weights", negative_weights)
+        with pytest.raises(SweepError) as err:
+            run_sweep(config)
+        assert str(err.value).startswith(f"sweep failed at T={grid[30]:.12g}: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 333 temperatures in chunks of 8: several chunks, the last partial
+            ["--t-steps", "333", "--levels-big", "8", "--t-scale", "log"],
+            # starts below GROUND_STATE_T, where states are ground projectors
+            ["--t-min", str(GROUND_STATE_T / 10), "--t-max", "0.3",
+             "--t-steps", "40", "--t-scale", "log"],
+            ["--method", "quadrature", "--levels-small", "3", "--levels-big", "5",
+             "--t-steps", "30", "--q", "0.5,1.0,2.5"],
+        ],
+    )
+    def test_chunked_rows_match_per_temperature_composition(self, argv):
+        config = parse_config(argv)
+        rows = run_sweep(config)
+        expected = per_temperature_rows(config)
+        assert len(rows) == len(expected)
+        for row, ref in zip(rows, expected):
+            for key in CSV_COLUMNS:
+                if key in DIAGNOSTIC_COLUMNS:
+                    assert row[key] == pytest.approx(ref[key], rel=1e-12, abs=0)
+                else:
+                    assert row[key] == ref[key], key
 
     def test_methods_agree_on_all_columns(self):
         base = parse_config(FAST)
@@ -206,14 +316,21 @@ class TestMain:
         assert main(FAST + ["--output", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
-    def test_pipeline_failure_exits_one(self, tmp_path, capsys):
-        # lam = 1 passes config validation but the small-angle pipeline
-        # cannot mix degenerate bare modes
+    def test_pipeline_failure_exits_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli_mod, "bipartite_entropies", failing_entropies)
         out = tmp_path / "never.csv"
-        code = main(FAST + ["--lambda", "1", "--output", str(out)])
+        code = main(FAST + ["--output", str(out)])
         assert code == 1
-        assert "qubit-entropy:" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("qubit-entropy: ")
         assert not out.exists()
+
+    def test_small_angle_warning_printed_once(self, capsys):
+        # phi = 1.02 at lam = 1.05, g = 0.1: outside the small-angle regime
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(FAST + ["--lambda", "1.05"]) == 0
+        assert len(caught) == 1
+        assert "small-angle" in str(caught[0].message)
 
     def test_stdout_default(self, capsys):
         assert main(FAST) == 0

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from qubit_entropy.entropy import (
     NonPositiveQ,
     analyze_bipartite,
+    spectrum_entropies,
     tsallis_entropy,
     von_neumann_entropy,
 )
@@ -41,6 +42,31 @@ class TestVonNeumann:
     def test_half_mixed(self):
         rho = density_from_array(np.diag([0.5, 0.5, 0.0, 0.0]))
         assert_allclose(von_neumann_entropy(rho), math.log(2), rtol=1e-14)
+
+
+class TestSpectrumStacks:
+    def test_von_neumann_rows_match_filtered_sums(self):
+        # rows with 0 to 3 leading zeros: each row must sum exactly its
+        # positive entries, in order, like the one-spectrum formula (a sum
+        # over the whole row, zeros included, rounds differently)
+        rng = np.random.default_rng(31)
+        rows = []
+        for k in range(40):
+            p = np.sort(rng.uniform(0.5, 1.5, 9))
+            p[:k % 4] = 0.0
+            rows.append(p / p.sum())
+        stack = np.array(rows)
+        got = spectrum_entropies(stack, 1.0)
+        for p, value in zip(stack, got):
+            kept = p[p > 0]
+            assert value == -(kept * np.log(kept)).sum()
+
+    def test_leading_axes_preserved(self):
+        stack = np.full((2, 3, 4), 0.25)
+        for q in (0.5, 1.0, 2.0):
+            got = spectrum_entropies(stack, q)
+            assert got.shape == (2, 3)
+            assert_allclose(got, tsallis_entropy(density_from_array(np.eye(4)), q))
 
 
 class TestTsallis:

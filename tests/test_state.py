@@ -7,16 +7,23 @@ from numpy.testing import assert_allclose
 
 from qubit_entropy.model import CircuitParams, NormalModes, FrequencyMethod, normal_modes
 from qubit_entropy.state import (
+    GROUND_STATE_T,
     Basis,
+    DensityMatrix,
     DimensionMismatch,
     NonPositiveTemperature,
     NotAProductDimension,
+    canonical_densities,
     density_from_array,
     partial_trace,
+    partial_traces,
     purity,
+    rotate_thermal,
     subspace_validity,
     thermal_density,
+    thermal_weights,
     transform_density,
+    validity_diagnostics,
 )
 from qubit_entropy.transform import TransformMethod, build_transform
 
@@ -70,6 +77,17 @@ class TestThermalDensity:
         with pytest.raises(ValueError):
             thermal_density(REF_MODES, temperature=0.2, d=1)
 
+    def test_nan_temperature_rejected(self):
+        with pytest.raises(NonPositiveTemperature):
+            thermal_weights(REF_MODES, [0.1, float("nan")], d=2)
+
+    def test_weight_rows_match_single_states(self):
+        temps = [GROUND_STATE_T / 2, 1e-6, 0.05, 0.3, 2.0]
+        weights = thermal_weights(REF_MODES, temps, d=3)
+        assert weights[0].tolist() == [1.0] + [0.0] * 8
+        for row, t in zip(weights, temps):
+            assert np.array_equal(row, np.diag(thermal_density(REF_MODES, t, 3).entries))
+
 
 class TestDensityFromArray:
     def test_symmetrizes_and_normalizes(self):
@@ -94,6 +112,20 @@ class TestDensityFromArray:
     def test_nonsquare_rejected(self):
         with pytest.raises(ValueError):
             density_from_array(np.ones((2, 3)))
+
+    def test_stack_matches_single_matrices(self):
+        # only the middle slice needs its rounding-level negative clamped
+        rng = np.random.default_rng(99)
+        a = rng.normal(size=(3, 3))
+        stack = np.stack([a @ a.T, np.diag([1.0, 0.5, -5e-11]), np.eye(3)])
+        canonical = canonical_densities(stack)
+        for raw, got in zip(stack, canonical):
+            assert np.array_equal(got, density_from_array(raw).entries)
+
+    def test_stack_error_names_first_offending_matrix(self):
+        stack = np.stack([np.eye(2), np.diag([1.0, -0.2]), np.diag([1.0, -0.5])])
+        with pytest.raises(ValueError, match=r"min eigenvalue -2\.500e-01"):
+            canonical_densities(stack)
 
 
 class TestTransformDensity:
@@ -131,6 +163,24 @@ class TestTransformDensity:
         u = build_transform(REF, REF_MODES, d=3, method=TransformMethod.QUADRATURE)
         rho = thermal_density(REF_MODES, 0.1, 2)
         with pytest.raises(DimensionMismatch):
+            transform_density(rho, u)
+
+    def test_stack_matches_dense_basis_change(self):
+        # U^T diag(w) U written out densely, one temperature at a time
+        u = build_transform(REF, REF_MODES, d=6, method=TransformMethod.QUADRATURE)
+        temps = np.linspace(0.02, 0.6, 12)
+        weights = thermal_weights(REF_MODES, temps, d=6)
+        stacked = rotate_thermal(weights, u)
+        for w, got in zip(weights, stacked):
+            dense = u.entries.T @ np.diag(w) @ u.entries
+            assert np.array_equal(got, density_from_array(dense).entries)
+
+    def test_non_diagonal_state_rejected(self):
+        # the basis change takes populations: coherences would be dropped
+        u = build_transform(REF, REF_MODES, d=2)
+        entries = np.full((4, 4), 0.01) + np.diag([0.9, 0.02, 0.02, 0.02])
+        rho = DensityMatrix(entries, Basis.NORMAL_MODE, 0.1)
+        with pytest.raises(ValueError, match="diagonal"):
             transform_density(rho, u)
 
 
@@ -186,6 +236,20 @@ class TestPartialTrace:
         assert_allclose(
             second.entries, np.diag([1.0, math.exp(-1.5 / 0.2)]) / z2, atol=1e-12
         )
+
+    def test_stack_matches_single_states(self):
+        rng = np.random.default_rng(5)
+        stack = []
+        for _ in range(6):
+            a = rng.normal(size=(9, 9))
+            stack.append(density_from_array(a @ a.T).entries)
+        both = partial_traces(np.stack(stack))
+        assert both.shape == (2, 6, 3, 3)
+        for k, entries in enumerate(stack):
+            rho = DensityMatrix(entries, Basis.PHYSICAL)
+            for subsystem in (1, 2):
+                single = partial_trace(rho, subsystem).entries
+                assert np.array_equal(both[subsystem - 1, k], single)
 
     def test_bad_subsystem_label(self):
         rho = density_from_array(np.eye(4))
@@ -250,6 +314,22 @@ class TestSubspaceValidity:
         ]
         for a, b in zip(values, values[1:]):
             assert b <= a + 1e-12
+
+    def test_stack_sums_match_single_state_formula(self):
+        u = build_transform(REF, REF_MODES, d=6, method=TransformMethod.QUADRATURE)
+        states = rotate_thermal(
+            thermal_weights(REF_MODES, np.linspace(0.02, 0.6, 12), d=6), u
+        )
+        kept = [0, 1, 6, 7]
+        rest = [i for i in range(36) if i not in kept]
+        got = validity_diagnostics(states, d_small=2)
+        for k, state in enumerate(states):
+            block = state[np.ix_(kept, kept)]
+            block = block / float(np.trace(block))
+            complement = state[np.ix_(rest, rest)]
+            assert got[0][k] == np.sum(block * block)
+            assert got[1][k] == np.sum(complement * complement)
+            assert got[2][k] == np.sum(np.abs(block)) - np.sum(np.abs(np.diag(block)))
 
     def test_prebuilt_transform_must_match_truncation(self):
         u_small = build_transform(REF, REF_MODES, d=2)
