@@ -23,6 +23,7 @@ from .hermite import (
     gauss2d_moment,
     hermite_poly,
     ho_eigenfunction,
+    ho_eigenfunctions,
     quad2d,
 )
 from .model import (
@@ -92,6 +93,7 @@ __all__ = [
     "gaussian_coefficients",
     "hermite_poly",
     "ho_eigenfunction",
+    "ho_eigenfunctions",
     "normal_modes",
     "overlap_element_closed",
     "overlap_element_quadrature",

@@ -116,6 +116,12 @@ class SweepConfig:
             raise ValueError(
                 f"{QUAD_ORDER_ENV} must be at least {MIN_QUAD_ORDER}"
             )
+        if self.quad_order < 2 * self.levels_big - 1:
+            # the levels-big transform is exact only from this order on
+            raise ValueError(
+                f"{QUAD_ORDER_ENV} must be at least {2 * self.levels_big - 1}"
+                f" for levels-big {self.levels_big}"
+            )
 
 
 def _parse_q_list(text: str) -> tuple[float, ...]:

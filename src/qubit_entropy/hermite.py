@@ -22,6 +22,7 @@ __all__ = [
     "gauss2d_moment",
     "hermite_poly",
     "ho_eigenfunction",
+    "ho_eigenfunctions",
     "quad2d",
 ]
 
@@ -91,6 +92,36 @@ def hermite_poly(k: int, x: np.ndarray | float) -> np.ndarray | float:
     return h if h.ndim else float(h)
 
 
+def ho_eigenfunctions(
+    d: int, x: np.ndarray | float, length_scale: float
+) -> np.ndarray:
+    """The first ``d`` oscillator eigenfunctions, ``psi_0 ... psi_{d-1}``, at x.
+
+    One pass of the Hermite three-term recurrence fills the
+    ``(d, *x.shape)`` table and the Gaussian factor is computed once.
+    Row n is ``norm_n / sqrt(length_scale) * exp(-y^2/2) * H_n(y)``
+    evaluated in that order, with ``H_n`` from the same recurrence as
+    ``hermite_poly``, so it equals that expression bit for bit.
+    """
+    if d < 1:
+        raise ValueError(f"need at least one level, got d={d}")
+    if length_scale <= 0:
+        raise ValueError(f"length scale must be positive, got {length_scale}")
+    y = np.asarray(x, dtype=float) / length_scale
+    gauss = np.exp(-0.5 * y * y)
+    out = np.empty((d, *y.shape))
+    h_prev = np.zeros_like(y)
+    h = np.ones_like(y)
+    for n in range(d):
+        if n:
+            h_prev, h = h, 2.0 * y * h - 2.0 * (n - 1) * h_prev
+        norm = 1.0 / math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
+        row = out[n, ...]
+        np.multiply(norm / math.sqrt(length_scale), gauss, out=row)
+        row *= h
+    return out
+
+
 def ho_eigenfunction(
     n: int, x: np.ndarray | float, length_scale: float
 ) -> np.ndarray | float:
@@ -98,16 +129,13 @@ def ho_eigenfunction(
 
     For ``y = x / length_scale`` this is
     ``(2**n n! sqrt(pi))**-0.5 * exp(-y^2/2) * H_n(y) / sqrt(length_scale)``,
-    which is orthonormal in x for fixed ``length_scale``.
+    which is orthonormal in x for fixed ``length_scale``.  It is the last
+    row of ``ho_eigenfunctions(n + 1, x, length_scale)``.
     """
     if n < 0:
         raise ValueError(f"quantum number must be non-negative, got {n}")
-    if length_scale <= 0:
-        raise ValueError(f"length scale must be positive, got {length_scale}")
-    y = np.asarray(x, dtype=float) / length_scale
-    norm = 1.0 / math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
-    out = norm / math.sqrt(length_scale) * np.exp(-0.5 * y * y) * hermite_poly(n, y)
-    return out if np.ndim(out) else float(out)
+    out = ho_eigenfunctions(n + 1, x, length_scale)[n]
+    return out if out.ndim else float(out)
 
 
 def gauss2d_integral(form: GaussianQuadraticForm) -> float:

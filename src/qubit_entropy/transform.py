@@ -27,6 +27,7 @@ from .hermite import (
     GaussianQuadraticForm,
     gauss2d_moment,
     ho_eigenfunction,
+    ho_eigenfunctions,
     quad2d,
     _hermgauss_scaled,
     _require_positive_definite,
@@ -42,12 +43,6 @@ __all__ = [
     "overlap_element_closed",
     "overlap_element_quadrature",
 ]
-
-# Two quadrature orders are considered converged when the ground-state
-# overlap moves by no more than this between them.
-ORDER_REFINE_TOL = 1e-10
-MAX_QUAD_ORDER = 512
-
 
 class IndexOutOfRange(ValueError):
     """Oscillator level outside the supported range."""
@@ -215,17 +210,6 @@ def overlap_element_quadrature(
     return quad2d(integrand, order, weight=gaussian_coefficients(params, modes))
 
 
-def _resolve_order(params: CircuitParams, modes: NormalModes, order: int) -> int:
-    """Double the order until the ground-state overlap stops moving."""
-    while order < MAX_QUAD_ORDER:
-        here = overlap_element_quadrature(0, 0, 0, 0, params, modes, order)
-        finer = overlap_element_quadrature(0, 0, 0, 0, params, modes, 2 * order)
-        if abs(here - finer) <= ORDER_REFINE_TOL:
-            return order
-        order *= 2
-    return order
-
-
 def build_transform(
     params: CircuitParams,
     modes: NormalModes,
@@ -236,9 +220,13 @@ def build_transform(
     """Assemble the full (d*d, d*d) overlap tensor.
 
     The closed-form route requires d = 2.  The quadrature route fills
-    every entry from the shared grid (entrywise identical to
-    overlap_element_quadrature up to summation order) and refines the
-    order automatically until the ground-state overlap is stable.
+    every entry from one shared grid of ``order`` nodes per axis: each
+    axis gets one table of eigenfunctions, the bare and normal-mode
+    products are formed from those tables, and the weighted sum is one
+    matrix product (entrywise equal to overlap_element_quadrature up to
+    summation order).  The integrand of every entry has per-axis degree
+    at most 4(d - 1), so the rule is exact only for ``order >= 2d - 1``;
+    a lower order raises ValueError.
     """
     if d < 2:
         raise ValueError(f"need at least two levels per mode, got d={d}")
@@ -258,7 +246,10 @@ def build_transform(
         )
         return TransformTensor(entries, d, method, params, modes)
 
-    order = _resolve_order(params, modes, order)
+    if order < 2 * d - 1:
+        raise ValueError(
+            f"quadrature order {order} is inexact at d={d}; need at least {2 * d - 1}"
+        )
     form = gaussian_coefficients(params, modes)
     _require_positive_definite(form)
     t, v = _hermgauss_scaled(order)
@@ -273,13 +264,11 @@ def build_transform(
     scale2, scale1p, scale2p = _integrand_scales(params, modes)
 
     weights = (np.outer(v, v) / sqrt(form.det)).ravel()
-    bare = np.empty((d * d, t.size * t.size))
-    rotated = np.empty((d * d, t.size * t.size))
-    for a in range(d):
-        f1 = ho_eigenfunction(a, x1, 1.0)
-        f1p = ho_eigenfunction(a, x1p, scale1p)
-        for b in range(d):
-            bare[a * d + b] = (f1 * ho_eigenfunction(b, x2, scale2)).ravel()
-            rotated[a * d + b] = (f1p * ho_eigenfunction(b, x2p, scale2p)).ravel()
-    entries = (bare * weights) @ rotated.T
+    f1, f2 = ho_eigenfunctions(d, x1, 1.0), ho_eigenfunctions(d, x2, scale2)
+    bare = (f1[:, None] * f2[None, :]).reshape(d * d, t.size * t.size)
+    f1, f2 = ho_eigenfunctions(d, x1p, scale1p), ho_eigenfunctions(d, x2p, scale2p)
+    rotated = (f1[:, None] * f2[None, :]).reshape(d * d, t.size * t.size)
+    del f1, f2
+    bare *= weights  # in place: no third d^2 x N array at the peak
+    entries = bare @ rotated.T
     return TransformTensor(entries, d, TransformMethod.QUADRATURE, params, modes)

@@ -170,6 +170,19 @@ class TestParseConfig:
             parse_config([])
         assert err.value.code == 2
 
+    def test_env_var_below_exact_order_for_levels_big_exits(self, monkeypatch, capsys):
+        # order 16 is inexact at levels-big 20 (max |dU| 0.95 against
+        # order 128); the rule needs order >= 2 * levels_big - 1
+        monkeypatch.setenv("QUBIT_ENTROPY_QUAD_ORDER", "16")
+        with pytest.raises(SystemExit) as err:
+            parse_config(["--levels-big", "20"])
+        assert err.value.code == 2
+        assert "at least 39 for levels-big 20" in capsys.readouterr().err
+
+    def test_env_var_at_exact_order_for_levels_big_accepted(self, monkeypatch):
+        monkeypatch.setenv("QUBIT_ENTROPY_QUAD_ORDER", "39")
+        assert parse_config(["--levels-big", "20"]).quad_order == 39
+
 
 class TestRunSweep:
     def test_row_count_and_order(self):

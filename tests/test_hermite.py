@@ -13,6 +13,7 @@ from qubit_entropy.hermite import (
     gauss2d_moment,
     hermite_poly,
     ho_eigenfunction,
+    ho_eigenfunctions,
     quad2d,
 )
 
@@ -76,6 +77,46 @@ class TestEigenfunction:
             ho_eigenfunction(-1, 0.0, 1.0)
         with pytest.raises(ValueError):
             ho_eigenfunction(0, 0.0, 0.0)
+
+
+# |x| / length_scale above about 37.6 puts exp(-y^2/2) below the normal
+# range, and above about 38.6 it underflows to zero
+UNDERFLOW_POINTS = np.array(
+    [-60.0, -38.2, -30.0, -2.5, -1e-3, 0.0, 0.7, 3.3, 37.9, 38.5, 45.0, 60.0]
+)
+
+
+class TestEigenfunctionTable:
+    @pytest.mark.parametrize("d", [1, 20])
+    @pytest.mark.parametrize("scale", [1.0, 0.6, 1.7])
+    def test_rows_equal_single_eigenfunctions_bit_for_bit(self, d, scale):
+        x = np.concatenate([np.linspace(-6.0, 6.0, 37), UNDERFLOW_POINTS * scale])
+        grid = np.stack([x, x[::-1] * 0.5])
+        table = ho_eigenfunctions(d, grid, scale)
+        assert table.shape == (d, *grid.shape)
+        for n in range(d):
+            np.testing.assert_array_equal(table[n], ho_eigenfunction(n, grid, scale))
+            # the definition, composed from the reference recurrence
+            y = grid / scale
+            norm = 1.0 / math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
+            direct = norm / math.sqrt(scale) * np.exp(-0.5 * y * y) * hermite_poly(n, y)
+            np.testing.assert_array_equal(table[n], direct)
+
+    def test_underflow_gives_exact_zeros(self):
+        table = ho_eigenfunctions(20, np.array([45.0, -60.0]), 1.0)
+        assert np.all(table == 0.0)
+
+    def test_scalar_point_gives_one_value_per_level(self):
+        table = ho_eigenfunctions(3, 0.4, 1.3)
+        assert table.shape == (3,)
+        assert table[2] == ho_eigenfunction(2, 0.4, 1.3)
+        assert isinstance(ho_eigenfunction(2, 0.4, 1.3), float)
+
+    def test_bad_arguments(self):
+        with pytest.raises(ValueError):
+            ho_eigenfunctions(0, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            ho_eigenfunctions(2, 0.0, -1.0)
 
 
 def random_pd_form(rng, with_linear=False):

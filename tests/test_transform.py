@@ -1,8 +1,11 @@
 """Basis-change tensor: closed forms against the quadrature oracle."""
+from math import sqrt
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qubit_entropy.hermite import ho_eigenfunction
 from qubit_entropy.model import CircuitParams, FrequencyMethod, normal_modes
 from qubit_entropy.transform import (
     IndexOutOfRange,
@@ -17,6 +20,42 @@ REF = CircuitParams(lam=1.5, g=0.1)
 REF_MODES = normal_modes(REF)
 
 ODD_CELLS = [(0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2)]
+
+
+def per_entry_quadrature_build(params, modes, d, order=64):
+    """The quadrature tensor filled one eigenfunction product per row.
+
+    This is the entry-by-entry assembly that build_transform replaced by
+    per-axis eigenfunction tables; it keeps the same grid, weights and
+    matrix product, so the two must agree bit for bit.
+    """
+    form = gaussian_coefficients(params, modes)
+    t, w = np.polynomial.hermite.hermgauss(order)
+    v = np.exp(np.log(w) + t * t)
+    mu, rot = np.linalg.eigh(form.matrix())
+    scale = rot @ np.diag(1.0 / np.sqrt(mu))
+    t1, t2 = np.meshgrid(t, t, indexing="ij")
+    x1 = scale[0, 0] * t1 + scale[0, 1] * t2
+    x2 = scale[1, 0] * t1 + scale[1, 1] * t2
+    if modes.method is FrequencyMethod.EXACT:
+        c, s = np.cos(modes.phi), np.sin(modes.phi)
+    else:
+        c, s = 1.0, modes.phi
+    x1p = c * x1 + s * x2
+    x2p = c * x2 - s * x1
+    scale2 = 1.0 / sqrt(params.lam)
+    scale1p, scale2p = 1.0 / sqrt(modes.omega1), 1.0 / sqrt(modes.omega2)
+
+    weights = (np.outer(v, v) / sqrt(form.det)).ravel()
+    bare = np.empty((d * d, t.size * t.size))
+    rotated = np.empty((d * d, t.size * t.size))
+    for a in range(d):
+        f1 = ho_eigenfunction(a, x1, 1.0)
+        f1p = ho_eigenfunction(a, x1p, scale1p)
+        for b in range(d):
+            bare[a * d + b] = (f1 * ho_eigenfunction(b, x2, scale2)).ravel()
+            rotated[a * d + b] = (f1p * ho_eigenfunction(b, x2p, scale2p)).ravel()
+    return (bare * weights) @ rotated.T
 
 
 def probe_block_deviation(params, modes, d):
@@ -200,6 +239,32 @@ class TestBuildTransform:
                         assert_allclose(
                             built.entries[n * 3 + m, n2 * 3 + m2], element, atol=1e-13
                         )
+
+    @pytest.mark.parametrize(
+        "lam, g, d, method",
+        [
+            (1.5, 0.1, 4, FrequencyMethod.SMALL_ANGLE),
+            (1.5, 0.1, 8, FrequencyMethod.SMALL_ANGLE),
+            (1.5, 0.0, 4, FrequencyMethod.SMALL_ANGLE),
+            (0.6, -0.05, 4, FrequencyMethod.EXACT),
+        ],
+    )
+    def test_quadrature_build_equals_per_entry_assembly(self, lam, g, d, method):
+        params = CircuitParams(lam=lam, g=g)
+        modes = normal_modes(params, method)
+        built = build_transform(params, modes, d=d, method=TransformMethod.QUADRATURE)
+        np.testing.assert_array_equal(
+            built.entries, per_entry_quadrature_build(params, modes, d)
+        )
+
+    def test_quadrature_order_below_exactness_floor_rejected(self):
+        # the integrand has per-axis degree up to 4(d - 1), so an order
+        # of 16 is exact up to d = 8 and not beyond
+        build_transform(REF, REF_MODES, d=8, method=TransformMethod.QUADRATURE, order=16)
+        with pytest.raises(ValueError, match="need at least 17"):
+            build_transform(
+                REF, REF_MODES, d=9, method=TransformMethod.QUADRATURE, order=16
+            )
 
     def test_zero_coupling_closed_build_is_exact_identity(self):
         params = CircuitParams(lam=1.5, g=0.0)
