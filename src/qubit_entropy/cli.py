@@ -23,22 +23,16 @@ from . import __version__
 from .entropy import bipartite_entropies, spectra
 from .hermite import DEFAULT_QUAD_ORDER, MIN_QUAD_ORDER
 from .model import CircuitParams, FrequencyMethod, NormalModes, normal_modes
-from .state import (
-    partial_traces,
-    rotate_thermal,
-    thermal_weights,
-    validity_diagnostics,
-)
+from .state import partial_traces, rotate_thermal, thermal_weights, validity_diagnostics
 from .transform import TransformMethod, TransformTensor, build_transform
 
 __all__ = ["SweepConfig", "SweepError", "emit", "main", "parse_config", "run_sweep"]
 
 QUAD_ORDER_ENV = "QUBIT_ENTROPY_QUAD_ORDER"
 
-# The sweep evaluates temperatures in chunks whose stacked d_big states
-# take at most this many bytes (8 * levels_big**4 per temperature, at
-# least one temperature per chunk).  Larger chunks save little time and
-# raise peak memory.
+# The sweep evaluates temperatures in chunks of at most this many bytes:
+# 8 * (levels_small**4 + levels_big**2) per temperature, for the joint state
+# and the levels-big weight row.  Larger chunks save little, cost memory.
 CHUNK_BYTES = 256 * 1024
 
 CSV_COLUMNS = (
@@ -183,8 +177,8 @@ def parse_config(argv: list[str] | None = None) -> SweepConfig:
     Flags override file values, which override defaults.  The
     quadrature order comes from the QUBIT_ENTROPY_QUAD_ORDER
     environment variable only.  Configuration problems, including a
-    circuit whose small-angle normal modes cannot be built, terminate
-    with exit code 2.
+    circuit whose small-angle normal modes cannot be built and an
+    output path in a missing directory, terminate with exit code 2.
     """
     parser = argparse.ArgumentParser(
         prog="qubit-entropy",
@@ -227,6 +221,8 @@ def parse_config(argv: list[str] | None = None) -> SweepConfig:
         config = replace(config, **overrides)
         config.validate()
         config.modes  # DegenerateFrequencies, UnstableMode: bad configuration
+        if not os.path.isdir(os.path.dirname(config.output or "") or "."):
+            raise ValueError(f"the directory of --output {config.output} does not exist")
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
     return config
@@ -262,7 +258,7 @@ def run_sweep(config: SweepConfig) -> list[dict[str, float]]:
         order=config.quad_order,
     )
     grid = _temperature_grid(config)
-    step = max(1, CHUNK_BYTES // (8 * config.levels_big**4))
+    step = max(1, CHUNK_BYTES // (8 * (config.levels_small**4 + config.levels_big**2)))
     diagnostics, entropies = [], []
     for start in range(0, len(grid), step):
         temps = grid[start:start + step]
@@ -314,11 +310,9 @@ def _sweep_chunk(
     """
     current_q: float | None = None
     try:
-        big = rotate_thermal(thermal_weights(modes, temps, config.levels_big), u_big)
-        diag = validity_diagnostics(big, config.levels_small)
-        joint = rotate_thermal(
-            thermal_weights(modes, temps, config.levels_small), u_small
-        )
+        weights = thermal_weights(modes, temps, config.levels_big)
+        diag = validity_diagnostics(weights, u_big, config.levels_small)
+        joint = rotate_thermal(thermal_weights(modes, temps, config.levels_small), u_small)
         joint_spectra = spectra(joint)
         marginal_spectra = spectra(partial_traces(joint))
         by_q = []

@@ -264,13 +264,12 @@ def subspace_validity(
 ) -> SubspaceDiagnostics:
     """How well the d_small^2 block approximates the d_big^2 state.
 
-    The thermal state is built at d_big levels per mode, expressed in
-    the bare basis, and split into the block spanned by bare levels
-    below d_small and its complement.  Reported are the purity of the
-    renormalized block (mu_block), the raw squared weight of the
-    complement block without renormalization (mu_complement, which
-    vanishes as T -> 0), and the absolute sum of off-diagonal elements
-    of the renormalized block.
+    Reported for the bare-basis thermal state at d_big levels per mode
+    are the purity of its renormalized block of bare levels below d_small
+    (mu_block), the squared weight of the complement without
+    renormalization (mu_complement, small but not zero as T -> 0) and the
+    absolute sum of off-diagonal elements of the renormalized block; see
+    :func:`validity_diagnostics`.
 
     Parameters
     ----------
@@ -278,10 +277,6 @@ def subspace_validity(
         A prebuilt d_big tensor, so sweeps can reuse one across
         temperatures.  Built on the fly by quadrature when omitted.
     """
-    if d_small < 2:
-        raise ValueError(f"need at least two retained levels, got {d_small}")
-    if d_big <= d_small:
-        raise ValueError(f"d_big must exceed d_small, got {d_big} <= {d_small}")
     if transform is None:
         transform = build_transform(
             params, modes, d=d_big, method=TransformMethod.QUADRATURE, order=order
@@ -290,33 +285,44 @@ def subspace_validity(
         raise DimensionMismatch(
             f"prebuilt transform has d={transform.d}, expected {d_big}"
         )
-    state = rotate_thermal(thermal_weights(modes, [temperature], d_big), transform)
-    mu_block, mu_complement, offdiag = validity_diagnostics(state, d_small)
-    return SubspaceDiagnostics(
-        float(mu_block[0]), float(mu_complement[0]), float(offdiag[0])
-    )
+    weights = thermal_weights(modes, [temperature], d_big)
+    columns = validity_diagnostics(weights, transform, d_small)
+    return SubspaceDiagnostics(*(float(column[0]) for column in columns))
 
 
 def validity_diagnostics(
-    states: np.ndarray, d_small: int
+    weights: np.ndarray, transform: TransformTensor, d_small: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Block and complement sums of :func:`subspace_validity` over a stack.
+    """Arrays ``(mu_block, mu_complement, offdiag_sum)`` of
+    :func:`subspace_validity`, one entry per row of thermal ``weights``.
 
-    ``states`` is a ``(k, d_big^2, d_big^2)`` stack of bare-basis states;
-    returns the arrays ``(mu_block, mu_complement, offdiag_sum)``.
+    The state ``U^T diag(w) U / tr`` is never formed: ``tr = w . r`` with
+    ``r_i = sum_a U_ia^2``, the kept block is ``U_K^T diag(w) U_K``, and the
+    complement weight is ``w^T (G o G) w / tr^2`` with ``G = U_R U_R^T``, a
+    sum of non-negative terms.  The state is ``B^T B`` with ``B = sqrt(w) U``,
+    so PSD for finite non-negative weights, which are checked.
     """
-    count = len(states)
-    d_big = math.isqrt(states.shape[-1])
+    u, w, d_big = transform.entries, np.asarray(weights, dtype=float), transform.d
+    if w.ndim != 2 or w.shape[1] != u.shape[0]:
+        raise DimensionMismatch(f"weights {w.shape} do not match transform {u.shape}")
+    if not 2 <= d_small < d_big:
+        raise ValueError(f"need 2 <= d_small < d_big, got {d_small}, {d_big}")
+    if not (np.isfinite(w) & (w >= 0)).all():
+        raise ValueError("weights must be finite and non-negative")
+    traces = (w * (u * u).sum(axis=1)).sum(axis=1)
+    if not (traces > 0).all():
+        raise ValueError(f"trace must be positive, got {traces.min()}")
     kept = [n * d_big + m for n in range(d_small) for m in range(d_small)]
-    rest = [i for i in range(d_big * d_big) if i not in kept]
-    # np.ix_ keeps the selections C-ordered, so each sum rounds as it
-    # would on a single state
-    block = states[np.ix_(range(count), kept, kept)]
-    block /= np.trace(block, axis1=1, axis2=2)[:, None, None]
-    complement = states[np.ix_(range(count), rest, rest)]
-    mu_block = (block * block).reshape(count, -1).sum(axis=1)
-    mu_complement = (complement * complement).reshape(count, -1).sum(axis=1)
-    offdiag = np.abs(block).reshape(count, -1).sum(axis=1) - np.abs(
-        np.diagonal(block, axis1=1, axis2=2)
-    ).sum(axis=1)
+    u_kept, u_rest = u[:, kept], np.delete(u, kept, axis=1)
+    # one vector-matrix product per state, so a row rounds as it would alone
+    pairs = (u_kept[:, :, None] * u_kept[:, None, :]).reshape(len(u), -1)
+    block = (w[:, None, :] @ pairs)[:, 0]  # each row a flattened block
+    diagonal = slice(None, None, len(kept) + 1)
+    block /= block[:, diagonal].sum(axis=1, keepdims=True)
+    gram = u_rest @ u_rest.T
+    mu_block = (block * block).sum(axis=1)
+    mu_complement = ((w[:, None, :] @ (gram * gram))[:, 0] * w).sum(axis=1) / traces**2
+    offdiag = np.abs(block).sum(axis=1) - np.abs(block[:, diagonal]).sum(axis=1)
+    if not np.isfinite(mu_block + mu_complement).all():
+        raise ValueError("validity diagnostics are not finite")
     return mu_block, mu_complement, offdiag

@@ -28,7 +28,6 @@ from qubit_entropy.state import (
 from qubit_entropy.transform import TransformMethod, build_transform
 
 FAST = ["--t-steps", "3", "--q", "1.0,2.0"]
-DIAGNOSTIC_COLUMNS = ("mu_I", "mu_II", "offdiag_sum")
 
 
 def failing_entropies(joint, marginals, q):
@@ -69,6 +68,11 @@ def per_temperature_rows(config):
                 "offdiag_sum": diag.offdiag_sum,
             })
     return rows
+
+
+def chunk_bytes_per_temperature(config):
+    """Bytes the sweep stacks per temperature, as CHUNK_BYTES counts them."""
+    return 8 * (config.levels_small**4 + config.levels_big**2)
 
 
 def parse_csv(text):
@@ -217,9 +221,10 @@ class TestRunSweep:
             run_sweep(parse_config(FAST))
 
     def test_failure_names_first_failing_temperature(self, monkeypatch):
-        # levels-big 6 gives chunks of 25 temperatures; the failures at
-        # grid indices 30 and 41 both fall in the second chunk
+        # chunks of 25 temperatures: the failures at grid indices 30 and
+        # 41 both fall in the second chunk
         config = parse_config(["--t-steps", "60", "--q", "1.0"])
+        monkeypatch.setattr(cli_mod, "CHUNK_BYTES", 25 * chunk_bytes_per_temperature(config))
         grid = cli_mod._temperature_grid(config)
         bad = grid[[41, 30]]
         real_weights = cli_mod.thermal_weights
@@ -237,7 +242,6 @@ class TestRunSweep:
     @pytest.mark.parametrize(
         "argv",
         [
-            # 333 temperatures in chunks of 8: several chunks, the last partial
             ["--t-steps", "333", "--levels-big", "8", "--t-scale", "log"],
             # starts below GROUND_STATE_T, where states are ground projectors
             ["--t-min", str(GROUND_STATE_T / 10), "--t-max", "0.3",
@@ -246,17 +250,26 @@ class TestRunSweep:
              "--t-steps", "30", "--q", "0.5,1.0,2.5"],
         ],
     )
-    def test_chunked_rows_match_per_temperature_composition(self, argv):
+    def test_chunked_rows_match_per_temperature_composition(self, argv, monkeypatch):
         config = parse_config(argv)
+        # chunks of 7 temperatures: every grid spans several chunks and
+        # ends with a partial one
+        monkeypatch.setattr(cli_mod, "CHUNK_BYTES", 7 * chunk_bytes_per_temperature(config))
+        sizes = []
+        real_chunk = cli_mod._sweep_chunk
+
+        def recording_chunk(config, modes, u_small, u_big, temps):
+            sizes.append(len(temps))
+            return real_chunk(config, modes, u_small, u_big, temps)
+
+        monkeypatch.setattr(cli_mod, "_sweep_chunk", recording_chunk)
         rows = run_sweep(config)
+        assert sizes[:-1] == [7] * (len(sizes) - 1) and 0 < sizes[-1] < 7
         expected = per_temperature_rows(config)
         assert len(rows) == len(expected)
         for row, ref in zip(rows, expected):
             for key in CSV_COLUMNS:
-                if key in DIAGNOSTIC_COLUMNS:
-                    assert row[key] == pytest.approx(ref[key], rel=1e-12, abs=0)
-                else:
-                    assert row[key] == ref[key], key
+                assert row[key] == ref[key], key
 
     def test_methods_agree_on_all_columns(self):
         base = parse_config(FAST)
@@ -336,6 +349,22 @@ class TestMain:
         assert code == 1
         assert capsys.readouterr().err.startswith("qubit-entropy: ")
         assert not out.exists()
+
+    def test_output_in_missing_directory_exits_before_sweep(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli_mod, "run_sweep", None)  # never reached
+        out = tmp_path / "missing" / "sweep.csv"
+        with pytest.raises(SystemExit) as err:
+            main(FAST + ["--output", str(out)])
+        assert err.value.code == 2
+        assert "does not exist" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_output_in_working_directory_accepted(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert parse_config(FAST + ["--output", "sweep.csv"]).output == "sweep.csv"
+        assert list(tmp_path.iterdir()) == []
 
     def test_small_angle_warning_printed_once(self, capsys):
         # phi = 1.02 at lam = 1.05, g = 0.1: outside the small-angle regime

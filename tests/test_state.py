@@ -315,22 +315,6 @@ class TestSubspaceValidity:
         for a, b in zip(values, values[1:]):
             assert b <= a + 1e-12
 
-    def test_stack_sums_match_single_state_formula(self):
-        u = build_transform(REF, REF_MODES, d=6, method=TransformMethod.QUADRATURE)
-        states = rotate_thermal(
-            thermal_weights(REF_MODES, np.linspace(0.02, 0.6, 12), d=6), u
-        )
-        kept = [0, 1, 6, 7]
-        rest = [i for i in range(36) if i not in kept]
-        got = validity_diagnostics(states, d_small=2)
-        for k, state in enumerate(states):
-            block = state[np.ix_(kept, kept)]
-            block = block / float(np.trace(block))
-            complement = state[np.ix_(rest, rest)]
-            assert got[0][k] == np.sum(block * block)
-            assert got[1][k] == np.sum(complement * complement)
-            assert got[2][k] == np.sum(np.abs(block)) - np.sum(np.abs(np.diag(block)))
-
     def test_prebuilt_transform_must_match_truncation(self):
         u_small = build_transform(REF, REF_MODES, d=2)
         with pytest.raises(DimensionMismatch):
@@ -339,3 +323,108 @@ class TestSubspaceValidity:
     def test_truncations_must_nest(self):
         with pytest.raises(ValueError):
             subspace_validity(REF_MODES, REF, 0.2, d_small=6, d_big=6)
+
+
+def dense_diagnostics(u, weights, d_small):
+    """The dense reference route: the full unit-trace d_big^2 state
+    ``canonical_densities(U^T diag(w) U)``, then its block and complement
+    sums.  Returns (mu_block, mu_complement, offdiag_sum, block trace)."""
+    d_big = math.isqrt(len(u))
+    kept = [n * d_big + m for n in range(d_small) for m in range(d_small)]
+    rest = [i for i in range(d_big * d_big) if i not in kept]
+    out = []
+    for w in weights:
+        state = canonical_densities((u.T @ np.diag(w) @ u)[None])[0]
+        block = state[np.ix_(kept, kept)]
+        block_trace = float(np.trace(block))
+        block = block / block_trace
+        complement = state[np.ix_(rest, rest)]
+        out.append((
+            np.sum(block * block),
+            np.sum(complement * complement),
+            np.sum(np.abs(block)) - np.sum(np.abs(np.diag(block))),
+            block_trace,
+        ))
+    return np.array(out).T
+
+
+class TestValidityDiagnostics:
+    ORACLE_TEMPS = [1e-9, 0.01, 0.03, 0.1, 0.3, 0.7, 1.5, 3.0]
+
+    @pytest.mark.parametrize("d_big", [6, 8, 20])
+    @pytest.mark.parametrize("lam", [0.6, 1.5, 2.5])
+    @pytest.mark.parametrize("g", [0.0, 0.3, -0.3])
+    def test_matches_dense_state(self, d_big, lam, g):
+        # Rounding allowance.  Each entry of the dense state sums
+        # n = d_big^2 products bounded by |U|^T diag(w) |U|, whose Frobenius
+        # norm is at most its trace (about 1), and the eigh behind the clamp
+        # has backward error O(n eps ||rho||): the entry errors E of one
+        # route have ||E||_F <= n eps (constant taken as 1).  The closed form
+        # errs by no more: each G_ij is off by order n eps and, by
+        # Cauchy-Schwarz, sum w_i w_j |G_ij| <= sqrt(mu_II) tr.  Per route,
+        #   |d mu_II| <= 2 sqrt(mu_II) ||E|| + ||E||^2,
+        # and the block B, divided by its trace t_K, moves by
+        # ||dB||_F <= 2 ||E|| / t_K, so |d mu_I| <= 2 ||B|| ||dB|| with
+        # ||B|| <= 1, and |d offdiag_sum| <= d_small^2 ||dB||_F over the
+        # d_small^4 entries.  The two routes' errors add.
+        params = CircuitParams(lam=lam, g=g)
+        modes = normal_modes(params, FrequencyMethod.EXACT)
+        u = build_transform(params, modes, d=d_big, method=TransformMethod.QUADRATURE)
+        weights = thermal_weights(modes, self.ORACLE_TEMPS, d_big)
+        mu_block, mu_complement, offdiag = validity_diagnostics(weights, u, 2)
+        ref_block, ref_complement, ref_offdiag, block_trace = dense_diagnostics(
+            u.entries, weights, 2
+        )
+        n_eps = d_big**2 * np.finfo(float).eps
+        block_move = 2 * (2 * n_eps / block_trace)
+        allow_complement = 2 * (2 * np.sqrt(ref_complement) * n_eps + n_eps**2)
+        assert np.all(np.abs(mu_block - ref_block) <= 2 * block_move)
+        assert np.all(np.abs(mu_complement - ref_complement) <= allow_complement)
+        assert np.all(np.abs(offdiag - ref_offdiag) <= 2**2 * block_move)
+
+    @pytest.mark.parametrize("d_small, d_big", [(2, 6), (3, 8), (2, 20)])
+    def test_ground_state_is_rank_one_projector(self, d_small, d_big):
+        # below GROUND_STATE_T the state is U_0^T U_0 / |U_0|^2 (row 0 of U)
+        params = CircuitParams(lam=1.5, g=0.3)
+        modes = normal_modes(params, FrequencyMethod.EXACT)
+        u = build_transform(params, modes, d=d_big, method=TransformMethod.QUADRATURE)
+        weights = thermal_weights(modes, [GROUND_STATE_T / 10], d_big)
+        mu_block, mu_complement, _ = validity_diagnostics(weights, u, d_small)
+        row = u.entries[0] ** 2
+        kept = [n * d_big + m for n in range(d_small) for m in range(d_small)]
+        outside = math.fsum(np.delete(row, kept))
+        assert_allclose(mu_block, 1.0, rtol=1e-13)
+        assert_allclose(mu_complement, (outside / math.fsum(row)) ** 2, rtol=1e-13)
+        assert mu_complement > 0
+
+    def test_stack_matches_single_states(self):
+        u = build_transform(REF, REF_MODES, d=6, method=TransformMethod.QUADRATURE)
+        temps = np.concatenate([[GROUND_STATE_T / 2], np.linspace(0.02, 0.6, 12)])
+        stacked = validity_diagnostics(thermal_weights(REF_MODES, temps, 6), u, 2)
+        for k, t in enumerate(temps):
+            single = subspace_validity(REF_MODES, REF, float(t), transform=u)
+            assert single == tuple(column[k] for column in stacked)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(-1e-3, "non-negative"), (float("nan"), "non-negative"),
+         (float("inf"), "non-negative")],
+    )
+    def test_bad_weight_rejected(self, bad, message):
+        u = build_transform(REF, REF_MODES, d=6, method=TransformMethod.QUADRATURE)
+        weights = thermal_weights(REF_MODES, [0.1, 0.2], 6)
+        weights[1, 3] = bad
+        with pytest.raises(ValueError, match=message):
+            validity_diagnostics(weights, u, 2)
+
+    def test_zero_trace_rejected(self):
+        u = build_transform(REF, REF_MODES, d=6, method=TransformMethod.QUADRATURE)
+        with pytest.raises(ValueError, match="trace must be positive"):
+            validity_diagnostics(np.zeros((1, 36)), u, 2)
+
+    def test_shape_and_truncation_checked(self):
+        u = build_transform(REF, REF_MODES, d=6, method=TransformMethod.QUADRATURE)
+        with pytest.raises(DimensionMismatch):
+            validity_diagnostics(thermal_weights(REF_MODES, [0.1], 5), u, 2)
+        with pytest.raises(ValueError):
+            validity_diagnostics(thermal_weights(REF_MODES, [0.1], 6), u, 6)
