@@ -4,18 +4,12 @@ The pipeline: map a pair of coupled LC circuits onto dimensionless
 oscillator parameters (`model`), expand the thermal normal-mode state
 in the bare product basis through an overlap tensor (`hermite`,
 `transform`), reduce it (`state`), and score the marginals with
-von Neumann and Tsallis entropies (`entropy`).  The `cli` module wires
-the stages into a deterministic temperature sweep.
+von Neumann and Tsallis entropies (`entropy`).  The state and entropy
+stages work on stacks of states, one per temperature.  The `cli` module
+wires the stages into a deterministic temperature sweep.
 """
-from .entropy import (
-    EntropyReport,
-    NonPositiveQ,
-    analyze_bipartite,
-    tsallis_entropy,
-    von_neumann_entropy,
-)
+from .entropy import NonPositiveQ, bipartite_entropies, spectra, spectrum_entropies
 from .hermite import (
-    DEFAULT_QUAD_ORDER,
     GaussianQuadraticForm,
     NotPositiveDefinite,
     UnsupportedDegree,
@@ -38,18 +32,14 @@ from .model import (
     rotation_angle_small,
 )
 from .state import (
-    Basis,
-    DensityMatrix,
     DimensionMismatch,
     NonPositiveTemperature,
     NotAProductDimension,
-    SubspaceDiagnostics,
-    density_from_array,
-    partial_trace,
-    purity,
-    subspace_validity,
-    thermal_density,
-    transform_density,
+    canonical_densities,
+    partial_traces,
+    rotate_thermal,
+    thermal_weights,
+    validity_diagnostics,
 )
 from .transform import (
     IndexOutOfRange,
@@ -64,13 +54,9 @@ from .transform import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Basis",
     "CircuitParams",
-    "DEFAULT_QUAD_ORDER",
     "DegenerateFrequencies",
-    "DensityMatrix",
     "DimensionMismatch",
-    "EntropyReport",
     "FrequencyMethod",
     "GaussianQuadraticForm",
     "IndexOutOfRange",
@@ -80,14 +66,13 @@ __all__ = [
     "NotAProductDimension",
     "NotPositiveDefinite",
     "SMALL_ANGLE_LIMIT",
-    "SubspaceDiagnostics",
     "TransformMethod",
     "TransformTensor",
     "UnstableMode",
     "UnsupportedDegree",
-    "analyze_bipartite",
+    "bipartite_entropies",
     "build_transform",
-    "density_from_array",
+    "canonical_densities",
     "gauss2d_integral",
     "gauss2d_moment",
     "gaussian_coefficients",
@@ -97,15 +82,14 @@ __all__ = [
     "normal_modes",
     "overlap_element_closed",
     "overlap_element_quadrature",
-    "partial_trace",
-    "purity",
+    "partial_traces",
     "quad2d",
+    "rotate_thermal",
     "rotation_angle_exact",
     "rotation_angle_small",
-    "subspace_validity",
-    "thermal_density",
-    "transform_density",
-    "tsallis_entropy",
-    "von_neumann_entropy",
+    "spectra",
+    "spectrum_entropies",
+    "thermal_weights",
+    "validity_diagnostics",
     "__version__",
 ]

@@ -21,19 +21,21 @@ import numpy as np
 
 from . import __version__
 from .entropy import bipartite_entropies, spectra
-from .hermite import DEFAULT_QUAD_ORDER, MIN_QUAD_ORDER
 from .model import CircuitParams, FrequencyMethod, NormalModes, normal_modes
 from .state import partial_traces, rotate_thermal, thermal_weights, validity_diagnostics
 from .transform import TransformMethod, TransformTensor, build_transform
 
 __all__ = ["SweepConfig", "SweepError", "emit", "main", "parse_config", "run_sweep"]
 
-QUAD_ORDER_ENV = "QUBIT_ENTROPY_QUAD_ORDER"
-
 # The sweep evaluates temperatures in chunks of at most this many bytes:
 # 8 * (levels_small**4 + levels_big**2) per temperature, for the joint state
 # and the levels-big weight row.  Larger chunks save little, cost memory.
 CHUNK_BYTES = 256 * 1024
+
+# The levels-big transform holds two tables of levels_big^2 eigenfunction
+# products on (2 * levels_big - 1)^2 quadrature nodes, growing as
+# levels_big^4: 33 MB each at this limit, 51 GB each at levels-big 200.
+MAX_LEVELS_BIG = 32
 
 CSV_COLUMNS = (
     "T",
@@ -67,7 +69,6 @@ class SweepConfig:
     method: str = "closed-form"
     output_format: str = "csv"
     output: str | None = None
-    quad_order: int = DEFAULT_QUAD_ORDER
 
     @cached_property
     def modes(self) -> NormalModes:
@@ -100,22 +101,14 @@ class SweepConfig:
             raise ValueError("levels-small must be at least 2")
         if self.levels_big <= self.levels_small:
             raise ValueError("levels-big must exceed levels-small")
+        if self.levels_big > MAX_LEVELS_BIG:
+            raise ValueError(f"levels-big must be at most {MAX_LEVELS_BIG}")
         if self.method not in ("closed-form", "quadrature"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.method == "closed-form" and self.levels_small != 2:
             raise ValueError("closed-form supports levels-small=2 only")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.output_format!r}")
-        if self.quad_order < MIN_QUAD_ORDER:
-            raise ValueError(
-                f"{QUAD_ORDER_ENV} must be at least {MIN_QUAD_ORDER}"
-            )
-        if self.quad_order < 2 * self.levels_big - 1:
-            # the levels-big transform is exact only from this order on
-            raise ValueError(
-                f"{QUAD_ORDER_ENV} must be at least {2 * self.levels_big - 1}"
-                f" for levels-big {self.levels_big}"
-            )
 
 
 def _parse_q_list(text: str) -> tuple[float, ...]:
@@ -172,13 +165,12 @@ def _convert(field_name: str, text: str):
 
 
 def parse_config(argv: list[str] | None = None) -> SweepConfig:
-    """Build a SweepConfig from flags, an optional config file, and the env.
+    """Build a SweepConfig from flags and an optional config file.
 
-    Flags override file values, which override defaults.  The
-    quadrature order comes from the QUBIT_ENTROPY_QUAD_ORDER
-    environment variable only.  Configuration problems, including a
-    circuit whose small-angle normal modes cannot be built and an
-    output path in a missing directory, terminate with exit code 2.
+    Flags override file values, which override defaults.  Configuration
+    problems, including a circuit whose small-angle normal modes cannot
+    be built and an output path in a missing directory, terminate with
+    exit code 2.
     """
     parser = argparse.ArgumentParser(
         prog="qubit-entropy",
@@ -215,9 +207,6 @@ def parse_config(argv: list[str] | None = None) -> SweepConfig:
                 overrides[field_name] = value
         if args.q is not None:
             overrides["q_values"] = _parse_q_list(args.q)
-        env_order = os.environ.get(QUAD_ORDER_ENV)
-        if env_order is not None:
-            overrides["quad_order"] = int(env_order)
         config = replace(config, **overrides)
         config.validate()
         config.modes  # DegenerateFrequencies, UnstableMode: bad configuration
@@ -249,13 +238,9 @@ def run_sweep(config: SweepConfig) -> list[dict[str, float]]:
         if config.method == "closed-form"
         else TransformMethod.QUADRATURE
     )
-    u_small = build_transform(
-        params, modes, d=config.levels_small, method=small_method,
-        order=config.quad_order,
-    )
+    u_small = build_transform(params, modes, d=config.levels_small, method=small_method)
     u_big = build_transform(
-        params, modes, d=config.levels_big, method=TransformMethod.QUADRATURE,
-        order=config.quad_order,
+        params, modes, d=config.levels_big, method=TransformMethod.QUADRATURE
     )
     grid = _temperature_grid(config)
     step = max(1, CHUNK_BYTES // (8 * (config.levels_small**4 + config.levels_big**2)))
@@ -342,8 +327,7 @@ def _header_lines(config: SweepConfig) -> list[str]:
         f"# t_min={_fmt(config.t_min)} t_max={_fmt(config.t_max)}"
         f" t_steps={config.t_steps} t_scale={config.t_scale}",
         f"# q={q_text} levels_small={config.levels_small}"
-        f" levels_big={config.levels_big} method={config.method}"
-        f" quad_order={config.quad_order}",
+        f" levels_big={config.levels_big} method={config.method}",
     ]
 
 

@@ -1,21 +1,13 @@
-"""Spectral entropies and the bipartite subadditivity report."""
+"""Spectral entropies of stacks of states and the bipartite margin."""
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .state import DensityMatrix, partial_traces, purity
-
 __all__ = [
-    "EntropyReport",
     "NonPositiveQ",
-    "analyze_bipartite",
     "bipartite_entropies",
     "spectra",
     "spectrum_entropies",
-    "tsallis_entropy",
-    "von_neumann_entropy",
 ]
 
 # |q - 1| below this routes to the von Neumann limit; the spectral
@@ -66,20 +58,6 @@ def spectrum_entropies(p: np.ndarray, q: float) -> np.ndarray:
     return (1.0 - (p**q).sum(axis=-1)) / (q - 1.0)
 
 
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """S = -sum(p * ln p) over the spectrum, with 0 ln 0 = 0."""
-    return float(_von_neumann(spectra(rho.entries[None]))[0])
-
-
-def tsallis_entropy(rho: DensityMatrix, q: float) -> float:
-    """Tsallis entropy S_q = (1 - sum(p^q)) / (q - 1).
-
-    Continuous in q: for |q - 1| < 1e-6 the von Neumann value is
-    returned, which the spectral formula approaches in that limit.
-    """
-    return float(spectrum_entropies(spectra(rho.entries[None]), q)[0])
-
-
 def bipartite_entropies(
     joint: np.ndarray, marginals: np.ndarray, q: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -88,49 +66,11 @@ def bipartite_entropies(
     ``joint`` holds the joint spectra and ``marginals`` the spectra of
     both marginals (leading axis 2, as :func:`partial_traces` orders
     them).  Returns ``(s_joint, s_first, s_second, margin)`` with the
-    margin ``s_first + s_second - s_joint``.
+    margin ``s_first + s_second - s_joint``, which is both the mutual
+    information and the subadditivity margin.  For q = 1 it is
+    non-negative for every state; away from q = 1 it can be legitimately
+    negative (Tsallis entropy is not additive over products).
     """
     s_joint = spectrum_entropies(joint, q)
     s_first, s_second = spectrum_entropies(marginals, q)
     return s_joint, s_first, s_second, s_first + s_second - s_joint
-
-
-@dataclass(frozen=True)
-class EntropyReport:
-    """Joint and marginal entropies of a two-mode state at one q."""
-
-    q: float
-    s_joint: float
-    s_first: float
-    s_second: float
-    subadditivity_margin: float
-    mutual_info: float
-    purity: float
-    temperature: float | None
-
-
-def analyze_bipartite(rho: DensityMatrix, q: float = 1.0) -> EntropyReport:
-    """Entropies of a two-mode state and both marginals.
-
-    The margin ``s_first + s_second - s_joint`` is reported as both the
-    subadditivity margin and the mutual information; they coincide by
-    definition.  For q = 1 the margin is non-negative for every state.
-    Away from q = 1 it can be legitimately negative (Tsallis entropy is
-    not additive over products), so callers should treat it as a
-    diagnostic rather than an inequality.
-    """
-    joint = spectra(rho.entries[None])
-    marginals = spectra(partial_traces(rho.entries[None]))
-    s_joint, s_first, s_second, margin = (
-        float(x[0]) for x in bipartite_entropies(joint, marginals, q)
-    )
-    return EntropyReport(
-        q=q,
-        s_joint=s_joint,
-        s_first=s_first,
-        s_second=s_second,
-        subadditivity_margin=margin,
-        mutual_info=margin,
-        purity=purity(rho),
-        temperature=rho.temperature,
-    )

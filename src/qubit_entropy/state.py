@@ -1,34 +1,26 @@
-"""Thermal density matrices, basis changes, and truncation diagnostics."""
+"""Thermal states, basis changes, reductions and truncation diagnostics.
+
+Every function works on a stack: the leading axes index states (one per
+temperature in the sweep), the last axes hold one state's populations or
+matrix.  A single state is a stack of one.
+"""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
-from .hermite import DEFAULT_QUAD_ORDER
-from .model import CircuitParams, NormalModes
-from .transform import TransformMethod, TransformTensor, build_transform
+from .model import NormalModes
+from .transform import TransformTensor
 
 __all__ = [
-    "Basis",
-    "DensityMatrix",
     "DimensionMismatch",
     "NonPositiveTemperature",
     "NotAProductDimension",
-    "SubspaceDiagnostics",
     "canonical_densities",
-    "density_from_array",
-    "partial_trace",
     "partial_traces",
-    "purity",
     "rotate_thermal",
-    "subspace_validity",
-    "thermal_density",
     "thermal_weights",
-    "transform_density",
     "validity_diagnostics",
 ]
 
@@ -51,35 +43,6 @@ class DimensionMismatch(ValueError):
 
 class NotAProductDimension(ValueError):
     """Partial trace needs a dimension that is a perfect square."""
-
-
-class Basis(Enum):
-    NORMAL_MODE = "normal-mode"
-    PHYSICAL = "physical"
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Real symmetric density matrix tagged with its basis and origin.
-
-    Build instances through :func:`density_from_array` or the producers
-    in this module; they symmetrize, clamp rounding-level negative
-    eigenvalues, and normalize the trace.
-    """
-
-    entries: np.ndarray
-    basis: Basis
-    temperature: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
-            raise ValueError(f"density matrix must be square, got {self.entries.shape}")
-        if not np.all(np.isfinite(self.entries)):
-            raise ValueError("density matrix contains non-finite entries")
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 def canonical_densities(entries: np.ndarray) -> np.ndarray:
@@ -121,24 +84,6 @@ def canonical_densities(entries: np.ndarray) -> np.ndarray:
     return arr
 
 
-def density_from_array(
-    entries: np.ndarray,
-    basis: Basis = Basis.PHYSICAL,
-    temperature: float | None = None,
-) -> DensityMatrix:
-    """Canonicalize one array into a DensityMatrix.
-
-    The array is symmetrized, scaled to unit trace, and eigenvalues in
-    ``[-1e-10, 0)`` are clamped to zero (with one more trace fix).  A
-    smaller eigenvalue raises ValueError: that is not rounding noise.
-    See :func:`canonical_densities`, which does the work.
-    """
-    arr = np.asarray(entries, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"density matrix must be square, got {arr.shape}")
-    return DensityMatrix(canonical_densities(arr[None])[0], basis, temperature)
-
-
 def thermal_weights(modes: NormalModes, temperatures, d: int) -> np.ndarray:
     """Thermal populations of the two normal modes, one row per temperature.
 
@@ -166,16 +111,6 @@ def thermal_weights(modes: NormalModes, temperatures, d: int) -> np.ndarray:
     return weights
 
 
-def thermal_density(modes: NormalModes, temperature: float, d: int) -> DensityMatrix:
-    """Thermal state of the two normal modes, truncated to d levels each.
-
-    Diagonal in the normal-mode number basis with the populations of
-    :func:`thermal_weights`; row index is ``n*d + m``.
-    """
-    weights = thermal_weights(modes, [temperature], d)[0]
-    return DensityMatrix(np.diag(weights), Basis.NORMAL_MODE, temperature)
-
-
 def rotate_thermal(weights: np.ndarray, transform: TransformTensor) -> np.ndarray:
     """Express a stack of thermal normal-mode states in the bare basis.
 
@@ -194,20 +129,6 @@ def rotate_thermal(weights: np.ndarray, transform: TransformTensor) -> np.ndarra
     # U^T * w must be C-ordered: BLAS rounds a transposed operand differently
     scaled = np.ascontiguousarray(u.T) * weights[:, None, :]
     return canonical_densities(scaled @ u)
-
-
-def transform_density(rho: DensityMatrix, transform: TransformTensor) -> DensityMatrix:
-    """Express a diagonal (thermal) normal-mode state in the bare product basis.
-
-    See :func:`rotate_thermal`, which does the work.
-    """
-    if rho.basis is not Basis.NORMAL_MODE:
-        raise ValueError(f"expected a normal-mode state, got basis={rho.basis}")
-    weights = np.diag(rho.entries)
-    if np.count_nonzero(rho.entries - np.diag(weights)):
-        raise ValueError("expected a diagonal normal-mode state")
-    rotated = rotate_thermal(weights[None], transform)[0]
-    return DensityMatrix(rotated, Basis.PHYSICAL, rho.temperature)
 
 
 def partial_traces(states: np.ndarray) -> np.ndarray:
@@ -230,77 +151,24 @@ def partial_traces(states: np.ndarray) -> np.ndarray:
     return canonical_densities(reduced)
 
 
-def partial_trace(rho: DensityMatrix, subsystem: int) -> DensityMatrix:
-    """Trace out one mode of a two-mode state.
-
-    ``subsystem`` selects the mode that is kept: 1 keeps the first
-    label of the ``n*d + m`` composite index, 2 keeps the second.
-    """
-    if subsystem not in (1, 2):
-        raise ValueError(f"subsystem must be 1 or 2, got {subsystem}")
-    reduced = partial_traces(rho.entries[None])[subsystem - 1, 0]
-    return DensityMatrix(reduced, rho.basis, rho.temperature)
-
-
-def purity(rho: DensityMatrix) -> float:
-    """Tr rho^2; for a symmetric matrix this is the squared Frobenius norm."""
-    return float(np.sum(rho.entries * rho.entries))
-
-
-class SubspaceDiagnostics(NamedTuple):
-    mu_block: float
-    mu_complement: float
-    offdiag_sum: float
-
-
-def subspace_validity(
-    modes: NormalModes,
-    params: CircuitParams,
-    temperature: float,
-    d_small: int = 2,
-    d_big: int = 6,
-    transform: TransformTensor | None = None,
-    order: int = DEFAULT_QUAD_ORDER,
-) -> SubspaceDiagnostics:
-    """How well the d_small^2 block approximates the d_big^2 state.
-
-    Reported for the bare-basis thermal state at d_big levels per mode
-    are the purity of its renormalized block of bare levels below d_small
-    (mu_block), the squared weight of the complement without
-    renormalization (mu_complement, small but not zero as T -> 0) and the
-    absolute sum of off-diagonal elements of the renormalized block; see
-    :func:`validity_diagnostics`.
-
-    Parameters
-    ----------
-    transform : TransformTensor, optional
-        A prebuilt d_big tensor, so sweeps can reuse one across
-        temperatures.  Built on the fly by quadrature when omitted.
-    """
-    if transform is None:
-        transform = build_transform(
-            params, modes, d=d_big, method=TransformMethod.QUADRATURE, order=order
-        )
-    elif transform.d != d_big:
-        raise DimensionMismatch(
-            f"prebuilt transform has d={transform.d}, expected {d_big}"
-        )
-    weights = thermal_weights(modes, [temperature], d_big)
-    columns = validity_diagnostics(weights, transform, d_small)
-    return SubspaceDiagnostics(*(float(column[0]) for column in columns))
-
-
 def validity_diagnostics(
     weights: np.ndarray, transform: TransformTensor, d_small: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Arrays ``(mu_block, mu_complement, offdiag_sum)`` of
-    :func:`subspace_validity`, one entry per row of thermal ``weights``.
+    """How well the d_small^2 block approximates each d_big^2 thermal state.
 
-    The state ``U^T diag(w) U / tr`` is never formed: ``tr = w . r`` with
-    ``r_i = sum_a U_ia^2``, the kept block is ``U_K^T diag(w) U_K``, and the
-    complement weight is ``w^T (G o G) w / tr^2`` with ``G = U_R U_R^T``, a
-    sum of non-negative terms.  The state is ``B^T B`` with ``B = sqrt(w) U``,
-    so PSD for finite non-negative weights, which are checked.
+    One entry per row of thermal ``weights`` (normal-mode populations at
+    ``transform.d`` levels per mode) in each of three arrays, for the
+    bare-basis state ``U^T diag(w) U / tr``: the purity of its
+    renormalized block of bare levels below d_small (mu_block), the
+    squared weight of the complement without renormalization
+    (mu_complement, small but not zero as T -> 0) and the absolute sum of
+    the off-diagonal elements of the renormalized block (offdiag_sum).
+
+    The state is never formed: ``tr = w . r`` with ``r_i = sum_a U_ia^2``,
+    the kept block is ``U_K^T diag(w) U_K``, and the complement weight is
+    ``w^T (G o G) w / tr^2`` with ``G = U_R U_R^T``, a sum of non-negative
+    terms.  The state is ``B^T B`` with ``B = sqrt(w) U``, so PSD for finite
+    non-negative weights, which are checked.
     """
     u, w, d_big = transform.entries, np.asarray(weights, dtype=float), transform.d
     if w.ndim != 2 or w.shape[1] != u.shape[0]:
@@ -317,12 +185,13 @@ def validity_diagnostics(
     # one vector-matrix product per state, so a row rounds as it would alone
     pairs = (u_kept[:, :, None] * u_kept[:, None, :]).reshape(len(u), -1)
     block = (w[:, None, :] @ pairs)[:, 0]  # each row a flattened block
-    diagonal = slice(None, None, len(kept) + 1)
-    block /= block[:, diagonal].sum(axis=1, keepdims=True)
+    block /= block[:, :: len(kept) + 1].sum(axis=1, keepdims=True)
     gram = u_rest @ u_rest.T
     mu_block = (block * block).sum(axis=1)
     mu_complement = ((w[:, None, :] @ (gram * gram))[:, 0] * w).sum(axis=1) / traces**2
-    offdiag = np.abs(block).sum(axis=1) - np.abs(block[:, diagonal]).sum(axis=1)
+    off_diagonal = ~np.eye(len(kept), dtype=bool).ravel()
+    # compress keeps the rows C-ordered, so each row sums as it would alone
+    offdiag = np.abs(block.compress(off_diagonal, axis=1)).sum(axis=1)
     if not np.isfinite(mu_block + mu_complement).all():
         raise ValueError("validity diagnostics are not finite")
     return mu_block, mu_complement, offdiag

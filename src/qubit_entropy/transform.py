@@ -23,7 +23,6 @@ from math import cos, sin, sqrt
 import numpy as np
 
 from .hermite import (
-    DEFAULT_QUAD_ORDER,
     GaussianQuadraticForm,
     gauss2d_moment,
     ho_eigenfunction,
@@ -77,7 +76,7 @@ def _rotation_coefficients(modes: NormalModes) -> tuple[float, float]:
 
 
 def gaussian_coefficients(
-    params: CircuitParams, modes: NormalModes, legacy: bool = False
+    params: CircuitParams, modes: NormalModes
 ) -> GaussianQuadraticForm:
     """Quadratic form shared by every overlap integrand.
 
@@ -89,20 +88,8 @@ def gaussian_coefficients(
         a11 = (1   + omega1*c^2 + omega2*s^2) / 2
         a22 = (lam + omega1*s^2 + omega2*c^2) / 2
         a12 = c*s*(omega1 - omega2) / 2
-
-    With ``legacy=True`` a superseded hand-derived table is returned
-    instead.  That table fails the g = 0 identity check and is kept
-    only so the tests can document that quadrature arbitrates against
-    it.
     """
     lam = params.lam
-    if legacy:
-        g, p = params.g, modes.phi
-        return GaussianQuadraticForm(
-            a11=1.5 + 2 * lam**2 * p**2 - 2 * g * lam * p + p**2 * (p**2 + 2 * g * lam * p),
-            a22=lam / 2 + lam**2 + 2 * p**2 + 2 * g * lam * p + p**2 * (lam**2 * p**2 - 2 * g * lam * p),
-            a12=(lam**2 * p**2 + 1 - lam**2 - p**2 - 4 * g * lam * p) * p,
-        )
     c, s = _rotation_coefficients(modes)
     w1, w2 = modes.omega1, modes.omega2
     return GaussianQuadraticForm(
@@ -183,13 +170,12 @@ def overlap_element_quadrature(
     m2: int,
     params: CircuitParams,
     modes: NormalModes,
-    order: int = DEFAULT_QUAD_ORDER,
 ) -> float:
     """One overlap element by tensor-product Gauss-Hermite quadrature.
 
-    Independent of the closed forms: the four eigenfunctions are
-    evaluated on the quadrature grid and summed.  Any non-negative
-    levels are accepted.
+    Independent of the closed forms and of :func:`build_transform`: the
+    four eigenfunctions are evaluated on the default :func:`quad2d` grid
+    and summed.  Any non-negative levels are accepted.
     """
     for idx in (n, m, n2, m2):
         if idx < 0:
@@ -207,7 +193,7 @@ def overlap_element_quadrature(
             * ho_eigenfunction(m2, x2p, scale2p)
         )
 
-    return quad2d(integrand, order, weight=gaussian_coefficients(params, modes))
+    return quad2d(integrand, weight=gaussian_coefficients(params, modes))
 
 
 def build_transform(
@@ -215,24 +201,25 @@ def build_transform(
     modes: NormalModes,
     d: int = 2,
     method: TransformMethod = TransformMethod.CLOSED_FORM,
-    order: int = DEFAULT_QUAD_ORDER,
 ) -> TransformTensor:
     """Assemble the full (d*d, d*d) overlap tensor.
 
-    The closed-form route requires d = 2.  The quadrature route fills
-    every entry from one shared grid of ``order`` nodes per axis: each
-    axis gets one table of eigenfunctions, the bare and normal-mode
-    products are formed from those tables, and the weighted sum is one
-    matrix product (entrywise equal to overlap_element_quadrature up to
-    summation order).  The integrand of every entry has per-axis degree
-    at most 4(d - 1), so the rule is exact only for ``order >= 2d - 1``;
-    a lower order raises ValueError.
+    At g = 0 and phi = 0 the bases coincide and the tensor is the exact
+    identity on either route.  The closed-form route requires d = 2.  The
+    quadrature route fills every entry from one shared grid of 2d - 1
+    nodes per axis: each axis gets one table of eigenfunctions, the bare
+    and normal-mode products are formed from those tables, and the
+    weighted sum is one matrix product.  The integrand of every entry has
+    per-axis degree at most 4(d - 1), so this order is the lowest at which
+    the rule is exact; a higher one changes U only by rounding.
     """
     if d < 2:
         raise ValueError(f"need at least two levels per mode, got d={d}")
+    if method is TransformMethod.CLOSED_FORM and d != 2:
+        raise ValueError("closed forms cover d = 2 only; use quadrature")
+    if params.g == 0.0 and modes.phi == 0.0:
+        return TransformTensor(np.eye(d * d), d, method, params, modes)
     if method is TransformMethod.CLOSED_FORM:
-        if d != 2:
-            raise ValueError("closed forms cover d = 2 only; use quadrature")
         entries = np.array(
             [
                 [
@@ -246,13 +233,9 @@ def build_transform(
         )
         return TransformTensor(entries, d, method, params, modes)
 
-    if order < 2 * d - 1:
-        raise ValueError(
-            f"quadrature order {order} is inexact at d={d}; need at least {2 * d - 1}"
-        )
     form = gaussian_coefficients(params, modes)
     _require_positive_definite(form)
-    t, v = _hermgauss_scaled(order)
+    t, v = _hermgauss_scaled(2 * d - 1)
     mu, rot = np.linalg.eigh(form.matrix())
     scale = rot @ np.diag(1.0 / np.sqrt(mu))
     t1, t2 = np.meshgrid(t, t, indexing="ij")

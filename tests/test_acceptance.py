@@ -16,11 +16,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qubit_entropy.cli import CSV_COLUMNS, main, parse_config, run_sweep
-from qubit_entropy.entropy import (
-    analyze_bipartite,
-    tsallis_entropy,
-    von_neumann_entropy,
-)
+from qubit_entropy.entropy import bipartite_entropies, spectra, spectrum_entropies
 from qubit_entropy.hermite import (
     GaussianQuadraticForm,
     gauss2d_integral,
@@ -28,7 +24,12 @@ from qubit_entropy.hermite import (
     quad2d,
 )
 from qubit_entropy.model import CircuitParams, FrequencyMethod, normal_modes
-from qubit_entropy.state import density_from_array, partial_trace
+from qubit_entropy.state import (
+    canonical_densities,
+    partial_traces,
+    rotate_thermal,
+    thermal_weights,
+)
 from qubit_entropy.transform import TransformMethod, build_transform
 
 GOLDEN = Path(__file__).parent / "data" / "golden_default_sweep.csv"
@@ -96,12 +97,11 @@ def test_criterion_2_frequency_agreement_measured():
 
 def test_criterion_3_q_to_one_continuity():
     rng = np.random.default_rng(1618)
-    for _ in range(50):
-        a = rng.normal(size=(4, 4))
-        rho = density_from_array(a @ a.T)
-        base = von_neumann_entropy(rho)
-        assert abs(tsallis_entropy(rho, 1.0 + 1e-4) - base) <= 1e-3
-        assert abs(tsallis_entropy(rho, 1.0 - 1e-4) - base) <= 1e-3
+    raw = [a @ a.T for a in (rng.normal(size=(4, 4)) for _ in range(50))]
+    p = spectra(canonical_densities(np.stack(raw)))
+    base = spectrum_entropies(p, 1.0)
+    assert np.all(np.abs(spectrum_entropies(p, 1.0 + 1e-4) - base) <= 1e-3)
+    assert np.all(np.abs(spectrum_entropies(p, 1.0 - 1e-4) - base) <= 1e-3)
 
 
 def test_criterion_4_entropy_ordering_in_q(default_rows):
@@ -141,23 +141,22 @@ def test_criterion_7_bipartite_plumbing(default_rows):
     params = CircuitParams(lam=1.5, g=0.1)
     modes = normal_modes(params)
     u = build_transform(params, modes, d=2)
-    from qubit_entropy.state import thermal_density, transform_density
-
-    for t in (0.01, 0.1, 0.3, 0.5):
-        rho = transform_density(thermal_density(modes, t, 2), u)
-        for subsystem in (1, 2):
-            reduced = partial_trace(rho, subsystem)
-            assert abs(np.trace(reduced.entries) - 1.0) <= 1e-12
-            assert np.linalg.eigvalsh(reduced.entries).min() >= -1e-10
+    states = rotate_thermal(thermal_weights(modes, [0.01, 0.1, 0.3, 0.5], 2), u)
+    reduced = partial_traces(states)
+    assert np.all(np.abs(np.trace(reduced, axis1=-2, axis2=-1) - 1.0) <= 1e-12)
+    assert np.linalg.eigvalsh(reduced).min() >= -1e-10
     rng = np.random.default_rng(55)
+    factors, joints = [], []
     for _ in range(20):
         a = rng.normal(size=(2, 2))
         b = rng.normal(size=(2, 2))
         rho_a = (a @ a.T) / np.trace(a @ a.T)
         rho_b = (b @ b.T) / np.trace(b @ b.T)
-        joint = density_from_array(np.kron(rho_a, rho_b))
-        assert_allclose(partial_trace(joint, 1).entries, rho_a, atol=1e-12)
-        assert_allclose(partial_trace(joint, 2).entries, rho_b, atol=1e-12)
+        factors.append((rho_a, rho_b))
+        joints.append(np.kron(rho_a, rho_b))
+    first, second = partial_traces(canonical_densities(np.stack(joints)))
+    assert_allclose(first, [rho_a for rho_a, _ in factors], atol=1e-12)
+    assert_allclose(second, [rho_b for _, rho_b in factors], atol=1e-12)
 
 
 def test_criterion_8_gaussian_calculus_oracle():
@@ -236,9 +235,9 @@ def test_full_pipeline_spot_check():
     params = CircuitParams(lam=1.5, g=0.1)
     modes = normal_modes(params)
     u = build_transform(params, modes, d=2)
-    from qubit_entropy.state import thermal_density, transform_density
-
-    rho = transform_density(thermal_density(modes, 0.01, 2), u)
-    report = analyze_bipartite(rho, q=1.0)
-    assert_allclose(report.mutual_info, 0.009833147, atol=1e-8)
-    assert report.s_joint < 1e-12
+    joint = rotate_thermal(thermal_weights(modes, [0.01], 2), u)
+    s_joint, _, _, mutual_info = bipartite_entropies(
+        spectra(joint), spectra(partial_traces(joint)), 1.0
+    )
+    assert_allclose(mutual_info, [0.009833147], atol=1e-8)
+    assert s_joint[0] < 1e-12

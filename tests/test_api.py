@@ -1,0 +1,14 @@
+"""The public API: every name a module exports resolves."""
+import importlib
+
+import pytest
+
+MODULES = ["", ".cli", ".entropy", ".hermite", ".model", ".state", ".transform"]
+
+
+@pytest.mark.parametrize("suffix", MODULES)
+def test_every_exported_name_resolves(suffix):
+    module = importlib.import_module("qubit_entropy" + suffix)
+    assert module.__all__
+    assert len(set(module.__all__)) == len(module.__all__)
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []

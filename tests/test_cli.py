@@ -17,13 +17,14 @@ from qubit_entropy.cli import (
     parse_config,
     run_sweep,
 )
-from qubit_entropy.entropy import analyze_bipartite
+from qubit_entropy.entropy import bipartite_entropies, spectra
 from qubit_entropy.model import CircuitParams, normal_modes
 from qubit_entropy.state import (
     GROUND_STATE_T,
-    subspace_validity,
-    thermal_density,
-    transform_density,
+    partial_traces,
+    rotate_thermal,
+    thermal_weights,
+    validity_diagnostics,
 )
 from qubit_entropy.transform import TransformMethod, build_transform
 
@@ -35,8 +36,8 @@ def failing_entropies(joint, marginals, q):
 
 
 def per_temperature_rows(config):
-    """The sweep composed one temperature at a time from the public
-    single-matrix functions: the reference for the chunked sweep."""
+    """The sweep composed one temperature at a time, each stage a stacked
+    call on a batch of one: the reference for the chunked sweep."""
     params = CircuitParams(lam=config.lam, g=config.g)
     modes = normal_modes(params)
     small_method = (
@@ -50,22 +51,24 @@ def per_temperature_rows(config):
     )
     rows = []
     for temperature in cli_mod._temperature_grid(config).tolist():
-        diag = subspace_validity(
-            modes, params, temperature,
-            d_small=config.levels_small, d_big=config.levels_big, transform=u_big,
+        big = thermal_weights(modes, [temperature], config.levels_big)
+        mu_block, mu_complement, offdiag = validity_diagnostics(
+            big, u_big, config.levels_small
         )
-        state = transform_density(
-            thermal_density(modes, temperature, config.levels_small), u_small
+        state = rotate_thermal(
+            thermal_weights(modes, [temperature], config.levels_small), u_small
         )
+        joint, marginals = spectra(state), spectra(partial_traces(state))
         for q in config.q_values:
-            report = analyze_bipartite(state, q)
+            s_joint, s_first, s_second, margin = bipartite_entropies(
+                joint, marginals, q
+            )
             rows.append({
                 "T": temperature, "q": q,
-                "S_joint": report.s_joint, "S_1": report.s_first,
-                "S_2": report.s_second, "I": report.mutual_info,
-                "margin": report.subadditivity_margin,
-                "mu_I": diag.mu_block, "mu_II": diag.mu_complement,
-                "offdiag_sum": diag.offdiag_sum,
+                "S_joint": s_joint[0], "S_1": s_first[0],
+                "S_2": s_second[0], "I": margin[0], "margin": margin[0],
+                "mu_I": mu_block[0], "mu_II": mu_complement[0],
+                "offdiag_sum": offdiag[0],
             })
     return rows
 
@@ -164,28 +167,15 @@ class TestParseConfig:
         )
         assert config.levels_small == 3
 
-    def test_env_var_sets_quadrature_order(self, monkeypatch):
-        monkeypatch.setenv("QUBIT_ENTROPY_QUAD_ORDER", "32")
-        assert parse_config([]).quad_order == 32
-
-    def test_env_var_below_floor_exits(self, monkeypatch):
-        monkeypatch.setenv("QUBIT_ENTROPY_QUAD_ORDER", "8")
+    def test_levels_big_above_limit_exits(self, capsys):
+        # the levels-big quadrature tables grow as levels_big^4
         with pytest.raises(SystemExit) as err:
-            parse_config([])
+            parse_config(["--levels-big", "33"])
         assert err.value.code == 2
+        assert "levels-big must be at most 32" in capsys.readouterr().err
 
-    def test_env_var_below_exact_order_for_levels_big_exits(self, monkeypatch, capsys):
-        # order 16 is inexact at levels-big 20 (max |dU| 0.95 against
-        # order 128); the rule needs order >= 2 * levels_big - 1
-        monkeypatch.setenv("QUBIT_ENTROPY_QUAD_ORDER", "16")
-        with pytest.raises(SystemExit) as err:
-            parse_config(["--levels-big", "20"])
-        assert err.value.code == 2
-        assert "at least 39 for levels-big 20" in capsys.readouterr().err
-
-    def test_env_var_at_exact_order_for_levels_big_accepted(self, monkeypatch):
-        monkeypatch.setenv("QUBIT_ENTROPY_QUAD_ORDER", "39")
-        assert parse_config(["--levels-big", "20"]).quad_order == 39
+    def test_levels_big_at_limit_accepted(self):
+        assert parse_config(["--levels-big", "32"]).levels_big == 32
 
 
 class TestRunSweep:
@@ -209,6 +199,24 @@ class TestRunSweep:
         config = parse_config(["--g", "0", "--t-steps", "4", "--q", "1.0"])
         rows = run_sweep(config)
         assert all(abs(row["I"]) < 1e-10 for row in rows)
+
+    @pytest.mark.parametrize("method", ["closed-form", "quadrature"])
+    def test_zero_coupling_diagnostics_exact(self, method):
+        # U is the exact identity at g = 0: the block is diagonal and the
+        # complement weight is the thermal weight outside it
+        config = parse_config(
+            ["--g", "0", "--t-steps", "6", "--q", "1.0", "--method", method]
+        )
+        rows = run_sweep(config)
+        d, d_small = config.levels_big, config.levels_small
+        grid = cli_mod._temperature_grid(config)
+        w = thermal_weights(config.modes, grid, d)
+        rest = np.array([max(n, m) >= d_small for n in range(d) for m in range(d)])
+        expected = (w * w * rest).sum(axis=1) / w.sum(axis=1) ** 2
+        assert len(rows) == len(expected)
+        for row, mu_complement in zip(rows, expected):
+            assert row["offdiag_sum"] == 0.0
+            assert row["mu_II"] == mu_complement
 
     def test_diagnostics_repeat_across_q(self):
         rows = run_sweep(parse_config(FAST))

@@ -22,15 +22,16 @@ REF_MODES = normal_modes(REF)
 ODD_CELLS = [(0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2)]
 
 
-def per_entry_quadrature_build(params, modes, d, order=64):
+def per_entry_quadrature_build(params, modes, d, order=None):
     """The quadrature tensor filled one eigenfunction product per row.
 
     This is the entry-by-entry assembly that build_transform replaced by
-    per-axis eigenfunction tables; it keeps the same grid, weights and
-    matrix product, so the two must agree bit for bit.
+    per-axis eigenfunction tables; at build_transform's order 2d - 1 (the
+    default) it keeps the same grid, weights and matrix product, so the
+    two must agree bit for bit.
     """
     form = gaussian_coefficients(params, modes)
-    t, w = np.polynomial.hermite.hermgauss(order)
+    t, w = np.polynomial.hermite.hermgauss(order or 2 * d - 1)
     v = np.exp(np.log(w) + t * t)
     mu, rot = np.linalg.eigh(form.matrix())
     scale = rot @ np.diag(1.0 / np.sqrt(mu))
@@ -78,34 +79,22 @@ class TestGaussianCoefficients:
         assert form.a11 > 0
         assert form.det > 0
 
-    def test_legacy_table_matches_its_polynomial(self):
-        # the superseded hand-derived table, kept verbatim
-        lam, g, phi = 1.5, 0.1, REF_MODES.phi
-        legacy = gaussian_coefficients(REF, REF_MODES, legacy=True)
-        expected_a12 = (lam**2 * phi**2 + 1 - lam**2 - phi**2 - 4 * g * lam * phi) * phi
-        assert_allclose(legacy.a12, expected_a12, rtol=1e-14)
-
     def test_legacy_table_fails_zero_coupling_identity(self):
         # at g=0 the transform must be the identity, which needs
-        # 1/(K sqrt(det A)) = 1; the legacy table misses that, the
-        # current derivation satisfies it
+        # 1/(K sqrt(det A)) = 1; the current derivation satisfies it
         params = CircuitParams(lam=1.5, g=0.0)
         modes = normal_modes(params)
         kappa = (params.lam * modes.omega1 * modes.omega2) ** -0.25
         good = gaussian_coefficients(params, modes)
-        bad = gaussian_coefficients(params, modes, legacy=True)
         assert_allclose(1.0 / (kappa * np.sqrt(good.det)), 1.0, rtol=1e-14)
-        assert abs(1.0 / (kappa * np.sqrt(bad.det)) - 1.0) > 0.1
 
     def test_quadrature_arbitrates_between_tables(self):
-        # the ground-state element follows 1/(K sqrt(det A)); only the
+        # the ground-state element follows 1/(K sqrt(det A)); the
         # current coefficients reproduce the directly integrated value
         kappa = (REF.lam * REF_MODES.omega1 * REF_MODES.omega2) ** -0.25
         oracle = overlap_element_quadrature(0, 0, 0, 0, REF, REF_MODES)
         good = gaussian_coefficients(REF, REF_MODES)
-        bad = gaussian_coefficients(REF, REF_MODES, legacy=True)
         assert_allclose(1.0 / (kappa * np.sqrt(good.det)), oracle, rtol=1e-10)
-        assert abs(1.0 / (kappa * np.sqrt(bad.det)) - oracle) > 1e-3
 
 
 class TestClosedElements:
@@ -253,18 +242,27 @@ class TestBuildTransform:
         params = CircuitParams(lam=lam, g=g)
         modes = normal_modes(params, method)
         built = build_transform(params, modes, d=d, method=TransformMethod.QUADRATURE)
-        np.testing.assert_array_equal(
-            built.entries, per_entry_quadrature_build(params, modes, d)
-        )
+        # at g = 0 the bases coincide and the build is the exact identity
+        if g == 0:
+            expected = np.eye(d * d)
+        else:
+            expected = per_entry_quadrature_build(params, modes, d)
+        np.testing.assert_array_equal(built.entries, expected)
 
-    def test_quadrature_order_below_exactness_floor_rejected(self):
-        # the integrand has per-axis degree up to 4(d - 1), so an order
-        # of 16 is exact up to d = 8 and not beyond
-        build_transform(REF, REF_MODES, d=8, method=TransformMethod.QUADRATURE, order=16)
-        with pytest.raises(ValueError, match="need at least 17"):
-            build_transform(
-                REF, REF_MODES, d=9, method=TransformMethod.QUADRATURE, order=16
-            )
+    def test_quadrature_order_is_exactness_floor(self):
+        # the integrand has per-axis degree up to 4(d - 1), so order 2d - 1
+        # is exact and a rule of 64 nodes moves U only by rounding
+        for lam, g, d, method in [
+            (1.5, 0.1, 2, FrequencyMethod.SMALL_ANGLE),
+            (1.5, 0.1, 9, FrequencyMethod.SMALL_ANGLE),
+            (0.6, -0.2, 9, FrequencyMethod.EXACT),
+            (2.2, 0.25, 9, FrequencyMethod.EXACT),
+        ]:
+            params = CircuitParams(lam=lam, g=g)
+            modes = normal_modes(params, method)
+            built = build_transform(params, modes, d, TransformMethod.QUADRATURE)
+            high = per_entry_quadrature_build(params, modes, d, order=64)
+            assert np.max(np.abs(built.entries - high)) <= 1e-14
 
     def test_zero_coupling_closed_build_is_exact_identity(self):
         params = CircuitParams(lam=1.5, g=0.0)
@@ -276,7 +274,7 @@ class TestBuildTransform:
         built = build_transform(
             params, normal_modes(params), d=2, method=TransformMethod.QUADRATURE
         )
-        assert np.max(np.abs(built.entries - np.eye(4))) < 1e-12
+        assert np.array_equal(built.entries, np.eye(4))
 
     def test_metadata_recorded(self):
         built = build_transform(REF, REF_MODES, d=2)
