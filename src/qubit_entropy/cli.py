@@ -25,7 +25,7 @@ from .model import CircuitParams, FrequencyMethod, NormalModes, normal_modes
 from .state import partial_traces, rotate_thermal, thermal_weights, validity_diagnostics
 from .transform import TransformMethod, TransformTensor, build_transform
 
-__all__ = ["SweepConfig", "SweepError", "emit", "main", "parse_config", "run_sweep"]
+__all__ = ["Sweep", "SweepConfig", "SweepError", "emit", "main", "parse_config", "run_sweep"]
 
 # The sweep evaluates temperatures in chunks of at most this many bytes:
 # 8 * (levels_small**4 + levels_big**2) per temperature, for the joint state
@@ -36,6 +36,10 @@ CHUNK_BYTES = 256 * 1024
 # products on (2 * levels_big - 1)^2 quadrature nodes, growing as
 # levels_big^4: 33 MB each at this limit, 51 GB each at levels-big 200.
 MAX_LEVELS_BIG = 32
+
+# The writer formats and writes this many temperatures at a time, so its
+# transient memory does not grow with the grid.
+WRITE_TEMPERATURES = 32
 
 CSV_COLUMNS = (
     "T",
@@ -53,6 +57,44 @@ CSV_COLUMNS = (
 
 class SweepError(RuntimeError):
     """A sweep point failed; the message names the failing (T, q)."""
+
+
+@dataclass(frozen=True, eq=False)
+class Sweep:
+    """The columns of one sweep.
+
+    ``entropies`` has shape ``(len(q_values), 4, k)`` and holds
+    ``(S_joint, S_1, S_2, I)`` per q; ``diagnostics`` has shape ``(3, k)``
+    and holds ``(mu_I, mu_II, offdiag_sum)``, which depend on T only.
+    """
+
+    temperatures: np.ndarray
+    q_values: tuple[float, ...]
+    entropies: np.ndarray
+    diagnostics: np.ndarray
+
+    def rows(self) -> list[dict[str, float]]:
+        """One dict per (T, q) grid point keyed by CSV_COLUMNS, in T-major order."""
+        mu_block, mu_complement, offdiag = self.diagnostics.tolist()
+        by_q = self.entropies.tolist()
+        rows: list[dict[str, float]] = []
+        for i, temperature in enumerate(self.temperatures.tolist()):
+            for q, (s_joint, s_first, s_second, margin) in zip(self.q_values, by_q):
+                rows.append(
+                    {
+                        "T": temperature,
+                        "q": q,
+                        "S_joint": s_joint[i],
+                        "S_1": s_first[i],
+                        "S_2": s_second[i],
+                        "I": margin[i],
+                        "margin": margin[i],
+                        "mu_I": mu_block[i],
+                        "mu_II": mu_complement[i],
+                        "offdiag_sum": offdiag[i],
+                    }
+                )
+        return rows
 
 
 @dataclass(frozen=True)
@@ -169,8 +211,8 @@ def parse_config(argv: list[str] | None = None) -> SweepConfig:
 
     Flags override file values, which override defaults.  Configuration
     problems, including a circuit whose small-angle normal modes cannot
-    be built and an output path in a missing directory, terminate with
-    exit code 2.
+    be built and an output path that is a directory or lies in a missing
+    one, terminate with exit code 2.
     """
     parser = argparse.ArgumentParser(
         prog="qubit-entropy",
@@ -212,6 +254,8 @@ def parse_config(argv: list[str] | None = None) -> SweepConfig:
         config.modes  # DegenerateFrequencies, UnstableMode: bad configuration
         if not os.path.isdir(os.path.dirname(config.output or "") or "."):
             raise ValueError(f"the directory of --output {config.output} does not exist")
+        if config.output is not None and os.path.isdir(config.output):
+            raise ValueError(f"--output {config.output} is a directory")
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
     return config
@@ -223,13 +267,12 @@ def _temperature_grid(config: SweepConfig) -> np.ndarray:
     return np.linspace(config.t_min, config.t_max, config.t_steps)
 
 
-def run_sweep(config: SweepConfig) -> list[dict[str, float]]:
-    """Compute one row per (T, q) grid point, in T-major order.
+def run_sweep(config: SweepConfig) -> Sweep:
+    """Compute the sweep columns over the (T, q) grid.
 
     Both transform tensors are built once and reused across the grid,
     which is evaluated in chunks of temperatures (see CHUNK_BYTES); the
-    rows do not depend on the chunking.  The diagnostics columns depend
-    on T only and repeat across the q rows of one temperature.
+    columns do not depend on the chunking.
     """
     params = CircuitParams(lam=config.lam, g=config.g)
     modes = config.modes
@@ -258,26 +301,12 @@ def run_sweep(config: SweepConfig) -> list[dict[str, float]]:
             raise
         diagnostics.append(diag)
         entropies.append(by_q)
-    mu_block, mu_complement, offdiag = np.concatenate(diagnostics, axis=1).tolist()
-    by_q = np.concatenate(entropies, axis=2).tolist()
-    rows: list[dict[str, float]] = []
-    for i, temperature in enumerate(grid.tolist()):
-        for q, (s_joint, s_first, s_second, margin) in zip(config.q_values, by_q):
-            rows.append(
-                {
-                    "T": temperature,
-                    "q": q,
-                    "S_joint": s_joint[i],
-                    "S_1": s_first[i],
-                    "S_2": s_second[i],
-                    "I": margin[i],
-                    "margin": margin[i],
-                    "mu_I": mu_block[i],
-                    "mu_II": mu_complement[i],
-                    "offdiag_sum": offdiag[i],
-                }
-            )
-    return rows
+    return Sweep(
+        temperatures=grid,
+        q_values=config.q_values,
+        entropies=np.concatenate(entropies, axis=2),
+        diagnostics=np.concatenate(diagnostics, axis=1),
+    )
 
 
 def _sweep_chunk(
@@ -331,43 +360,81 @@ def _header_lines(config: SweepConfig) -> list[str]:
     ]
 
 
-def emit(rows: list[dict[str, float]], config: SweepConfig, stream=None) -> None:
+def emit(sweep: Sweep, config: SweepConfig, stream=None) -> None:
     """Write the sweep to config.output (or a given stream) as CSV or JSON.
 
     CSV carries the configuration in leading ``#`` comments and prints
     every value with 12 significant digits; JSON is a bare array of row
-    objects with the same keys and rounding.  Line endings are LF.
+    objects with the same keys and rounding, laid out as
+    ``json.dumps(sweep.rows(), indent=2)`` would lay it out.  Line
+    endings are LF.
     """
     if stream is None:
         if config.output is None:
-            _write(rows, config, sys.stdout)
+            _write(sweep, config, sys.stdout)
         else:
             with open(config.output, "w", encoding="utf-8", newline="") as handle:
-                _write(rows, config, handle)
+                _write(sweep, config, handle)
     else:
-        _write(rows, config, stream)
+        _write(sweep, config, stream)
 
 
-def _write(rows: list[dict[str, float]], config: SweepConfig, stream) -> None:
-    if config.output_format == "json":
-        rounded = [
-            {key: float(_fmt(row[key])) for key in CSV_COLUMNS} for row in rows
-        ]
-        stream.write(json.dumps(rounded, indent=2))
-        stream.write("\n")
-        return
-    for line in _header_lines(config):
-        stream.write(line + "\n")
-    stream.write(",".join(CSV_COLUMNS) + "\n")
-    for row in rows:
-        stream.write(",".join(_fmt(row[key]) for key in CSV_COLUMNS) + "\n")
+def _csv_cells(values: np.ndarray) -> np.ndarray:
+    """``_fmt`` of every value, as an object array of the same shape."""
+    flat = values.ravel().tolist()
+    text = ("%.12g," * len(flat) % tuple(flat)).split(",")[:-1]
+    return np.array(text, dtype=object).reshape(values.shape)
+
+
+def _json_cells(values: np.ndarray) -> np.ndarray:
+    """The JSON text of every value rounded as ``_fmt`` rounds it."""
+    # json.dumps spells a float as json.dumps(..., indent=2) does: its
+    # repr, or NaN, Infinity and -Infinity
+    rounded = list(map(float, _csv_cells(values).ravel().tolist()))
+    text = json.dumps(rounded)[1:-1].split(", ")
+    return np.array(text, dtype=object).reshape(values.shape)
+
+
+_CSV_ROW = ",".join(["%s"] * len(CSV_COLUMNS)) + "\n"
+_JSON_ROW = ",\n  {" + ",".join(f'\n    "{key}": %s' for key in CSV_COLUMNS) + "\n  }"
+
+
+def _write(sweep: Sweep, config: SweepConfig, stream) -> None:
+    # Each distinct number is formatted once: T and the diagnostics per
+    # temperature, q per value, the entropies per (T, q); margin reuses I.
+    # The table holds one block of rows, its cells in CSV_COLUMNS order.
+    as_json = config.output_format == "json"
+    if as_json:
+        cells, row_format = _json_cells, _JSON_ROW
+        stream.write("[")
+    else:
+        cells, row_format = _csv_cells, _CSV_ROW
+        for line in _header_lines(config):
+            stream.write(line + "\n")
+        stream.write(",".join(CSV_COLUMNS) + "\n")
+    n_q = len(sweep.q_values)
+    table = np.empty((WRITE_TEMPERATURES, n_q, len(CSV_COLUMNS)), dtype=object)
+    table[:, :, 1] = cells(np.asarray(sweep.q_values, dtype=float))
+    for start in range(0, len(sweep.temperatures), WRITE_TEMPERATURES):
+        stop = min(start + WRITE_TEMPERATURES, len(sweep.temperatures))
+        block = table[: stop - start]
+        block[:, :, 0] = cells(sweep.temperatures[start:stop])[:, None]
+        entropies = cells(sweep.entropies[:, :, start:stop]).transpose(2, 0, 1)
+        block[:, :, 2:6] = entropies
+        block[:, :, 6] = entropies[:, :, 3]
+        block[:, :, 7:] = cells(sweep.diagnostics[:, start:stop]).T[:, None, :]
+        text = row_format * (block.shape[0] * n_q) % tuple(block.ravel().tolist())
+        # the first JSON row follows "[" with no comma
+        stream.write(text[1:] if as_json and start == 0 else text)
+    if as_json:
+        stream.write("\n]\n")
 
 
 def main(argv: list[str] | None = None) -> int:
     config = parse_config(argv)
     try:
-        rows = run_sweep(config)
-        emit(rows, config)
+        sweep = run_sweep(config)
+        emit(sweep, config)
     except Exception as exc:
         print(f"qubit-entropy: {exc}", file=sys.stderr)
         return 1

@@ -43,7 +43,7 @@ def read_rows(text):
 
 @pytest.fixture(scope="module")
 def default_rows():
-    return run_sweep(parse_config([]))
+    return run_sweep(parse_config([])).rows()
 
 
 def test_criterion_1_dual_oracle_transform():
@@ -119,7 +119,9 @@ def test_criterion_5_mutual_info_positive(default_rows):
     for row in default_rows:
         if row["q"] == 1.0:
             assert row["I"] >= -1e-10
-    uncoupled = run_sweep(parse_config(["--g", "0", "--t-steps", "10", "--q", "1.0"]))
+    uncoupled = run_sweep(
+        parse_config(["--g", "0", "--t-steps", "10", "--q", "1.0"])
+    ).rows()
     for row in uncoupled:
         assert abs(row["I"]) <= 1e-10
 

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 import qubit_entropy.cli as cli_mod
 from qubit_entropy.cli import (
     CSV_COLUMNS,
+    Sweep,
     SweepConfig,
     SweepError,
     emit,
@@ -76,6 +77,26 @@ def per_temperature_rows(config):
 def chunk_bytes_per_temperature(config):
     """Bytes the sweep stacks per temperature, as CHUNK_BYTES counts them."""
     return 8 * (config.levels_small**4 + config.levels_big**2)
+
+
+def reference_report(sweep, config):
+    """The per-cell writer emit replaced: one ``_fmt`` call per cell of
+    ``Sweep.rows()``, and JSON through ``json.dumps(indent=2)``."""
+    rows = sweep.rows()
+    if config.output_format == "json":
+        rounded = [
+            {key: float(cli_mod._fmt(row[key])) for key in CSV_COLUMNS} for row in rows
+        ]
+        return json.dumps(rounded, indent=2) + "\n"
+    lines = cli_mod._header_lines(config) + [",".join(CSV_COLUMNS)]
+    lines += [",".join(cli_mod._fmt(row[key]) for key in CSV_COLUMNS) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def emitted(sweep, config):
+    buffer = io.StringIO()
+    emit(sweep, config, stream=buffer)
+    return buffer.getvalue()
 
 
 def parse_csv(text):
@@ -181,7 +202,7 @@ class TestParseConfig:
 class TestRunSweep:
     def test_row_count_and_order(self):
         config = parse_config(FAST)
-        rows = run_sweep(config)
+        rows = run_sweep(config).rows()
         assert len(rows) == 3 * 2
         # T-major, q fastest
         assert rows[0]["T"] == rows[1]["T"]
@@ -191,13 +212,13 @@ class TestRunSweep:
 
     def test_log_grid(self):
         config = parse_config(FAST + ["--t-scale", "log"])
-        rows = run_sweep(config)
+        rows = run_sweep(config).rows()
         temps = sorted({row["T"] for row in rows})
         assert_allclose(temps[1] / temps[0], temps[2] / temps[1], rtol=1e-12)
 
     def test_zero_coupling_mutual_info_vanishes(self):
         config = parse_config(["--g", "0", "--t-steps", "4", "--q", "1.0"])
-        rows = run_sweep(config)
+        rows = run_sweep(config).rows()
         assert all(abs(row["I"]) < 1e-10 for row in rows)
 
     @pytest.mark.parametrize("method", ["closed-form", "quadrature"])
@@ -207,7 +228,7 @@ class TestRunSweep:
         config = parse_config(
             ["--g", "0", "--t-steps", "6", "--q", "1.0", "--method", method]
         )
-        rows = run_sweep(config)
+        rows = run_sweep(config).rows()
         d, d_small = config.levels_big, config.levels_small
         grid = cli_mod._temperature_grid(config)
         w = thermal_weights(config.modes, grid, d)
@@ -219,7 +240,7 @@ class TestRunSweep:
             assert row["mu_II"] == mu_complement
 
     def test_diagnostics_repeat_across_q(self):
-        rows = run_sweep(parse_config(FAST))
+        rows = run_sweep(parse_config(FAST)).rows()
         assert rows[0]["mu_I"] == rows[1]["mu_I"]
         assert rows[0]["offdiag_sum"] == rows[1]["offdiag_sum"]
 
@@ -271,7 +292,7 @@ class TestRunSweep:
             return real_chunk(config, modes, u_small, u_big, temps)
 
         monkeypatch.setattr(cli_mod, "_sweep_chunk", recording_chunk)
-        rows = run_sweep(config)
+        rows = run_sweep(config).rows()
         assert sizes[:-1] == [7] * (len(sizes) - 1) and 0 < sizes[-1] < 7
         expected = per_temperature_rows(config)
         assert len(rows) == len(expected)
@@ -282,8 +303,8 @@ class TestRunSweep:
     def test_methods_agree_on_all_columns(self):
         base = parse_config(FAST)
         quad = parse_config(FAST + ["--method", "quadrature"])
-        rows_a = run_sweep(base)
-        rows_b = run_sweep(quad)
+        rows_a = run_sweep(base).rows()
+        rows_b = run_sweep(quad).rows()
         for row_a, row_b in zip(rows_a, rows_b):
             for key in CSV_COLUMNS:
                 assert abs(row_a[key] - row_b[key]) <= 1e-6
@@ -292,46 +313,72 @@ class TestRunSweep:
 class TestEmit:
     def test_csv_schema(self):
         config = parse_config(FAST)
-        rows = run_sweep(config)
-        buffer = io.StringIO()
-        emit(rows, config, stream=buffer)
-        text = buffer.getvalue()
+        sweep = run_sweep(config)
+        text = emitted(sweep, config)
         comment_lines = [ln for ln in text.splitlines() if ln.startswith("#")]
         assert any("qubit-entropy" in ln for ln in comment_lines)
         assert any("lambda=1.5" in ln for ln in comment_lines)
         header, parsed = parse_csv(text)
         assert header == list(CSV_COLUMNS)
-        assert len(parsed) == len(rows)
+        assert len(parsed) == len(sweep.rows())
 
     def test_single_row_gives_header_plus_row(self):
         config = parse_config(FAST)
-        rows = run_sweep(config)[:1]
-        buffer = io.StringIO()
-        emit(rows, config, stream=buffer)
+        sweep = run_sweep(config)
+        one = Sweep(
+            temperatures=sweep.temperatures[:1],
+            q_values=sweep.q_values[:1],
+            entropies=sweep.entropies[:1, :, :1],
+            diagnostics=sweep.diagnostics[:, :1],
+        )
         data_lines = [
-            ln for ln in buffer.getvalue().splitlines() if not ln.startswith("#")
+            ln for ln in emitted(one, config).splitlines() if not ln.startswith("#")
         ]
         assert len(data_lines) == 2
 
     def test_values_printed_with_twelve_digits(self):
         config = parse_config(FAST)
-        rows = run_sweep(config)
-        buffer = io.StringIO()
-        emit(rows, config, stream=buffer)
-        _, parsed = parse_csv(buffer.getvalue())
-        for printed, computed in zip(parsed, rows):
+        sweep = run_sweep(config)
+        _, parsed = parse_csv(emitted(sweep, config))
+        for printed, computed in zip(parsed, sweep.rows()):
             for key in CSV_COLUMNS:
                 assert printed[key] == pytest.approx(computed[key], rel=1e-11)
 
     def test_json_array(self):
         config = parse_config(FAST + ["--format", "json"])
-        rows = run_sweep(config)
-        buffer = io.StringIO()
-        emit(rows, config, stream=buffer)
-        data = json.loads(buffer.getvalue())
+        data = json.loads(emitted(run_sweep(config), config))
         assert isinstance(data, list)
         assert len(data) == 6
         assert set(data[0].keys()) == set(CSV_COLUMNS)
+
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["--method", "quadrature", "--levels-small", "3", "--levels-big", "5",
+             "--q", "0.5,1,2.5"],
+            # T = 1e5 prints as 100000 in CSV and 100000.0 in JSON
+            ["--t-min", "1e-12", "--t-max", "1e5", "--t-scale", "log"],
+            # below GROUND_STATE_T, where S_joint at q = 1 prints as -0
+            ["--t-min", str(GROUND_STATE_T / 10), "--t-max", str(GROUND_STATE_T),
+             "--t-steps", "4", "--t-scale", "log"],
+            # duplicate and integer-valued q
+            ["--q", "1,1,2"],
+        ],
+    )
+    def test_byte_identical_to_per_cell_writer(self, argv, output_format):
+        config = parse_config(argv + ["--format", output_format])
+        sweep = run_sweep(config)
+        assert emitted(sweep, config) == reference_report(sweep, config)
+
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    def test_blocks_ending_mid_grid(self, output_format, monkeypatch):
+        # blocks of 7 temperatures: the 50-point grid ends with a block of 1
+        monkeypatch.setattr(cli_mod, "WRITE_TEMPERATURES", 7)
+        config = parse_config(["--format", output_format])
+        sweep = run_sweep(config)
+        assert emitted(sweep, config) == reference_report(sweep, config)
 
 
 class TestMain:
@@ -367,6 +414,16 @@ class TestMain:
             main(FAST + ["--output", str(out)])
         assert err.value.code == 2
         assert "does not exist" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_output_naming_a_directory_exits_before_sweep(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli_mod, "run_sweep", None)  # never reached
+        with pytest.raises(SystemExit) as err:
+            main(FAST + ["--output", str(tmp_path)])
+        assert err.value.code == 2
+        assert "is a directory" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_output_in_working_directory_accepted(self, tmp_path, monkeypatch):
