@@ -38,12 +38,12 @@ from .state import (
     canonical_densities,
     partial_traces,
     rotate_thermal,
+    thermal_spectra,
     thermal_weights,
     validity_diagnostics,
 )
 from .transform import (
     IndexOutOfRange,
-    TransformMethod,
     TransformTensor,
     build_transform,
     gaussian_coefficients,
@@ -66,7 +66,6 @@ __all__ = [
     "NotAProductDimension",
     "NotPositiveDefinite",
     "SMALL_ANGLE_LIMIT",
-    "TransformMethod",
     "TransformTensor",
     "UnstableMode",
     "UnsupportedDegree",
@@ -89,6 +88,7 @@ __all__ = [
     "rotation_angle_small",
     "spectra",
     "spectrum_entropies",
+    "thermal_spectra",
     "thermal_weights",
     "validity_diagnostics",
     "__version__",

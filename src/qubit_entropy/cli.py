@@ -20,22 +20,27 @@ from functools import cached_property
 import numpy as np
 
 from . import __version__
-from .entropy import bipartite_entropies, spectra
+from .entropy import bipartite_entropies
 from .model import CircuitParams, FrequencyMethod, NormalModes, normal_modes
-from .state import partial_traces, rotate_thermal, thermal_weights, validity_diagnostics
-from .transform import TransformMethod, TransformTensor, build_transform
+from .state import thermal_spectra, thermal_weights, validity_diagnostics
+from .transform import TransformTensor, build_transform
 
 __all__ = ["Sweep", "SweepConfig", "SweepError", "emit", "main", "parse_config", "run_sweep"]
 
 # The sweep evaluates temperatures in chunks of at most this many bytes:
-# 8 * (levels_small**4 + levels_big**2) per temperature, for the joint state
-# and the levels-big weight row.  Larger chunks save little, cost memory.
+# 8 * (levels_small**4 + levels_big**2) per temperature, for the matrix
+# sqrt(w) U of levels_small and the levels-big weight row.  Larger chunks
+# save little, cost memory.
 CHUNK_BYTES = 256 * 1024
 
 # The levels-big transform holds two tables of levels_big^2 eigenfunction
 # products on (2 * levels_big - 1)^2 quadrature nodes, growing as
 # levels_big^4: 33 MB each at this limit, 51 GB each at levels-big 200.
 MAX_LEVELS_BIG = 32
+
+# --method and the config key method are accepted and ignored: both
+# transforms are built by the one quadrature route.
+METHODS = ("closed-form", "quadrature")
 
 # The writer formats and writes this many temperatures at a time, so its
 # transient memory does not grow with the grid.
@@ -79,21 +84,11 @@ class Sweep:
         by_q = self.entropies.tolist()
         rows: list[dict[str, float]] = []
         for i, temperature in enumerate(self.temperatures.tolist()):
+            diagnostics = (mu_block[i], mu_complement[i], offdiag[i])
             for q, (s_joint, s_first, s_second, margin) in zip(self.q_values, by_q):
-                rows.append(
-                    {
-                        "T": temperature,
-                        "q": q,
-                        "S_joint": s_joint[i],
-                        "S_1": s_first[i],
-                        "S_2": s_second[i],
-                        "I": margin[i],
-                        "margin": margin[i],
-                        "mu_I": mu_block[i],
-                        "mu_II": mu_complement[i],
-                        "offdiag_sum": offdiag[i],
-                    }
-                )
+                entropies = (s_joint[i], s_first[i], s_second[i], margin[i], margin[i])
+                values = (temperature, q, *entropies, *diagnostics)
+                rows.append(dict(zip(CSV_COLUMNS, values)))
         return rows
 
 
@@ -108,7 +103,6 @@ class SweepConfig:
     q_values: tuple[float, ...] = (0.5, 0.8, 1.0, 1.5, 2.0)
     levels_small: int = 2
     levels_big: int = 6
-    method: str = "closed-form"
     output_format: str = "csv"
     output: str | None = None
 
@@ -145,10 +139,6 @@ class SweepConfig:
             raise ValueError("levels-big must exceed levels-small")
         if self.levels_big > MAX_LEVELS_BIG:
             raise ValueError(f"levels-big must be at most {MAX_LEVELS_BIG}")
-        if self.method not in ("closed-form", "quadrature"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.method == "closed-form" and self.levels_small != 2:
-            raise ValueError("closed-form supports levels-small=2 only")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.output_format!r}")
 
@@ -171,7 +161,6 @@ _KEY_TO_FIELD = {
     "q": "q_values",
     "levels-small": "levels_small",
     "levels-big": "levels_big",
-    "method": "method",
     "format": "output_format",
     "output": "output",
 }
@@ -188,6 +177,10 @@ def _read_config_file(path: str) -> dict[str, str]:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
             key = key.replace("_", "-")
+            if key == "method":  # accepted and ignored, but still checked
+                if value not in METHODS:
+                    raise ValueError(f"{path}:{lineno}: unknown method {value!r}")
+                continue
             if key not in _KEY_TO_FIELD:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             pairs[key] = value
@@ -227,7 +220,7 @@ def parse_config(argv: list[str] | None = None) -> SweepConfig:
     parser.add_argument("--q", type=str, help="comma-separated entropic indices")
     parser.add_argument("--levels-small", type=int, help="levels per mode for entropies")
     parser.add_argument("--levels-big", type=int, help="levels per mode for diagnostics")
-    parser.add_argument("--method", choices=("closed-form", "quadrature"))
+    parser.add_argument("--method", choices=METHODS, help="accepted and ignored")
     parser.add_argument("--format", dest="output_format", choices=("csv", "json"))
     parser.add_argument("--output", type=str, help="output path (default stdout)")
     parser.add_argument("--config", type=str, help="flat key = value config file")
@@ -242,7 +235,7 @@ def parse_config(argv: list[str] | None = None) -> SweepConfig:
         overrides = {}
         for field_name in (
             "lam", "g", "t_min", "t_max", "t_steps", "t_scale",
-            "levels_small", "levels_big", "method", "output_format", "output",
+            "levels_small", "levels_big", "output_format", "output",
         ):
             value = getattr(args, field_name)
             if value is not None:
@@ -252,6 +245,8 @@ def parse_config(argv: list[str] | None = None) -> SweepConfig:
         config = replace(config, **overrides)
         config.validate()
         config.modes  # DegenerateFrequencies, UnstableMode: bad configuration
+        if config.output == "":
+            raise ValueError("--output must name a file")
         if not os.path.isdir(os.path.dirname(config.output or "") or "."):
             raise ValueError(f"the directory of --output {config.output} does not exist")
         if config.output is not None and os.path.isdir(config.output):
@@ -276,15 +271,8 @@ def run_sweep(config: SweepConfig) -> Sweep:
     """
     params = CircuitParams(lam=config.lam, g=config.g)
     modes = config.modes
-    small_method = (
-        TransformMethod.CLOSED_FORM
-        if config.method == "closed-form"
-        else TransformMethod.QUADRATURE
-    )
-    u_small = build_transform(params, modes, d=config.levels_small, method=small_method)
-    u_big = build_transform(
-        params, modes, d=config.levels_big, method=TransformMethod.QUADRATURE
-    )
+    u_small = build_transform(params, modes, d=config.levels_small)
+    u_big = build_transform(params, modes, d=config.levels_big)
     grid = _temperature_grid(config)
     step = max(1, CHUNK_BYTES // (8 * (config.levels_small**4 + config.levels_big**2)))
     diagnostics, entropies = [], []
@@ -326,9 +314,8 @@ def _sweep_chunk(
     try:
         weights = thermal_weights(modes, temps, config.levels_big)
         diag = validity_diagnostics(weights, u_big, config.levels_small)
-        joint = rotate_thermal(thermal_weights(modes, temps, config.levels_small), u_small)
-        joint_spectra = spectra(joint)
-        marginal_spectra = spectra(partial_traces(joint))
+        small = thermal_weights(modes, temps, config.levels_small)
+        joint_spectra, marginal_spectra = thermal_spectra(small, u_small)
         by_q = []
         for q in config.q_values:
             current_q = q
@@ -355,8 +342,7 @@ def _header_lines(config: SweepConfig) -> list[str]:
         f"# lambda={_fmt(config.lam)} g={_fmt(config.g)}",
         f"# t_min={_fmt(config.t_min)} t_max={_fmt(config.t_max)}"
         f" t_steps={config.t_steps} t_scale={config.t_scale}",
-        f"# q={q_text} levels_small={config.levels_small}"
-        f" levels_big={config.levels_big} method={config.method}",
+        f"# q={q_text} levels_small={config.levels_small} levels_big={config.levels_big}",
     ]
 
 

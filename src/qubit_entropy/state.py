@@ -20,6 +20,7 @@ __all__ = [
     "canonical_densities",
     "partial_traces",
     "rotate_thermal",
+    "thermal_spectra",
     "thermal_weights",
     "validity_diagnostics",
 ]
@@ -111,24 +112,67 @@ def thermal_weights(modes: NormalModes, temperatures, d: int) -> np.ndarray:
     return weights
 
 
+def _weights_and_traces(
+    weights: np.ndarray, transform: TransformTensor
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(U, w, tr)``, checked, with ``tr = w . sum_a U_ia^2`` the trace of
+    each ``U^T diag(w) U``."""
+    u, w = transform.entries, np.asarray(weights, dtype=float)
+    if w.ndim != 2 or w.shape[1] != u.shape[0]:
+        raise DimensionMismatch(f"weights {w.shape} do not match transform {u.shape}")
+    if not (np.isfinite(w) & (w >= 0)).all():
+        raise ValueError("weights must be finite and non-negative")
+    traces = (w * (u * u).sum(axis=1)).sum(axis=1)
+    if not (traces > 0).all():
+        raise ValueError(f"trace must be positive, got {traces.min()}")
+    return u, w, traces
+
+
+def thermal_spectra(
+    weights: np.ndarray, transform: TransformTensor
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending spectra, shapes ``(k, d*d)`` and ``(2, k, d)``, of a stack
+    of bare-basis thermal states and of their marginals (in
+    :func:`partial_traces` order), with no state formed.
+
+    The state ``U^T diag(w) U / tr`` is ``B^T B / tr`` with ``B = sqrt(w) U``;
+    a marginal is ``C^T C / tr``, C being B with rows (i, m) and columns n
+    (first) or rows (i, n) and columns m (second).  The spectra are squared
+    singular values over ``tr``.  An eigendecomposition of a formed state
+    errs by about eps absolutely, which ``p**q`` with q < 1 magnifies; the
+    SVD of B, rows sorted by weight, keeps small singular values to high
+    relative accuracy (Demmel and Veselic, SIAM J. Matrix Anal. Appl. 13,
+    1204 (1992)).  A non-finite spectrum raises ValueError.
+    """
+    u, w, traces = _weights_and_traces(weights, transform)
+    k, dim, d = len(w), len(u), transform.d
+    # the SVD keeps relative accuracy on rows graded from large to small
+    order = np.argsort(-w, axis=1, kind="stable")
+    b = np.sqrt(np.take_along_axis(w, order, axis=1))[:, :, None] * u[order]
+    blocks = b.reshape(k, dim, d, d)
+    split = np.stack([blocks.transpose(0, 1, 3, 2), blocks]).reshape(2, k, dim * d, d)
+    joint, marginals = (
+        np.linalg.svd(x, compute_uv=False)[..., ::-1] ** 2 / traces[:, None]
+        for x in (b, split)
+    )
+    if not (np.isfinite(joint).all() and np.isfinite(marginals).all()):
+        raise ValueError("thermal spectra are not finite")
+    return joint, marginals
+
+
 def rotate_thermal(weights: np.ndarray, transform: TransformTensor) -> np.ndarray:
     """Express a stack of thermal normal-mode states in the bare basis.
 
     ``weights`` holds one row of normal-mode populations per state (the
-    diagonal of each state).  Applies ``U^T diag(w) U`` as
-    ``(U^T * w) @ U``, which rounds identically, then canonicalizes with
-    :func:`canonical_densities`; truncation makes U only approximately
-    orthogonal, so a little weight is shed and restored by the
-    normalization.
+    diagonal of each state).  Returns ``U^T diag(w) U / tr``, applied as
+    ``(U^T * w) @ U``, with ``tr`` as in :func:`thermal_spectra`;
+    truncation makes U only approximately orthogonal, so a little weight
+    is shed and restored by the division.
     """
-    u = transform.entries
-    if weights.shape[-1] != u.shape[0]:
-        raise DimensionMismatch(
-            f"state dimension {weights.shape[-1]} does not match transform {u.shape[0]}"
-        )
+    u, w, traces = _weights_and_traces(weights, transform)
     # U^T * w must be C-ordered: BLAS rounds a transposed operand differently
-    scaled = np.ascontiguousarray(u.T) * weights[:, None, :]
-    return canonical_densities(scaled @ u)
+    scaled = np.ascontiguousarray(u.T) * w[:, None, :]
+    return (scaled @ u) / traces[:, None, None]
 
 
 def partial_traces(states: np.ndarray) -> np.ndarray:
@@ -170,16 +214,10 @@ def validity_diagnostics(
     terms.  The state is ``B^T B`` with ``B = sqrt(w) U``, so PSD for finite
     non-negative weights, which are checked.
     """
-    u, w, d_big = transform.entries, np.asarray(weights, dtype=float), transform.d
-    if w.ndim != 2 or w.shape[1] != u.shape[0]:
-        raise DimensionMismatch(f"weights {w.shape} do not match transform {u.shape}")
+    u, w, traces = _weights_and_traces(weights, transform)
+    d_big = transform.d
     if not 2 <= d_small < d_big:
         raise ValueError(f"need 2 <= d_small < d_big, got {d_small}, {d_big}")
-    if not (np.isfinite(w) & (w >= 0)).all():
-        raise ValueError("weights must be finite and non-negative")
-    traces = (w * (u * u).sum(axis=1)).sum(axis=1)
-    if not (traces > 0).all():
-        raise ValueError(f"trace must be positive, got {traces.min()}")
     kept = [n * d_big + m for n in range(d_small) for m in range(d_small)]
     u_kept, u_rest = u[:, kept], np.delete(u, kept, axis=1)
     # one vector-matrix product per state, so a row rounds as it would alone

@@ -10,14 +10,14 @@ where |n m> are eigenstates of the uncoupled pair (length scales 1 and
 1/sqrt(lam)) and |n' m'> are normal-mode eigenstates (length scales
 1/sqrt(omega1), 1/sqrt(omega2)) of the rotated coordinates.  Each
 element is a 2-D integral of four oscillator eigenfunctions against a
-shared Gaussian.  Two independent routes are implemented: closed forms
-assembled from Gaussian moments, and direct Gauss-Hermite quadrature of
-the integrand.
+shared Gaussian.  :func:`build_transform` fills the tensor by Gauss-Hermite
+quadrature; the single elements, by closed forms assembled from Gaussian
+moments (levels 0 and 1) and by direct quadrature of the integrand, are
+independent references for it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from math import cos, sin, sqrt
 
 import numpy as np
@@ -35,7 +35,6 @@ from .model import CircuitParams, FrequencyMethod, NormalModes
 
 __all__ = [
     "IndexOutOfRange",
-    "TransformMethod",
     "TransformTensor",
     "build_transform",
     "gaussian_coefficients",
@@ -45,11 +44,6 @@ __all__ = [
 
 class IndexOutOfRange(ValueError):
     """Oscillator level outside the supported range."""
-
-
-class TransformMethod(Enum):
-    CLOSED_FORM = "closed-form"
-    QUADRATURE = "quadrature"
 
 
 @dataclass(frozen=True)
@@ -62,9 +56,6 @@ class TransformTensor:
 
     entries: np.ndarray
     d: int
-    method: TransformMethod
-    params: CircuitParams
-    modes: NormalModes
 
 
 def _rotation_coefficients(modes: NormalModes) -> tuple[float, float]:
@@ -197,16 +188,12 @@ def overlap_element_quadrature(
 
 
 def build_transform(
-    params: CircuitParams,
-    modes: NormalModes,
-    d: int = 2,
-    method: TransformMethod = TransformMethod.CLOSED_FORM,
+    params: CircuitParams, modes: NormalModes, d: int = 2
 ) -> TransformTensor:
-    """Assemble the full (d*d, d*d) overlap tensor.
+    """Assemble the full (d*d, d*d) overlap tensor by quadrature.
 
     At g = 0 and phi = 0 the bases coincide and the tensor is the exact
-    identity on either route.  The closed-form route requires d = 2.  The
-    quadrature route fills every entry from one shared grid of 2d - 1
+    identity.  Otherwise every entry comes from one shared grid of 2d - 1
     nodes per axis: each axis gets one table of eigenfunctions, the bare
     and normal-mode products are formed from those tables, and the
     weighted sum is one matrix product.  The integrand of every entry has
@@ -215,24 +202,8 @@ def build_transform(
     """
     if d < 2:
         raise ValueError(f"need at least two levels per mode, got d={d}")
-    if method is TransformMethod.CLOSED_FORM and d != 2:
-        raise ValueError("closed forms cover d = 2 only; use quadrature")
     if params.g == 0.0 and modes.phi == 0.0:
-        return TransformTensor(np.eye(d * d), d, method, params, modes)
-    if method is TransformMethod.CLOSED_FORM:
-        entries = np.array(
-            [
-                [
-                    overlap_element_closed(n, m, n2, m2, params, modes)
-                    for n2 in range(d)
-                    for m2 in range(d)
-                ]
-                for n in range(d)
-                for m in range(d)
-            ]
-        )
-        return TransformTensor(entries, d, method, params, modes)
-
+        return TransformTensor(np.eye(d * d), d)
     form = gaussian_coefficients(params, modes)
     _require_positive_definite(form)
     t, v = _hermgauss_scaled(2 * d - 1)
@@ -253,5 +224,4 @@ def build_transform(
     rotated = (f1[:, None] * f2[None, :]).reshape(d * d, t.size * t.size)
     del f1, f2
     bare *= weights  # in place: no third d^2 x N array at the peak
-    entries = bare @ rotated.T
-    return TransformTensor(entries, d, TransformMethod.QUADRATURE, params, modes)
+    return TransformTensor(bare @ rotated.T, d)

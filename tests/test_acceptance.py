@@ -28,9 +28,10 @@ from qubit_entropy.state import (
     canonical_densities,
     partial_traces,
     rotate_thermal,
+    thermal_spectra,
     thermal_weights,
 )
-from qubit_entropy.transform import TransformMethod, build_transform
+from qubit_entropy.transform import build_transform, overlap_element_closed
 
 GOLDEN = Path(__file__).parent / "data" / "golden_default_sweep.csv"
 
@@ -46,6 +47,15 @@ def default_rows():
     return run_sweep(parse_config([])).rows()
 
 
+def closed_form_matrix(params, modes):
+    """The d = 2 overlap tensor assembled from the Gaussian-moment closed forms."""
+    levels = [(n, m) for n in range(2) for m in range(2)]
+    return np.array(
+        [[overlap_element_closed(*bare, *mode, params, modes) for mode in levels]
+         for bare in levels]
+    )
+
+
 def test_criterion_1_dual_oracle_transform():
     start = time.perf_counter()
     rng = np.random.default_rng(2024)
@@ -55,12 +65,12 @@ def test_criterion_1_dual_oracle_transform():
             lam=float(rng.uniform(1.2, 2.0)), g=float(rng.uniform(0.0, 0.1))
         )
         modes = normal_modes(params)
-        closed = build_transform(params, modes, d=2)
-        quad = build_transform(params, modes, d=2, method=TransformMethod.QUADRATURE)
-        assert np.max(np.abs(closed.entries - quad.entries)) <= 1e-8
+        closed = closed_form_matrix(params, modes)
+        quad = build_transform(params, modes, d=2).entries
+        assert np.max(np.abs(closed - quad)) <= 1e-8
         for i, j in odd_cells:
-            assert closed.entries[i, j] == 0.0
-            assert abs(quad.entries[i, j]) <= 1e-12
+            assert closed[i, j] == 0.0
+            assert abs(quad[i, j]) <= 1e-12
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"dual-oracle sweep took {elapsed:.1f} s"
 
@@ -237,9 +247,7 @@ def test_full_pipeline_spot_check():
     params = CircuitParams(lam=1.5, g=0.1)
     modes = normal_modes(params)
     u = build_transform(params, modes, d=2)
-    joint = rotate_thermal(thermal_weights(modes, [0.01], 2), u)
-    s_joint, _, _, mutual_info = bipartite_entropies(
-        spectra(joint), spectra(partial_traces(joint)), 1.0
-    )
+    joint, marginals = thermal_spectra(thermal_weights(modes, [0.01], 2), u)
+    s_joint, _, _, mutual_info = bipartite_entropies(joint, marginals, 1.0)
     assert_allclose(mutual_info, [0.009833147], atol=1e-8)
     assert s_joint[0] < 1e-12

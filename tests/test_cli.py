@@ -18,16 +18,15 @@ from qubit_entropy.cli import (
     parse_config,
     run_sweep,
 )
-from qubit_entropy.entropy import bipartite_entropies, spectra
+from qubit_entropy.entropy import bipartite_entropies
 from qubit_entropy.model import CircuitParams, normal_modes
 from qubit_entropy.state import (
     GROUND_STATE_T,
-    partial_traces,
-    rotate_thermal,
+    thermal_spectra,
     thermal_weights,
     validity_diagnostics,
 )
-from qubit_entropy.transform import TransformMethod, build_transform
+from qubit_entropy.transform import build_transform
 
 FAST = ["--t-steps", "3", "--q", "1.0,2.0"]
 
@@ -41,25 +40,17 @@ def per_temperature_rows(config):
     call on a batch of one: the reference for the chunked sweep."""
     params = CircuitParams(lam=config.lam, g=config.g)
     modes = normal_modes(params)
-    small_method = (
-        TransformMethod.CLOSED_FORM
-        if config.method == "closed-form"
-        else TransformMethod.QUADRATURE
-    )
-    u_small = build_transform(params, modes, d=config.levels_small, method=small_method)
-    u_big = build_transform(
-        params, modes, d=config.levels_big, method=TransformMethod.QUADRATURE
-    )
+    u_small = build_transform(params, modes, d=config.levels_small)
+    u_big = build_transform(params, modes, d=config.levels_big)
     rows = []
     for temperature in cli_mod._temperature_grid(config).tolist():
         big = thermal_weights(modes, [temperature], config.levels_big)
         mu_block, mu_complement, offdiag = validity_diagnostics(
             big, u_big, config.levels_small
         )
-        state = rotate_thermal(
+        joint, marginals = thermal_spectra(
             thermal_weights(modes, [temperature], config.levels_small), u_small
         )
-        joint, marginals = spectra(state), spectra(partial_traces(state))
         for q in config.q_values:
             s_joint, s_first, s_second, margin = bipartite_entropies(
                 joint, marginals, q
@@ -115,7 +106,6 @@ class TestParseConfig:
         assert config.q_values == (0.5, 0.8, 1.0, 1.5, 2.0)
         assert config.levels_small == 2
         assert config.levels_big == 6
-        assert config.method == "closed-form"
 
     def test_flags_override_defaults(self):
         config = parse_config(["--g", "0", "--lambda", "2"])
@@ -177,10 +167,22 @@ class TestParseConfig:
             parse_config(["--g", "1.5"])
         assert err.value.code == 2
 
-    def test_closed_form_needs_two_levels(self):
+    def test_unknown_method_exits(self, tmp_path):
+        # --method is ignored, but its value is still checked
         with pytest.raises(SystemExit) as err:
-            parse_config(["--levels-small", "3"])
+            parse_config(["--method", "foo"])
         assert err.value.code == 2
+        path = tmp_path / "sweep.conf"
+        path.write_text("method = foo\n")
+        with pytest.raises(SystemExit) as err:
+            parse_config(["--config", str(path)])
+        assert err.value.code == 2
+
+    def test_method_key_accepted(self, tmp_path):
+        path = tmp_path / "sweep.conf"
+        path.write_text("method = quadrature\nlevels-small = 3\n")
+        expected = parse_config(["--levels-small", "3"])
+        assert parse_config(["--config", str(path)]) == expected
 
     def test_quadrature_allows_more_levels(self):
         config = parse_config(
@@ -224,7 +226,8 @@ class TestRunSweep:
     @pytest.mark.parametrize("method", ["closed-form", "quadrature"])
     def test_zero_coupling_diagnostics_exact(self, method):
         # U is the exact identity at g = 0: the block is diagonal and the
-        # complement weight is the thermal weight outside it
+        # complement weight is the thermal weight outside it, whichever
+        # value the ignored --method flag carries
         config = parse_config(
             ["--g", "0", "--t-steps", "6", "--q", "1.0", "--method", method]
         )
@@ -300,14 +303,15 @@ class TestRunSweep:
             for key in CSV_COLUMNS:
                 assert row[key] == ref[key], key
 
-    def test_methods_agree_on_all_columns(self):
-        base = parse_config(FAST)
-        quad = parse_config(FAST + ["--method", "quadrature"])
-        rows_a = run_sweep(base).rows()
-        rows_b = run_sweep(quad).rows()
-        for row_a, row_b in zip(rows_a, rows_b):
-            for key in CSV_COLUMNS:
-                assert abs(row_a[key] - row_b[key]) <= 1e-6
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    def test_method_flag_is_ignored(self, output_format, tmp_path):
+        reports = []
+        for extra in ([], ["--method", "closed-form"], ["--method", "quadrature"]):
+            out = tmp_path / f"sweep-{len(reports)}.{output_format}"
+            argv = FAST + ["--format", output_format, "--output", str(out)]
+            assert main(argv + extra) == 0
+            reports.append(out.read_bytes())
+        assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
 class TestEmit:
@@ -425,6 +429,24 @@ class TestMain:
         assert err.value.code == 2
         assert "is a directory" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_empty_output_exits_before_sweep(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli_mod, "run_sweep", None)  # never reached
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            main(FAST + ["--output", ""])
+        assert err.value.code == 2
+        assert "--output must name a file" in capsys.readouterr().err
+
+    def test_empty_output_key_exits_before_sweep(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli_mod, "run_sweep", None)  # never reached
+        path = tmp_path / "sweep.conf"
+        path.write_text("output =\n")
+        with pytest.raises(SystemExit) as err:
+            main(FAST + ["--config", str(path)])
+        assert err.value.code == 2
+        assert "--output must name a file" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_output_in_working_directory_accepted(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

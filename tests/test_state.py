@@ -15,15 +15,16 @@ from qubit_entropy.state import (
     canonical_densities,
     partial_traces,
     rotate_thermal,
+    thermal_spectra,
     thermal_weights,
     validity_diagnostics,
 )
-from qubit_entropy.transform import TransformMethod, TransformTensor, build_transform
+from qubit_entropy.transform import TransformTensor, build_transform
 
 REF = CircuitParams(lam=1.5, g=0.1)
 REF_MODES = normal_modes(REF)
 U_SMALL = build_transform(REF, REF_MODES, d=2)
-U_BIG = build_transform(REF, REF_MODES, d=6, method=TransformMethod.QUADRATURE)
+U_BIG = build_transform(REF, REF_MODES, d=6)
 
 
 def modes_with(omega1, omega2):
@@ -146,19 +147,95 @@ class TestTransformDensity:
         assert np.max(np.abs(before - after)) < 1e-3
 
     def test_dimension_mismatch_rejected(self):
-        u = build_transform(REF, REF_MODES, d=3, method=TransformMethod.QUADRATURE)
+        u = build_transform(REF, REF_MODES, d=3)
         with pytest.raises(DimensionMismatch):
             rotate_thermal(thermal_weights(REF_MODES, [0.1], 2), u)
 
     def test_stack_matches_dense_basis_change(self):
-        # U^T diag(w) U written out densely, one temperature at a time
+        # U^T diag(w) U / tr written out densely, one temperature at a time
         temps = np.linspace(0.02, 0.6, 12)
         weights = thermal_weights(REF_MODES, temps, d=6)
         stacked = rotate_thermal(weights, U_BIG)
+        u = U_BIG.entries
         for k, (w, got) in enumerate(zip(weights, stacked)):
-            dense = U_BIG.entries.T @ np.diag(w) @ U_BIG.entries
-            assert np.array_equal(got, density(dense))
+            dense = u.T @ np.diag(w) @ u
+            assert np.array_equal(got, dense / (w * (u * u).sum(axis=1)).sum())
             assert np.array_equal(got, rotate_thermal(weights[k:k + 1], U_BIG)[0])
+            assert_allclose(np.trace(got), 1.0, rtol=1e-14)
+
+
+class TestThermalSpectra:
+    TEMPS = [0.05, 0.1, 0.3, 1.0, 3.0]
+
+    @pytest.mark.parametrize("u", [U_SMALL, U_BIG], ids=["d2", "d6"])
+    def test_match_eigenvalues_of_formed_states(self, u):
+        weights = thermal_weights(REF_MODES, self.TEMPS, u.d)
+        joint, marginals = thermal_spectra(weights, u)
+        states = rotate_thermal(weights, u)
+        # both routes err by about n eps in absolute terms, n = d^2
+        allow = 4 * u.d**2 * np.finfo(float).eps
+        assert_allclose(joint, np.linalg.eigvalsh(states), rtol=0, atol=allow)
+        assert_allclose(marginals, spectra(partial_traces(states)), rtol=0, atol=allow)
+        assert_allclose(joint.sum(axis=1), 1.0, rtol=1e-14)
+        assert_allclose(marginals.sum(axis=2), 1.0, rtol=1e-14)
+
+    def test_identity_transform_keeps_tiny_weights(self):
+        # at g = 0 the spectra are the Boltzmann weights themselves, down to
+        # 1e-33 here, each to rounding; an eigendecomposition would leave
+        # them at about 1e-17 of noise
+        params = CircuitParams(lam=1.5, g=0.0)
+        modes = normal_modes(params)
+        weights = thermal_weights(modes, [0.02, 0.2], 2)
+        u = build_transform(params, modes, d=2)
+        joint, (first, second) = thermal_spectra(weights, u)
+        assert_allclose(joint, np.sort(weights, axis=1), rtol=1e-15, atol=0)
+        for omega, marginal in ((1.0, first), (1.5, second)):
+            excited = np.exp(-omega / np.array([0.02, 0.2]))
+            assert_allclose(marginal[:, 0], excited / (1.0 + excited), rtol=1e-14, atol=0)
+
+    def test_scrambled_weights_keep_relative_accuracy(self):
+        # an orthogonal U leaves the weights as the spectrum; weights over
+        # 40 decades in no particular order must come back to relative
+        # accuracy, which the SVD gives only with rows sorted by weight
+        rng = np.random.default_rng(31)
+        q, _ = np.linalg.qr(rng.normal(size=(9, 9)))
+        weights = 10.0 ** rng.uniform(-40, 0, size=(20, 9))
+        joint, _ = thermal_spectra(weights, TransformTensor(q, 3))
+        expected = np.sort(weights, axis=1) / weights.sum(axis=1, keepdims=True)
+        assert_allclose(joint, expected, rtol=1e-12, atol=0)
+
+    def test_stack_matches_single_states(self):
+        temps = np.concatenate([[GROUND_STATE_T / 2], np.linspace(0.02, 0.6, 12)])
+        u = build_transform(REF, REF_MODES, d=3)
+        joint, marginals = thermal_spectra(thermal_weights(REF_MODES, temps, 3), u)
+        for k, t in enumerate(temps):
+            one = thermal_weights(REF_MODES, [t], 3)
+            one_joint, one_marginals = thermal_spectra(one, u)
+            assert np.array_equal(joint[k], one_joint[0])
+            assert np.array_equal(marginals[:, k], one_marginals[:, 0])
+
+    def test_ground_state_marginals_share_a_spectrum(self):
+        # a pure state's two marginals have the same Schmidt spectrum
+        u = build_transform(REF, REF_MODES, d=4)
+        joint, (first, second) = thermal_spectra(
+            thermal_weights(REF_MODES, [GROUND_STATE_T / 2], 4), u
+        )
+        assert np.count_nonzero(joint) == 1
+        assert_allclose(first, second, rtol=1e-10, atol=0)
+
+    def test_bad_input_rejected(self):
+        weights = thermal_weights(REF_MODES, [0.1, 0.2], 2)
+        with pytest.raises(DimensionMismatch):
+            thermal_spectra(weights, U_BIG)
+        weights[1, 2] = -1e-3
+        with pytest.raises(ValueError, match="non-negative"):
+            thermal_spectra(weights, U_SMALL)
+
+    def test_non_finite_spectra_rejected(self):
+        huge = TransformTensor(np.eye(4) * 1e200, 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="not finite"):
+                thermal_spectra(thermal_weights(REF_MODES, [0.3], 2), huge)
 
 
 class TestPartialTrace:
@@ -315,7 +392,7 @@ class TestValidityDiagnostics:
         # d_small^4 entries.  The two routes' errors add.
         params = CircuitParams(lam=lam, g=g)
         modes = normal_modes(params, FrequencyMethod.EXACT)
-        u = build_transform(params, modes, d=d_big, method=TransformMethod.QUADRATURE)
+        u = build_transform(params, modes, d=d_big)
         weights = thermal_weights(modes, self.ORACLE_TEMPS, d_big)
         mu_block, mu_complement, offdiag = validity_diagnostics(weights, u, 2)
         ref_block, ref_complement, ref_offdiag, block_trace = dense_diagnostics(
@@ -333,7 +410,7 @@ class TestValidityDiagnostics:
         # below GROUND_STATE_T the state is U_0^T U_0 / |U_0|^2 (row 0 of U)
         params = CircuitParams(lam=1.5, g=0.3)
         modes = normal_modes(params, FrequencyMethod.EXACT)
-        u = build_transform(params, modes, d=d_big, method=TransformMethod.QUADRATURE)
+        u = build_transform(params, modes, d=d_big)
         weights = thermal_weights(modes, [GROUND_STATE_T / 10], d_big)
         mu_block, mu_complement, _ = validity_diagnostics(weights, u, d_small)
         row = u.entries[0] ** 2
@@ -355,7 +432,7 @@ class TestValidityDiagnostics:
          (float("inf"), "non-negative")],
     )
     def test_bad_weight_rejected(self, bad, message):
-        u = build_transform(REF, REF_MODES, d=6, method=TransformMethod.QUADRATURE)
+        u = build_transform(REF, REF_MODES, d=6)
         weights = thermal_weights(REF_MODES, [0.1, 0.2], 6)
         weights[1, 3] = bad
         with pytest.raises(ValueError, match=message):
@@ -367,19 +444,19 @@ class TestValidityDiagnostics:
         # would lose them against the unit diagonal
         u = np.eye(36)
         u[0, 1] = u[1, 0] = 1e-13
-        tensor = TransformTensor(u, 6, TransformMethod.QUADRATURE, REF, REF_MODES)
+        tensor = TransformTensor(u, 6)
         w = thermal_weights(REF_MODES, [0.3], 6)
         kept = w[0, [0, 1, 6, 7]].sum() + 1e-26 * w[0, :2].sum()
         expected = 2e-13 * w[0, :2].sum() / kept
         assert_allclose(validity_diagnostics(w, tensor, 2)[2], [expected], rtol=1e-12)
 
     def test_zero_trace_rejected(self):
-        u = build_transform(REF, REF_MODES, d=6, method=TransformMethod.QUADRATURE)
+        u = build_transform(REF, REF_MODES, d=6)
         with pytest.raises(ValueError, match="trace must be positive"):
             validity_diagnostics(np.zeros((1, 36)), u, 2)
 
     def test_shape_and_truncation_checked(self):
-        u = build_transform(REF, REF_MODES, d=6, method=TransformMethod.QUADRATURE)
+        u = build_transform(REF, REF_MODES, d=6)
         with pytest.raises(DimensionMismatch):
             validity_diagnostics(thermal_weights(REF_MODES, [0.1], 5), u, 2)
         with pytest.raises(ValueError):

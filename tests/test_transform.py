@@ -9,7 +9,6 @@ from qubit_entropy.hermite import ho_eigenfunction
 from qubit_entropy.model import CircuitParams, FrequencyMethod, normal_modes
 from qubit_entropy.transform import (
     IndexOutOfRange,
-    TransformMethod,
     build_transform,
     gaussian_coefficients,
     overlap_element_closed,
@@ -59,9 +58,18 @@ def per_entry_quadrature_build(params, modes, d, order=None):
     return (bare * weights) @ rotated.T
 
 
+def closed_form_matrix(params, modes):
+    """The d = 2 overlap tensor assembled from the Gaussian-moment closed forms."""
+    levels = [(n, m) for n in range(2) for m in range(2)]
+    return np.array(
+        [[overlap_element_closed(*bare, *mode, params, modes) for mode in levels]
+         for bare in levels]
+    )
+
+
 def probe_block_deviation(params, modes, d):
     """Max-norm gap of the lowest 2x2-level block of U^T U from identity."""
-    u = build_transform(params, modes, d=d, method=TransformMethod.QUADRATURE)
+    u = build_transform(params, modes, d=d)
     gram = u.entries.T @ u.entries
     idx = [n * d + m for n in range(2) for m in range(2)]
     return np.max(np.abs(gram[np.ix_(idx, idx)] - np.eye(4)))
@@ -185,14 +193,12 @@ class TestDualOracle:
                 lam=float(rng.uniform(1.2, 2.0)), g=float(rng.uniform(0.0, 0.1))
             )
             modes = normal_modes(params)
-            closed = build_transform(params, modes, d=2)
-            quad = build_transform(
-                params, modes, d=2, method=TransformMethod.QUADRATURE
-            )
-            assert np.max(np.abs(closed.entries - quad.entries)) < 1e-8
+            closed = closed_form_matrix(params, modes)
+            quad = build_transform(params, modes, d=2)
+            assert np.max(np.abs(closed - quad.entries)) < 1e-8
 
     def test_quadrature_parity_cells_tiny(self):
-        quad = build_transform(REF, REF_MODES, d=2, method=TransformMethod.QUADRATURE)
+        quad = build_transform(REF, REF_MODES, d=2)
         for i, j in ODD_CELLS:
             assert abs(quad.entries[i, j]) < 1e-12
 
@@ -207,17 +213,14 @@ class TestDualOracle:
 
 class TestBuildTransform:
     def test_closed_build_equals_elementwise_values(self):
+        # the d = 2 build against the closed forms: the rule is exact, so
+        # they differ by rounding only
         built = build_transform(REF, REF_MODES, d=2)
-        for n in range(2):
-            for m in range(2):
-                for n2 in range(2):
-                    for m2 in range(2):
-                        assert built.entries[n * 2 + m, n2 * 2 + m2] == (
-                            overlap_element_closed(n, m, n2, m2, REF, REF_MODES)
-                        )
+        closed = closed_form_matrix(REF, REF_MODES)
+        assert_allclose(built.entries, closed, rtol=0, atol=1e-14)
 
     def test_quadrature_build_equals_elementwise_values(self):
-        built = build_transform(REF, REF_MODES, d=3, method=TransformMethod.QUADRATURE)
+        built = build_transform(REF, REF_MODES, d=3)
         for n in range(3):
             for m in range(3):
                 for n2 in range(3):
@@ -241,7 +244,7 @@ class TestBuildTransform:
     def test_quadrature_build_equals_per_entry_assembly(self, lam, g, d, method):
         params = CircuitParams(lam=lam, g=g)
         modes = normal_modes(params, method)
-        built = build_transform(params, modes, d=d, method=TransformMethod.QUADRATURE)
+        built = build_transform(params, modes, d=d)
         # at g = 0 the bases coincide and the build is the exact identity
         if g == 0:
             expected = np.eye(d * d)
@@ -260,35 +263,37 @@ class TestBuildTransform:
         ]:
             params = CircuitParams(lam=lam, g=g)
             modes = normal_modes(params, method)
-            built = build_transform(params, modes, d, TransformMethod.QUADRATURE)
+            built = build_transform(params, modes, d)
             high = per_entry_quadrature_build(params, modes, d, order=64)
             assert np.max(np.abs(built.entries - high)) <= 1e-14
 
     def test_zero_coupling_closed_build_is_exact_identity(self):
         params = CircuitParams(lam=1.5, g=0.0)
-        built = build_transform(params, normal_modes(params), d=2)
-        assert np.array_equal(built.entries, np.eye(4))
+        assert np.array_equal(closed_form_matrix(params, normal_modes(params)), np.eye(4))
 
     def test_zero_coupling_quadrature_build_near_identity(self):
         params = CircuitParams(lam=1.5, g=0.0)
-        built = build_transform(
-            params, normal_modes(params), d=2, method=TransformMethod.QUADRATURE
-        )
+        built = build_transform(params, normal_modes(params), d=2)
         assert np.array_equal(built.entries, np.eye(4))
 
     def test_metadata_recorded(self):
-        built = build_transform(REF, REF_MODES, d=2)
-        assert built.d == 2
-        assert built.method is TransformMethod.CLOSED_FORM
-        assert built.params == REF
+        built = build_transform(REF, REF_MODES, d=3)
+        assert built.d == 3
+        assert built.entries.shape == (9, 9)
 
     def test_dimension_floor(self):
         with pytest.raises(ValueError):
             build_transform(REF, REF_MODES, d=1)
 
     def test_closed_form_limited_to_two_levels(self):
-        with pytest.raises(ValueError):
-            build_transform(REF, REF_MODES, d=3)
+        # the closed forms cover levels 0 and 1 in every slot; the build
+        # has no such limit
+        for slot in range(4):
+            levels = [0, 0, 0, 0]
+            levels[slot] = 2
+            with pytest.raises(IndexOutOfRange):
+                overlap_element_closed(*levels, REF, REF_MODES)
+        assert build_transform(REF, REF_MODES, d=3).entries.shape == (9, 9)
 
 
 class TestTruncationLeakage:
