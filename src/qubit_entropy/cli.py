@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -144,30 +144,24 @@ class SweepConfig:
 
 
 def _parse_q_list(text: str) -> tuple[float, ...]:
-    values = tuple(float(tok) for tok in text.split(",") if tok.strip())
-    if not values:
-        raise ValueError(f"could not parse q list from {text!r}")
-    return values
+    # an empty list parses; SweepConfig.validate rejects it
+    try:
+        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        message = f"could not parse q list from {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
 
 
-# config-file keys (and their flag spellings) mapped to SweepConfig fields
-_KEY_TO_FIELD = {
-    "lambda": "lam",
-    "g": "g",
-    "t-min": "t_min",
-    "t-max": "t_max",
-    "t-steps": "t_steps",
-    "t-scale": "t_scale",
-    "q": "q_values",
-    "levels-small": "levels_small",
-    "levels-big": "levels_big",
-    "format": "output_format",
-    "output": "output",
-}
+# the keys a config file may set, each read as the flag of the same name
+CONFIG_KEYS = (
+    "lambda", "g", "t-min", "t-max", "t-steps", "t-scale", "q",
+    "levels-small", "levels-big", "method", "format", "output",
+)
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    pairs: dict[str, str] = {}
+def _config_file_flags(path: str) -> list[str]:
+    """The ``--key=value`` token of each ``key = value`` line of a config file."""
+    tokens = []
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -177,35 +171,20 @@ def _read_config_file(path: str) -> dict[str, str]:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
             key = key.replace("_", "-")
-            if key == "method":  # accepted and ignored, but still checked
-                if value not in METHODS:
-                    raise ValueError(f"{path}:{lineno}: unknown method {value!r}")
-                continue
-            if key not in _KEY_TO_FIELD:
+            if key not in CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            pairs[key] = value
-    return pairs
-
-
-def _convert(field_name: str, text: str):
-    if field_name == "q_values":
-        return _parse_q_list(text)
-    types = {f.name: f.type for f in fields(SweepConfig)}
-    target = types[field_name]
-    if target == "int":
-        return int(text)
-    if target == "float":
-        return float(text)
-    return text
+            tokens.append(f"--{key}={value}")
+    return tokens
 
 
 def parse_config(argv: list[str] | None = None) -> SweepConfig:
     """Build a SweepConfig from flags and an optional config file.
 
-    Flags override file values, which override defaults.  Configuration
-    problems, including a circuit whose small-angle normal modes cannot
-    be built and an output path that is a directory or lies in a missing
-    one, terminate with exit code 2.
+    Each config-file line is parsed as its flag, placed before the
+    command line, so flags override file values, which override
+    defaults.  Configuration problems, including a circuit whose
+    small-angle normal modes cannot be built and an output path that is
+    a directory or lies in a missing one, terminate with exit code 2.
     """
     parser = argparse.ArgumentParser(
         prog="qubit-entropy",
@@ -217,32 +196,25 @@ def parse_config(argv: list[str] | None = None) -> SweepConfig:
     parser.add_argument("--t-max", type=float, help="highest temperature")
     parser.add_argument("--t-steps", type=int, help="number of temperatures")
     parser.add_argument("--t-scale", choices=("linear", "log"), help="grid spacing")
-    parser.add_argument("--q", type=str, help="comma-separated entropic indices")
+    parser.add_argument(
+        "--q", dest="q_values", type=_parse_q_list,
+        help="comma-separated entropic indices",
+    )
     parser.add_argument("--levels-small", type=int, help="levels per mode for entropies")
     parser.add_argument("--levels-big", type=int, help="levels per mode for diagnostics")
     parser.add_argument("--method", choices=METHODS, help="accepted and ignored")
     parser.add_argument("--format", dest="output_format", choices=("csv", "json"))
     parser.add_argument("--output", type=str, help="output path (default stdout)")
     parser.add_argument("--config", type=str, help="flat key = value config file")
+    defaults = {f.name: f.default for f in fields(SweepConfig)}
+    parser.set_defaults(**defaults)
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
 
-    config = SweepConfig()
     try:
         if args.config is not None:
-            for key, text in _read_config_file(args.config).items():
-                field_name = _KEY_TO_FIELD[key]
-                config = replace(config, **{field_name: _convert(field_name, text)})
-        overrides = {}
-        for field_name in (
-            "lam", "g", "t_min", "t_max", "t_steps", "t_scale",
-            "levels_small", "levels_big", "output_format", "output",
-        ):
-            value = getattr(args, field_name)
-            if value is not None:
-                overrides[field_name] = value
-        if args.q is not None:
-            overrides["q_values"] = _parse_q_list(args.q)
-        config = replace(config, **overrides)
+            args = parser.parse_args(_config_file_flags(args.config) + argv)
+        config = SweepConfig(**{name: getattr(args, name) for name in defaults})
         config.validate()
         config.modes  # DegenerateFrequencies, UnstableMode: bad configuration
         if config.output == "":

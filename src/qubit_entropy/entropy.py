@@ -39,7 +39,8 @@ def _von_neumann(p: np.ndarray) -> np.ndarray:
     for k in set(zeros.tolist()):
         group = zeros == k
         kept = rows[group, k:]
-        out[group] = -(kept * np.log(kept)).sum(axis=1)
+        # 0.0 - x, not -x: a pure state's entropy is 0.0, never -0.0
+        out[group] = 0.0 - (kept * np.log(kept)).sum(axis=1)
     return out.reshape(p.shape[:-1])
 
 
@@ -55,7 +56,8 @@ def spectrum_entropies(p: np.ndarray, q: float) -> np.ndarray:
         raise NonPositiveQ(f"entropic index must be positive, got q={q}")
     if abs(q - 1.0) < VON_NEUMANN_WINDOW:
         return _von_neumann(p)
-    return (1.0 - (p**q).sum(axis=-1)) / (q - 1.0)
+    # adding 0.0 turns the -0.0 that 0.0 / (q - 1) gives at q < 1 into 0.0
+    return (1.0 - (p**q).sum(axis=-1)) / (q - 1.0) + 0.0
 
 
 def bipartite_entropies(

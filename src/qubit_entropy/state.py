@@ -117,7 +117,8 @@ def _weights_and_traces(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(U, w, tr)``, checked, with ``tr = w . sum_a U_ia^2`` the trace of
     each ``U^T diag(w) U``."""
-    u, w = transform.entries, np.asarray(weights, dtype=float)
+    # C-ordered: the row sums below round differently on other layouts
+    u, w = transform.entries, np.ascontiguousarray(weights, dtype=float)
     if w.ndim != 2 or w.shape[1] != u.shape[0]:
         raise DimensionMismatch(f"weights {w.shape} do not match transform {u.shape}")
     if not (np.isfinite(w) & (w >= 0)).all():

@@ -1,6 +1,7 @@
 """Sweep configuration, output formats, and the command-line contract."""
 import io
 import json
+import math
 import warnings
 
 import numpy as np
@@ -127,6 +128,49 @@ class TestParseConfig:
     def test_unknown_config_key_exits(self, tmp_path):
         path = tmp_path / "sweep.conf"
         path.write_text("bogus = 1\n")
+        with pytest.raises(SystemExit) as err:
+            parse_config(["--config", str(path)])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("lambda", "1.8"), ("g", "0.02"), ("t-min", "0.02"), ("t-max", "0.4"),
+            ("t-steps", "7"), ("t-scale", "log"), ("q", "1.0,2.0"),
+            ("levels-small", "3"), ("levels-big", "8"), ("method", "quadrature"),
+            ("format", "json"), ("output", "{tmp}/sweep.json"),
+        ],
+    )
+    def test_config_key_reads_as_its_flag(self, key, value, tmp_path):
+        value = value.format(tmp=tmp_path)
+        path = tmp_path / "sweep.conf"
+        path.write_text(f"{key} = {value}\n")
+        from_file = parse_config(["--config", str(path)])
+        assert from_file == parse_config([f"--{key}", value])
+        assert (from_file == SweepConfig()) == (key == "method")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("lambda", "x"), ("g", "x"), ("t-min", "x"), ("t-max", "x"),
+            ("t-steps", "2.5"), ("t-scale", "cubic"), ("q", ","),
+            ("levels-small", "2.5"), ("levels-big", "x"), ("method", "foo"),
+            ("format", "xml"),
+        ],
+    )
+    def test_bad_config_value_exits_as_its_flag(self, key, value, tmp_path):
+        path = tmp_path / "sweep.conf"
+        path.write_text(f"{key} = {value}\n")
+        for argv in (["--config", str(path)], [f"--{key}", value]):
+            with pytest.raises(SystemExit) as err:
+                parse_config(argv)
+            assert err.value.code == 2
+
+    def test_config_key_in_config_file_exits(self, tmp_path):
+        other = tmp_path / "other.conf"
+        other.write_text("lambda = 1.8\n")
+        path = tmp_path / "sweep.conf"
+        path.write_text(f"config = {other}\n")
         with pytest.raises(SystemExit) as err:
             parse_config(["--config", str(path)])
         assert err.value.code == 2
@@ -460,6 +504,26 @@ class TestMain:
             assert main(FAST + ["--lambda", "1.05"]) == 0
         assert len(caught) == 1
         assert "small-angle" in str(caught[0].message)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--t-min", "1e-9", "--t-max", "1e-8", "--t-steps", "3", "--t-scale", "log"],
+            ["--lambda", "0.6", "--g", "0", "--t-steps", "2", "--q", "0.5,1,2",
+             "--format", "json"],
+        ],
+    )
+    def test_zero_entropies_print_without_sign(self, argv, capsys):
+        # pure spectra: the ground state, and the marginals of an uncoupled pair
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        if "json" in argv:
+            rows = json.loads(out)
+        else:
+            rows = parse_csv(out)[1]
+        zeros = [v for row in rows for v in row.values() if v == 0.0]
+        assert zeros
+        assert all(math.copysign(1.0, v) == 1.0 for v in zeros)
 
     def test_stdout_default(self, capsys):
         assert main(FAST) == 0

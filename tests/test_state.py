@@ -461,3 +461,29 @@ class TestValidityDiagnostics:
             validity_diagnostics(thermal_weights(REF_MODES, [0.1], 5), u, 2)
         with pytest.raises(ValueError):
             validity_diagnostics(thermal_weights(REF_MODES, [0.1], 6), u, 6)
+
+
+class TestMemoryLayout:
+    # weights cut from a wider table need not be C-ordered; each row must
+    # round as the same row of a C-ordered copy
+    TEMPS = np.concatenate([[GROUND_STATE_T / 2], np.linspace(0.02, 0.6, 12)])
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_thermal_spectra_ignore_layout(self, d):
+        u = build_transform(REF, REF_MODES, d=d)
+        weights = thermal_weights(REF_MODES, self.TEMPS, d)
+        for c_ordered, f_ordered in zip(
+            thermal_spectra(weights, u),
+            thermal_spectra(np.asfortranarray(weights), u),
+        ):
+            assert np.array_equal(c_ordered, f_ordered)
+
+    @pytest.mark.parametrize("d_big", [6, 8])
+    def test_validity_diagnostics_ignore_layout(self, d_big):
+        u = build_transform(REF, REF_MODES, d=d_big)
+        weights = thermal_weights(REF_MODES, self.TEMPS, d_big)
+        for c_ordered, f_ordered in zip(
+            validity_diagnostics(weights, u, 2),
+            validity_diagnostics(np.asfortranarray(weights), u, 2),
+        ):
+            assert np.array_equal(c_ordered, f_ordered)
