@@ -13,9 +13,10 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -34,8 +35,9 @@ __all__ = ["Sweep", "SweepConfig", "SweepError", "emit", "main", "parse_config",
 CHUNK_BYTES = 256 * 1024
 
 # The levels-big transform holds two tables of levels_big^2 eigenfunction
-# products on (2 * levels_big - 1)^2 quadrature nodes, growing as
-# levels_big^4: 33 MB each at this limit, 51 GB each at levels-big 200.
+# products on the half of the (2 * levels_big - 1)^2 quadrature nodes its
+# parity fold keeps, growing as levels_big^4: 16 MB each at this limit,
+# 25 GB each at levels-big 200.
 MAX_LEVELS_BIG = 32
 
 # --method and the config key method are accepted and ignored: both
@@ -164,7 +166,9 @@ def _config_file_flags(path: str) -> list[str]:
     tokens = []
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
+            # a comment starts at a "#" that opens the line or follows
+            # whitespace, so a value such as run#1.csv is kept whole
+            line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
@@ -177,15 +181,9 @@ def _config_file_flags(path: str) -> list[str]:
     return tokens
 
 
-def parse_config(argv: list[str] | None = None) -> SweepConfig:
-    """Build a SweepConfig from flags and an optional config file.
-
-    Each config-file line is parsed as its flag, placed before the
-    command line, so flags override file values, which override
-    defaults.  Configuration problems, including a circuit whose
-    small-angle normal modes cannot be built and an output path that is
-    a directory or lies in a missing one, terminate with exit code 2.
-    """
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The flag parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qubit-entropy",
         description="Temperature sweep of two-mode thermal entropies.",
@@ -206,15 +204,27 @@ def parse_config(argv: list[str] | None = None) -> SweepConfig:
     parser.add_argument("--format", dest="output_format", choices=("csv", "json"))
     parser.add_argument("--output", type=str, help="output path (default stdout)")
     parser.add_argument("--config", type=str, help="flat key = value config file")
-    defaults = {f.name: f.default for f in fields(SweepConfig)}
-    parser.set_defaults(**defaults)
+    parser.set_defaults(**{f.name: f.default for f in fields(SweepConfig)})
+    return parser
+
+
+def parse_config(argv: list[str] | None = None) -> SweepConfig:
+    """Build a SweepConfig from flags and an optional config file.
+
+    Each config-file line is parsed as its flag, placed before the
+    command line, so flags override file values, which override
+    defaults.  Configuration problems, including a circuit whose
+    small-angle normal modes cannot be built and an output path that is
+    a directory or lies in a missing one, terminate with exit code 2.
+    """
+    parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
 
     try:
         if args.config is not None:
             args = parser.parse_args(_config_file_flags(args.config) + argv)
-        config = SweepConfig(**{name: getattr(args, name) for name in defaults})
+        config = SweepConfig(**{f.name: getattr(args, f.name) for f in fields(SweepConfig)})
         config.validate()
         config.modes  # DegenerateFrequencies, UnstableMode: bad configuration
         if config.output == "":

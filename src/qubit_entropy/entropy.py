@@ -29,8 +29,10 @@ def spectra(states: np.ndarray) -> np.ndarray:
 def _von_neumann(p: np.ndarray) -> np.ndarray:
     """-sum(p * ln p) over the positive entries of each ascending spectrum.
 
-    The zeros of an ascending clipped spectrum lead it; rows are grouped
-    by how many, so each sum runs over exactly the positive entries, in
+    The largest entry is taken as ``1 - rest``, ``rest`` being the sum
+    of the others, and its term as ``-(1 - rest) * log1p(-rest)``.  The
+    zeros of an ascending clipped spectrum lead it; rows are grouped by
+    how many, so each sum runs over exactly the positive entries, in
     order, as a one-spectrum sum would.
     """
     rows = p.reshape(-1, p.shape[-1])
@@ -38,26 +40,35 @@ def _von_neumann(p: np.ndarray) -> np.ndarray:
     zeros = np.count_nonzero(rows == 0.0, axis=1)
     for k in set(zeros.tolist()):
         group = zeros == k
-        kept = rows[group, k:]
+        others = rows[group, k:-1]
+        rest = others.sum(axis=1)
+        terms = (others * np.log(others)).sum(axis=1) + (1.0 - rest) * np.log1p(-rest)
         # 0.0 - x, not -x: a pure state's entropy is 0.0, never -0.0
-        out[group] = 0.0 - (kept * np.log(kept)).sum(axis=1)
+        out[group] = 0.0 - terms
     return out.reshape(p.shape[:-1])
 
 
 def spectrum_entropies(p: np.ndarray, q: float) -> np.ndarray:
     """Tsallis entropy S_q = (1 - sum(p^q)) / (q - 1) of each spectrum.
 
-    ``p`` is a stack of spectra from :func:`spectra` along its last
-    axis.  Continuous in q: for |q - 1| < 1e-6 the von Neumann value
-    ``-sum(p ln p)`` (with 0 ln 0 = 0) is returned, which the spectral
-    formula approaches in that limit.
+    ``p`` is a stack of unit-sum spectra, ascending along its last axis,
+    as :func:`spectra` returns them.  The largest entry is taken as
+    ``1 - rest``, ``rest`` being the sum of the others, so
+    ``1 - p_max^q = -expm1(q * log1p(-rest))``: a nearly pure spectrum
+    gets its entropy from its small entries to high relative accuracy,
+    not as the rounding left over from ``1 - p_max^q``, and never a
+    negative one.  Continuous in q: for |q - 1| < 1e-6 the von Neumann
+    value ``-sum(p ln p)`` (with 0 ln 0 = 0) is returned, which the
+    spectral formula approaches in that limit.
     """
     if q <= 0:
         raise NonPositiveQ(f"entropic index must be positive, got q={q}")
     if abs(q - 1.0) < VON_NEUMANN_WINDOW:
         return _von_neumann(p)
+    others = p[..., :-1]
+    top = -np.expm1(q * np.log1p(-others.sum(axis=-1)))
     # adding 0.0 turns the -0.0 that 0.0 / (q - 1) gives at q < 1 into 0.0
-    return (1.0 - (p**q).sum(axis=-1)) / (q - 1.0) + 0.0
+    return (top - (others**q).sum(axis=-1)) / (q - 1.0) + 0.0
 
 
 def bipartite_entropies(

@@ -11,13 +11,17 @@ where |n m> are eigenstates of the uncoupled pair (length scales 1 and
 1/sqrt(omega1), 1/sqrt(omega2)) of the rotated coordinates.  Each
 element is a 2-D integral of four oscillator eigenfunctions against a
 shared Gaussian.  :func:`build_transform` fills the tensor by Gauss-Hermite
-quadrature; the single elements, by closed forms assembled from Gaussian
-moments (levels 0 and 1) and by direct quadrature of the integrand, are
-independent references for it.
+quadrature, folded by parity: every integrand is even or odd under
+``(x1, x2) -> (-x1, -x2)``, so half of the symmetric grid is evaluated and
+the elements whose four levels have an odd sum are exact zeros.  The
+single elements, by closed forms assembled from Gaussian moments (levels
+0 and 1) and by direct quadrature of the integrand, are independent
+references for it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import cos, sin, sqrt
 
 import numpy as np
@@ -199,6 +203,13 @@ def build_transform(
     weighted sum is one matrix product.  The integrand of every entry has
     per-axis degree at most 4(d - 1), so this order is the lowest at which
     the rule is exact; a higher one changes U only by rounding.
+
+    The grid is folded by parity.  The Gauss-Hermite rule is symmetric,
+    so flat node N - 1 - k is node k negated, bit for bit, and an
+    eigenfunction product of levels (n, m) takes the factor (-1)^(n+m)
+    there.  Only the first half of the nodes, through the centre, is
+    evaluated, with every weight but the centre's doubled; the entries
+    whose four levels have an odd sum vanish and are set to exact zeros.
     """
     if d < 2:
         raise ValueError(f"need at least two levels per mode, got d={d}")
@@ -209,7 +220,8 @@ def build_transform(
     t, v = _hermgauss_scaled(2 * d - 1)
     mu, rot = np.linalg.eigh(form.matrix())
     scale = rot @ np.diag(1.0 / np.sqrt(mu))
-    t1, t2 = np.meshgrid(t, t, indexing="ij")
+    half = (t.size * t.size + 1) // 2  # the last kept node is the centre
+    t1, t2 = (a.ravel()[:half] for a in np.meshgrid(t, t, indexing="ij"))
     x1 = scale[0, 0] * t1 + scale[0, 1] * t2
     x2 = scale[1, 0] * t1 + scale[1, 1] * t2
     c, s = _rotation_coefficients(modes)
@@ -217,11 +229,17 @@ def build_transform(
     x2p = c * x2 - s * x1
     scale2, scale1p, scale2p = _integrand_scales(params, modes)
 
-    weights = (np.outer(v, v) / sqrt(form.det)).ravel()
+    weights = (np.outer(v, v) / sqrt(form.det)).ravel()[:half]
+    weights[:-1] *= 2.0
     f1, f2 = ho_eigenfunctions(d, x1, 1.0), ho_eigenfunctions(d, x2, scale2)
-    bare = (f1[:, None] * f2[None, :]).reshape(d * d, t.size * t.size)
+    bare = (f1[:, None] * f2[None, :]).reshape(d * d, half)
     f1, f2 = ho_eigenfunctions(d, x1p, scale1p), ho_eigenfunctions(d, x2p, scale2p)
-    rotated = (f1[:, None] * f2[None, :]).reshape(d * d, t.size * t.size)
+    rotated = (f1[:, None] * f2[None, :]).reshape(d * d, half)
     del f1, f2
     bare *= weights  # in place: no third d^2 x N array at the peak
-    return TransformTensor(bare @ rotated.T, d)
+    entries = bare @ rotated.T
+    # zero the entries whose level sum n + m + n' + m' is odd
+    levels = entries.reshape(d, d, d, d)
+    for n, m, n2 in product((0, 1), repeat=3):
+        levels[n::2, m::2, n2::2, (1 + n + m + n2) % 2::2] = 0.0
+    return TransformTensor(entries, d)

@@ -125,6 +125,26 @@ class TestParseConfig:
         assert config.t_steps == 2
         assert config.q_values == (0.5, 1.0)
 
+    def test_file_values_do_not_leak_into_the_next_call(self, tmp_path):
+        # the parser is built once per process and shared by every call
+        path = tmp_path / "sweep.conf"
+        path.write_text("lambda = 1.2\nq = 0.5,1.0\nformat = json\n")
+        assert parse_config(["--config", str(path)]).lam == 1.2
+        assert parse_config([]) == SweepConfig()
+        assert cli_mod._parser() is cli_mod._parser()
+
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        # "#" opens a comment only at the start of a line or after whitespace
+        path = tmp_path / "sweep.conf"
+        path.write_text(
+            f"# header\noutput = {tmp_path}/run#1.csv\n  # indented\n"
+            "t-steps = 2\t# tab comment\nq = 1.0 #no space after\n"
+        )
+        config = parse_config(["--config", str(path)])
+        assert config.output == f"{tmp_path}/run#1.csv"
+        assert config.t_steps == 2
+        assert config.q_values == (1.0,)
+
     def test_unknown_config_key_exits(self, tmp_path):
         path = tmp_path / "sweep.conf"
         path.write_text("bogus = 1\n")
@@ -266,6 +286,35 @@ class TestRunSweep:
         config = parse_config(["--g", "0", "--t-steps", "4", "--q", "1.0"])
         rows = run_sweep(config).rows()
         assert all(abs(row["I"]) < 1e-10 for row in rows)
+
+    def test_ground_state_joint_entropy_is_zero(self):
+        # below GROUND_STATE_T the joint state is the ground projector
+        config = parse_config(
+            ["--t-min", str(GROUND_STATE_T / 100), "--t-max", str(GROUND_STATE_T / 2),
+             "--t-steps", "4", "--t-scale", "log", "--q", "0.3,0.5,1,1.5,2,3"]
+        )
+        s_joint = run_sweep(config).entropies[:, 0]
+        assert np.all(s_joint == 0.0)
+        assert not np.any(np.signbit(s_joint))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            # a fine-sweep grid: nearly pure joint spectra at its cold end
+            ["--t-min", "0.0196", "--t-max", "0.5448", "--t-steps", "1000",
+             "--q", "0.511,0.767,1,1.701,2.71"],
+            ["--lambda", "2.5", "--g", "0.3", "--levels-small", "4", "--levels-big", "5",
+             "--t-min", "1e-9", "--t-max", "2", "--t-steps", "16", "--t-scale", "log",
+             "--q", "0.3,0.5,1,2"],
+        ],
+    )
+    def test_entropies_never_negative(self, argv):
+        # the largest eigenvalue enters as 1 - rest, so a nearly pure
+        # spectrum gives a small positive entropy, not rounding noise
+        entropies = run_sweep(parse_config(argv)).entropies[:, :3]
+        assert np.all(entropies >= 0.0)
+        assert not np.any(np.signbit(entropies))
 
     @pytest.mark.parametrize("method", ["closed-form", "quadrature"])
     def test_zero_coupling_diagnostics_exact(self, method):

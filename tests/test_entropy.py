@@ -66,7 +66,8 @@ class TestSpectrumStacks:
     def test_von_neumann_rows_match_filtered_sums(self):
         # rows with 0 to 3 leading zeros: each row must sum exactly its
         # positive entries, in order, like the one-spectrum formula (a sum
-        # over the whole row, zeros included, rounds differently)
+        # over the whole row, zeros included, rounds differently), with
+        # the largest entry taken as 1 - rest
         rng = np.random.default_rng(31)
         rows = []
         for k in range(40):
@@ -76,8 +77,10 @@ class TestSpectrumStacks:
         stack = np.array(rows)
         got = spectrum_entropies(stack, 1.0)
         for p, value in zip(stack, got):
-            kept = p[p > 0]
-            assert value == -(kept * np.log(kept)).sum()
+            others = p[p > 0][:-1]
+            rest = others.sum()
+            terms = (others * np.log(others)).sum() + (1.0 - rest) * np.log1p(-rest)
+            assert value == 0.0 - terms
 
     def test_leading_axes_preserved(self):
         stack = np.full((2, 3, 4), 0.25)

@@ -21,13 +21,12 @@ REF_MODES = normal_modes(REF)
 ODD_CELLS = [(0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2)]
 
 
-def per_entry_quadrature_build(params, modes, d, order=None):
-    """The quadrature tensor filled one eigenfunction product per row.
+def per_entry_tables(params, modes, d, order=None):
+    """Bare and normal-mode eigenfunction products and the weights on the full grid.
 
-    This is the entry-by-entry assembly that build_transform replaced by
-    per-axis eigenfunction tables; at build_transform's order 2d - 1 (the
-    default) it keeps the same grid, weights and matrix product, so the
-    two must agree bit for bit.
+    One row per (n, m), filled one eigenfunction product at a time: the
+    entry-by-entry assembly that build_transform replaced by per-axis
+    eigenfunction tables, over every node of the tensor-product rule.
     """
     form = gaussian_coefficients(params, modes)
     t, w = np.polynomial.hermite.hermgauss(order or 2 * d - 1)
@@ -55,7 +54,36 @@ def per_entry_quadrature_build(params, modes, d, order=None):
         for b in range(d):
             bare[a * d + b] = (f1 * ho_eigenfunction(b, x2, scale2)).ravel()
             rotated[a * d + b] = (f1p * ho_eigenfunction(b, x2p, scale2p)).ravel()
-    return (bare * weights) @ rotated.T
+    return bare, rotated, weights
+
+
+def odd_level_sum(d):
+    """Mask of the (d*d, d*d) entries whose levels n + m + n' + m' sum to an odd number."""
+    level_sum = np.add.outer(np.arange(d), np.arange(d)).ravel()
+    return np.add.outer(level_sum, level_sum) % 2 == 1
+
+
+def per_entry_quadrature_build(params, modes, d, order=None, fold=False):
+    """The quadrature tensor from :func:`per_entry_tables`.
+
+    Unfolded, it sums over the full grid.  Folded, it keeps the first
+    half of the flat nodes through the centre (the order must be odd),
+    doubles every weight but the centre's and zeroes the entries of odd
+    level sum, as build_transform does at its order 2d - 1 (the
+    default), with the same grid, weights and matrix product, so the two
+    must agree bit for bit.
+    """
+    bare, rotated, weights = per_entry_tables(params, modes, d, order)
+    if fold:
+        half = (weights.size + 1) // 2
+        bare = np.ascontiguousarray(bare[:, :half])
+        rotated = np.ascontiguousarray(rotated[:, :half])
+        weights = weights[:half].copy()
+        weights[:-1] *= 2.0
+    entries = (bare * weights) @ rotated.T
+    if fold:
+        entries[odd_level_sum(d)] = 0.0
+    return entries
 
 
 def closed_form_matrix(params, modes):
@@ -198,9 +226,16 @@ class TestDualOracle:
             assert np.max(np.abs(closed - quad.entries)) < 1e-8
 
     def test_quadrature_parity_cells_tiny(self):
-        quad = build_transform(REF, REF_MODES, d=2)
-        for i, j in ODD_CELLS:
-            assert abs(quad.entries[i, j]) < 1e-12
+        # the fold sets every entry of odd level sum to an exact zero
+        for method in FrequencyMethod:
+            modes = normal_modes(REF, method)
+            for d in (2, 3, 8, 20):
+                entries = build_transform(REF, modes, d=d).entries
+                odd = odd_level_sum(d)
+                assert np.all(entries[odd] == 0.0)
+                assert not np.any(np.signbit(entries[odd]))
+                if d == 2:
+                    assert [tuple(ij) for ij in np.argwhere(odd).tolist()] == ODD_CELLS
 
     def test_continuity_in_coupling(self):
         base = build_transform(REF, REF_MODES, d=2)
@@ -249,8 +284,43 @@ class TestBuildTransform:
         if g == 0:
             expected = np.eye(d * d)
         else:
-            expected = per_entry_quadrature_build(params, modes, d)
+            expected = per_entry_quadrature_build(params, modes, d, fold=True)
         np.testing.assert_array_equal(built.entries, expected)
+
+    @pytest.mark.parametrize("method", list(FrequencyMethod))
+    @pytest.mark.parametrize("d", [2, 4, 8, 20])
+    def test_grid_mirrors_by_parity(self, d, method):
+        # why the fold is exact: flat node N - 1 - k is node k negated, the
+        # weights are symmetric and each product of levels (n, m) takes the
+        # factor (-1)^(n+m) there, all bit for bit
+        modes = normal_modes(REF, method)
+        bare, rotated, weights = per_entry_tables(REF, modes, d)
+        sign = np.where(np.add.outer(np.arange(d), np.arange(d)).ravel() % 2, -1.0, 1.0)
+        np.testing.assert_array_equal(weights[::-1], weights)
+        np.testing.assert_array_equal(bare[:, ::-1], sign[:, None] * bare)
+        np.testing.assert_array_equal(rotated[:, ::-1], sign[:, None] * rotated)
+
+    @pytest.mark.parametrize("method", list(FrequencyMethod))
+    @pytest.mark.parametrize("d", [2, 4, 8, 20])
+    def test_folded_build_within_rounding_of_full_grid(self, d, method):
+        # Both sums are over the same computed terms W B R (the mirror half
+        # repeats them up to sign), so each lies within gamma_k * S of their
+        # exact sum, S = sum |W B R| over the full grid, k the number of
+        # terms plus one for the second product, gamma_k = k u / (1 - k u).
+        # Entries of odd level sum have an exact sum of zero.
+        modes = normal_modes(REF, method)
+        built = build_transform(REF, modes, d=d).entries
+        bare, rotated, weights = per_entry_tables(REF, modes, d)
+        full = (bare * weights) @ rotated.T
+        unit = np.finfo(float).eps / 2
+
+        def gamma(k):
+            return k * unit / (1 - k * unit)
+
+        terms = weights.size
+        bound = gamma(terms + 1) + gamma((terms + 1) // 2 + 1)
+        magnitude = (np.abs(bare) * weights) @ np.abs(rotated).T
+        assert np.all(np.abs(built - full) <= bound * magnitude)
 
     def test_quadrature_order_is_exactness_floor(self):
         # the integrand has per-axis degree up to 4(d - 1), so order 2d - 1
