@@ -1,95 +1,31 @@
 """Entanglement entropy of two coupled oscillator modes at finite temperature.
 
 The pipeline: map a pair of coupled LC circuits onto dimensionless
-oscillator parameters (`model`), expand the thermal normal-mode state
-in the bare product basis through an overlap tensor (`hermite`,
-`transform`), reduce it (`state`), and score the marginals with
-von Neumann and Tsallis entropies (`entropy`).  The state and entropy
-stages work on stacks of states, one per temperature.  The `cli` module
-wires the stages into a deterministic temperature sweep.
+oscillator parameters and normal modes (`model`), build the overlap
+tensor between the bare and normal-mode product bases (`hermite`,
+`transform`), take the spectra of the thermal state in the bare basis
+and of its marginals, with the truncation diagnostics (`state`), and
+score them with von Neumann and Tsallis entropies (`entropy`).  The
+state and entropy stages work on stacks of states, one per temperature.
+The `cli` module wires the stages into a deterministic temperature sweep.
+
+Each submodule lists its public names in its ``__all__``; the package
+re-exports exactly those.
 """
-from .entropy import NonPositiveQ, bipartite_entropies, spectra, spectrum_entropies
-from .hermite import (
-    GaussianQuadraticForm,
-    NotPositiveDefinite,
-    UnsupportedDegree,
-    gauss2d_integral,
-    gauss2d_moment,
-    hermite_poly,
-    ho_eigenfunction,
-    ho_eigenfunctions,
-    quad2d,
-)
-from .model import (
-    SMALL_ANGLE_LIMIT,
-    CircuitParams,
-    DegenerateFrequencies,
-    FrequencyMethod,
-    NormalModes,
-    UnstableMode,
-    normal_modes,
-    rotation_angle_exact,
-    rotation_angle_small,
-)
-from .state import (
-    DimensionMismatch,
-    NonPositiveTemperature,
-    NotAProductDimension,
-    canonical_densities,
-    partial_traces,
-    rotate_thermal,
-    thermal_spectra,
-    thermal_weights,
-    validity_diagnostics,
-)
-from .transform import (
-    IndexOutOfRange,
-    TransformTensor,
-    build_transform,
-    gaussian_coefficients,
-    overlap_element_closed,
-    overlap_element_quadrature,
-)
+from . import entropy, hermite, model, state, transform
+from .entropy import *  # noqa: F401,F403
+from .hermite import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .state import *  # noqa: F401,F403
+from .transform import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CircuitParams",
-    "DegenerateFrequencies",
-    "DimensionMismatch",
-    "FrequencyMethod",
-    "GaussianQuadraticForm",
-    "IndexOutOfRange",
-    "NonPositiveQ",
-    "NonPositiveTemperature",
-    "NormalModes",
-    "NotAProductDimension",
-    "NotPositiveDefinite",
-    "SMALL_ANGLE_LIMIT",
-    "TransformTensor",
-    "UnstableMode",
-    "UnsupportedDegree",
-    "bipartite_entropies",
-    "build_transform",
-    "canonical_densities",
-    "gauss2d_integral",
-    "gauss2d_moment",
-    "gaussian_coefficients",
-    "hermite_poly",
-    "ho_eigenfunction",
-    "ho_eigenfunctions",
-    "normal_modes",
-    "overlap_element_closed",
-    "overlap_element_quadrature",
-    "partial_traces",
-    "quad2d",
-    "rotate_thermal",
-    "rotation_angle_exact",
-    "rotation_angle_small",
-    "spectra",
-    "spectrum_entropies",
-    "thermal_spectra",
-    "thermal_weights",
-    "validity_diagnostics",
+    *entropy.__all__,
+    *hermite.__all__,
+    *model.__all__,
+    *state.__all__,
+    *transform.__all__,
     "__version__",
 ]

@@ -6,7 +6,6 @@ import numpy as np
 __all__ = [
     "NonPositiveQ",
     "bipartite_entropies",
-    "spectra",
     "spectrum_entropies",
 ]
 
@@ -20,18 +19,12 @@ class NonPositiveQ(ValueError):
     """Entropic index q must be positive."""
 
 
-def spectra(states: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of each state in a stack, clipped at zero."""
-    # rounding can leave tiny negatives even after upstream clamping
-    return np.clip(np.linalg.eigvalsh(states), 0.0, None)
-
-
 def _von_neumann(p: np.ndarray) -> np.ndarray:
     """-sum(p * ln p) over the positive entries of each ascending spectrum.
 
     The largest entry is taken as ``1 - rest``, ``rest`` being the sum
     of the others, and its term as ``-(1 - rest) * log1p(-rest)``.  The
-    zeros of an ascending clipped spectrum lead it; rows are grouped by
+    zeros of an ascending non-negative spectrum lead it; rows are grouped by
     how many, so each sum runs over exactly the positive entries, in
     order, as a one-spectrum sum would.
     """
@@ -51,15 +44,16 @@ def _von_neumann(p: np.ndarray) -> np.ndarray:
 def spectrum_entropies(p: np.ndarray, q: float) -> np.ndarray:
     """Tsallis entropy S_q = (1 - sum(p^q)) / (q - 1) of each spectrum.
 
-    ``p`` is a stack of unit-sum spectra, ascending along its last axis,
-    as :func:`spectra` returns them.  The largest entry is taken as
-    ``1 - rest``, ``rest`` being the sum of the others, so
-    ``1 - p_max^q = -expm1(q * log1p(-rest))``: a nearly pure spectrum
-    gets its entropy from its small entries to high relative accuracy,
-    not as the rounding left over from ``1 - p_max^q``, and never a
-    negative one.  Continuous in q: for |q - 1| < 1e-6 the von Neumann
-    value ``-sum(p ln p)`` (with 0 ln 0 = 0) is returned, which the
-    spectral formula approaches in that limit.
+    ``p`` is a stack of non-negative unit-sum spectra, each ascending
+    along the last axis, as :func:`~qubit_entropy.state.thermal_spectra`
+    returns them; the result has the shape of ``p`` without its last
+    axis.  The largest entry is taken as ``1 - rest``, ``rest`` being the
+    sum of the others, so ``1 - p_max^q = -expm1(q * log1p(-rest))``: a
+    nearly pure spectrum gets its entropy from its small entries to high
+    relative accuracy, not as the rounding left over from ``1 - p_max^q``,
+    and never a negative one.  Continuous in q: for |q - 1| < 1e-6 the
+    von Neumann value ``-sum(p ln p)`` (with 0 ln 0 = 0) is returned,
+    which the spectral formula approaches in that limit.
     """
     if q <= 0:
         raise NonPositiveQ(f"entropic index must be positive, got q={q}")
@@ -74,16 +68,24 @@ def spectrum_entropies(p: np.ndarray, q: float) -> np.ndarray:
 def bipartite_entropies(
     joint: np.ndarray, marginals: np.ndarray, q: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Joint and marginal entropies of a stack of two-mode states at one q.
+    """Joint and marginal entropies of a stack of k two-mode states at one q.
 
-    ``joint`` holds the joint spectra and ``marginals`` the spectra of
-    both marginals (leading axis 2, as :func:`partial_traces` orders
-    them).  Returns ``(s_joint, s_first, s_second, margin)`` with the
-    margin ``s_first + s_second - s_joint``, which is both the mutual
+    ``joint`` holds the k joint spectra, shape ``(k, d*d)``, and
+    ``marginals`` the spectra of the first and of the second mode's
+    marginals, shape ``(2, k, d)``; all ascending, as
+    :func:`~qubit_entropy.state.thermal_spectra` returns them.  Returns
+    ``(s_joint, s_first, s_second, margin)``, each of shape ``(k,)``, with
+    the margin ``s_first + s_second - s_joint``, which is both the mutual
     information and the subadditivity margin.  For q = 1 it is
-    non-negative for every state; away from q = 1 it can be legitimately
-    negative (Tsallis entropy is not additive over products).
+    non-negative for every state, and a difference that rounds below zero
+    is returned as 0; away from q = 1 it can be legitimately negative
+    (Tsallis entropy is not additive over products).
     """
     s_joint = spectrum_entropies(joint, q)
     s_first, s_second = spectrum_entropies(marginals, q)
-    return s_joint, s_first, s_second, s_first + s_second - s_joint
+    margin = s_first + s_second - s_joint
+    if abs(q - 1.0) < VON_NEUMANN_WINDOW:
+        # I >= 0 for every state, but for a product state, where I is 0,
+        # the three rounded entropies can leave it at -eps
+        margin = np.maximum(margin, 0.0)
+    return s_joint, s_first, s_second, margin

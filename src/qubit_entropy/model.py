@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 __all__ = [
+    "SMALL_ANGLE_LIMIT",
     "CircuitParams",
     "DegenerateFrequencies",
     "FrequencyMethod",
@@ -29,8 +30,6 @@ __all__ = [
 # |phi| at or above this is outside the regime the linearized rotation
 # was derived for; callers get a warning rather than an error.
 SMALL_ANGLE_LIMIT = 0.3
-
-_INDUCTANCE_RTOL = 1e-12
 
 
 class DegenerateFrequencies(ValueError):
@@ -56,44 +55,16 @@ class CircuitParams:
         Frequency ratio of the bare oscillators (second over first).
     g : float
         Coupling strength.  ``|g| < 1`` keeps both normal modes stable.
-    l1, l2, l12 : float, optional
-        Physical inductances.  When all three are supplied they must
-        reproduce ``g`` through ``l12 / sqrt(l1 * l2)``.
     """
 
     lam: float
     g: float
-    l1: float | None = None
-    l2: float | None = None
-    l12: float | None = None
 
     def __post_init__(self) -> None:
         if not self.lam > 0:
             raise ValueError(f"frequency ratio must be positive, got {self.lam}")
         if not abs(self.g) < 1:
             raise ValueError(f"|g| < 1 required for stable modes, got g={self.g}")
-        given = [x is not None for x in (self.l1, self.l2, self.l12)]
-        if any(given) and not all(given):
-            raise ValueError("give all of l1, l2, l12 or none of them")
-        if all(given):
-            if self.l1 <= 0 or self.l2 <= 0:
-                raise ValueError("self-inductances must be positive")
-            g_from_l = self.l12 / math.sqrt(self.l1 * self.l2)
-            if abs(g_from_l - self.g) > _INDUCTANCE_RTOL * max(abs(self.g), 1e-300):
-                raise ValueError(
-                    f"inconsistent coupling: g={self.g} but "
-                    f"l12/sqrt(l1*l2)={g_from_l}"
-                )
-
-    @classmethod
-    def from_inductances(
-        cls, l1: float, l2: float, l12: float, lam: float
-    ) -> "CircuitParams":
-        """Build params from physical inductances, deriving g."""
-        if l1 <= 0 or l2 <= 0:
-            raise ValueError("self-inductances must be positive")
-        g = l12 / math.sqrt(l1 * l2)
-        return cls(lam=lam, g=g, l1=l1, l2=l2, l12=l12)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
-"""Thermal states, basis changes, reductions and truncation diagnostics.
+"""Thermal weights, the spectra of the bare-basis states and truncation diagnostics.
 
-Every function works on a stack: the leading axes index states (one per
-temperature in the sweep), the last axes hold one state's populations or
-matrix.  A single state is a stack of one.
+The thermal state is diagonal in the normal-mode basis, with populations
+``w``; in the bare basis it is ``U^T diag(w) U / tr``, U the overlap tensor.
+Its spectra and diagnostics are computed from ``w`` and U without forming
+that matrix.  Every function works on a stack: the leading axis indexes
+states (one per temperature in the sweep), the last axis holds one
+state's populations.  A single state is a stack of one.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -16,18 +17,10 @@ from .transform import TransformTensor
 __all__ = [
     "DimensionMismatch",
     "NonPositiveTemperature",
-    "NotAProductDimension",
-    "canonical_densities",
-    "partial_traces",
-    "rotate_thermal",
     "thermal_spectra",
     "thermal_weights",
     "validity_diagnostics",
 ]
-
-# Eigenvalues in [-PSD_CLAMP, 0) are treated as rounding debris and
-# clamped to zero; anything below that is a genuine violation.
-PSD_CLAMP = 1e-10
 
 # Below this temperature every excited Boltzmann weight underflows;
 # return the exact ground-state projector instead.
@@ -40,49 +33,6 @@ class NonPositiveTemperature(ValueError):
 
 class DimensionMismatch(ValueError):
     """Operator dimensions do not agree."""
-
-
-class NotAProductDimension(ValueError):
-    """Partial trace needs a dimension that is a perfect square."""
-
-
-def canonical_densities(entries: np.ndarray) -> np.ndarray:
-    """Canonicalize a stack of arrays (leading axes) into density matrices.
-
-    Each matrix is symmetrized and scaled to unit trace.  Eigenvalues in
-    ``[-1e-10, 0)`` are clamped to zero, with one more symmetrization and
-    trace fix, in the matrices that have any; a smaller eigenvalue, a
-    non-positive trace or a non-finite result raises ValueError, naming
-    the first offending matrix's value.
-    """
-    arr = np.asarray(entries, dtype=float)
-    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
-        raise ValueError(f"density matrix must be square, got {arr.shape}")
-    arr = 0.5 * (arr + np.swapaxes(arr, -1, -2))
-    traces = np.trace(arr, axis1=-2, axis2=-1)
-    bad = ~(traces > 0)
-    if bad.any():
-        raise ValueError(f"trace must be positive, got {float(traces[bad][0])}")
-    arr /= traces[..., None, None]
-    evals, vecs = np.linalg.eigh(arr)
-    lowest = evals[..., 0]
-    bad = lowest < -PSD_CLAMP
-    if bad.any():
-        raise ValueError(
-            f"matrix is not positive semidefinite (min eigenvalue {lowest[bad][0]:.3e})"
-        )
-    clamp = lowest < 0.0
-    if clamp.any():
-        vecs = vecs[clamp]
-        fixed = (vecs * np.clip(evals[clamp], 0.0, None)[..., None, :]) @ np.swapaxes(
-            vecs, -1, -2
-        )
-        fixed = 0.5 * (fixed + np.swapaxes(fixed, -1, -2))
-        fixed /= np.trace(fixed, axis1=-2, axis2=-1)[..., None, None]
-        arr[clamp] = fixed
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("density matrix contains non-finite entries")
-    return arr
 
 
 def thermal_weights(modes: NormalModes, temperatures, d: int) -> np.ndarray:
@@ -121,8 +71,9 @@ def _weights_and_traces(
     u, w = transform.entries, np.ascontiguousarray(weights, dtype=float)
     if w.ndim != 2 or w.shape[1] != u.shape[0]:
         raise DimensionMismatch(f"weights {w.shape} do not match transform {u.shape}")
-    if not (np.isfinite(w) & (w >= 0)).all():
-        raise ValueError("weights must be finite and non-negative")
+    bad = ~(np.isfinite(w) & (w >= 0))
+    if bad.any():
+        raise ValueError(f"weights must be finite and non-negative, got {w[bad][0]}")
     traces = (w * (u * u).sum(axis=1)).sum(axis=1)
     if not (traces > 0).all():
         raise ValueError(f"trace must be positive, got {traces.min()}")
@@ -132,9 +83,13 @@ def _weights_and_traces(
 def thermal_spectra(
     weights: np.ndarray, transform: TransformTensor
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending spectra, shapes ``(k, d*d)`` and ``(2, k, d)``, of a stack
-    of bare-basis thermal states and of their marginals (in
-    :func:`partial_traces` order), with no state formed.
+    """Ascending spectra of a stack of k bare-basis thermal states and of
+    their marginals, with no state formed.
+
+    Returns ``joint`` of shape ``(k, d*d)`` and ``marginals`` of shape
+    ``(2, k, d)``: ``marginals[0]`` is the spectrum of the first mode's
+    marginal (the label n of the bare index ``n*d + m``), ``marginals[1]``
+    that of the second mode's (the label m).
 
     The state ``U^T diag(w) U / tr`` is ``B^T B / tr`` with ``B = sqrt(w) U``;
     a marginal is ``C^T C / tr``, C being B with rows (i, m) and columns n
@@ -159,41 +114,6 @@ def thermal_spectra(
     if not (np.isfinite(joint).all() and np.isfinite(marginals).all()):
         raise ValueError("thermal spectra are not finite")
     return joint, marginals
-
-
-def rotate_thermal(weights: np.ndarray, transform: TransformTensor) -> np.ndarray:
-    """Express a stack of thermal normal-mode states in the bare basis.
-
-    ``weights`` holds one row of normal-mode populations per state (the
-    diagonal of each state).  Returns ``U^T diag(w) U / tr``, applied as
-    ``(U^T * w) @ U``, with ``tr`` as in :func:`thermal_spectra`;
-    truncation makes U only approximately orthogonal, so a little weight
-    is shed and restored by the division.
-    """
-    u, w, traces = _weights_and_traces(weights, transform)
-    # U^T * w must be C-ordered: BLAS rounds a transposed operand differently
-    scaled = np.ascontiguousarray(u.T) * w[:, None, :]
-    return (scaled @ u) / traces[:, None, None]
-
-
-def partial_traces(states: np.ndarray) -> np.ndarray:
-    """Both single-mode marginals of a stack of two-mode states.
-
-    Returns shape ``(2, *lead, d, d)``: index 0 keeps the first label of
-    the ``n*d + m`` composite index, index 1 the second.  The marginals
-    are canonicalized with :func:`canonical_densities`.
-    """
-    dim = states.shape[-1]
-    d = math.isqrt(dim)
-    if d * d != dim:
-        raise NotAProductDimension(
-            f"dimension {dim} is not a product of two equal factors"
-        )
-    blocks = states.reshape(*states.shape[:-2], d, d, d, d)
-    reduced = np.stack(
-        [np.einsum("...imjm->...ij", blocks), np.einsum("...ninj->...ij", blocks)]
-    )
-    return canonical_densities(reduced)
 
 
 def validity_diagnostics(

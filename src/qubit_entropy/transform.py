@@ -14,9 +14,8 @@ shared Gaussian.  :func:`build_transform` fills the tensor by Gauss-Hermite
 quadrature, folded by parity: every integrand is even or odd under
 ``(x1, x2) -> (-x1, -x2)``, so half of the symmetric grid is evaluated and
 the elements whose four levels have an odd sum are exact zeros.  The
-single elements, by closed forms assembled from Gaussian moments (levels
-0 and 1) and by direct quadrature of the integrand, are independent
-references for it.
+tensor is flattened to a ``(d*d, d*d)`` matrix, rows over bare levels
+and columns over normal-mode levels.
 """
 from __future__ import annotations
 
@@ -28,26 +27,17 @@ import numpy as np
 
 from .hermite import (
     GaussianQuadraticForm,
-    gauss2d_moment,
-    ho_eigenfunction,
     ho_eigenfunctions,
-    quad2d,
     _hermgauss_scaled,
     _require_positive_definite,
 )
 from .model import CircuitParams, FrequencyMethod, NormalModes
 
 __all__ = [
-    "IndexOutOfRange",
     "TransformTensor",
     "build_transform",
     "gaussian_coefficients",
-    "overlap_element_closed",
-    "overlap_element_quadrature",
 ]
-
-class IndexOutOfRange(ValueError):
-    """Oscillator level outside the supported range."""
 
 
 @dataclass(frozen=True)
@@ -94,101 +84,10 @@ def gaussian_coefficients(
     )
 
 
-def _polynomial_factors(
-    n: int, m: int, n2: int, m2: int, c: float, s: float
-) -> dict[tuple[int, int], float]:
-    """Expand the product of H_1 arguments into monomials {(i, j): coeff}."""
-    factors = []
-    if n:
-        factors.append({(1, 0): 1.0})
-    if m:
-        factors.append({(0, 1): 1.0})
-    if n2:
-        factors.append({(1, 0): c, (0, 1): s})
-    if m2:
-        factors.append({(0, 1): c, (1, 0): -s})
-    product = {(0, 0): 1.0}
-    for factor in factors:
-        combined: dict[tuple[int, int], float] = {}
-        for (i1, j1), c1 in product.items():
-            for (i2, j2), c2 in factor.items():
-                key = (i1 + i2, j1 + j2)
-                combined[key] = combined.get(key, 0.0) + c1 * c2
-        product = combined
-    return product
-
-
-def overlap_element_closed(
-    n: int, m: int, n2: int, m2: int, params: CircuitParams, modes: NormalModes
-) -> float:
-    """One overlap element from Gaussian moments, levels restricted to {0, 1}.
-
-    H_1 contributes a linear factor, so the integrand polynomial has
-    total degree at most four and every element reduces to the moment
-    table.  Elements with odd index sum vanish by parity and are
-    returned as exact zeros.
-    """
-    for idx in (n, m, n2, m2):
-        if idx not in (0, 1):
-            raise IndexOutOfRange(
-                f"closed form covers levels 0 and 1 only, got {(n, m, n2, m2)}"
-            )
-    if (n + m + n2 + m2) % 2 == 1:
-        return 0.0
-    if params.g == 0.0 and modes.phi == 0.0:
-        # the bases coincide, so the element is a Kronecker delta and
-        # evaluating the moment expansion would only add rounding
-        return 1.0 if (n == n2 and m == m2) else 0.0
-    lam = params.lam
-    w1, w2 = modes.omega1, modes.omega2
-    c, s = _rotation_coefficients(modes)
-    form = gaussian_coefficients(params, modes)
-    kappa = (lam * w1 * w2) ** -0.25
-    ones = n + m + n2 + m2
-    scale = 2.0 ** (0.5 * ones) * lam ** (0.5 * m) * w1 ** (0.5 * n2) * w2 ** (0.5 * m2)
-    total = 0.0
-    for (i, j), coeff in _polynomial_factors(n, m, n2, m2, c, s).items():
-        total += coeff * gauss2d_moment(form, (i, j))
-    return scale / (np.pi * kappa) * total
-
-
 def _integrand_scales(
     params: CircuitParams, modes: NormalModes
 ) -> tuple[float, float, float]:
     return 1.0 / sqrt(params.lam), 1.0 / sqrt(modes.omega1), 1.0 / sqrt(modes.omega2)
-
-
-def overlap_element_quadrature(
-    n: int,
-    m: int,
-    n2: int,
-    m2: int,
-    params: CircuitParams,
-    modes: NormalModes,
-) -> float:
-    """One overlap element by tensor-product Gauss-Hermite quadrature.
-
-    Independent of the closed forms and of :func:`build_transform`: the
-    four eigenfunctions are evaluated on the default :func:`quad2d` grid
-    and summed.  Any non-negative levels are accepted.
-    """
-    for idx in (n, m, n2, m2):
-        if idx < 0:
-            raise IndexOutOfRange(f"levels must be non-negative, got {(n, m, n2, m2)}")
-    scale2, scale1p, scale2p = _integrand_scales(params, modes)
-    c, s = _rotation_coefficients(modes)
-
-    def integrand(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        x1p = c * x1 + s * x2
-        x2p = c * x2 - s * x1
-        return (
-            ho_eigenfunction(n, x1, 1.0)
-            * ho_eigenfunction(m, x2, scale2)
-            * ho_eigenfunction(n2, x1p, scale1p)
-            * ho_eigenfunction(m2, x2p, scale2p)
-        )
-
-    return quad2d(integrand, weight=gaussian_coefficients(params, modes))
 
 
 def build_transform(

@@ -1,0 +1,173 @@
+"""Independent references the pipeline is checked against.
+
+Nothing here runs in a sweep.  Each reference is in its plainest form,
+with no input checks:
+
+- the 2-D Gaussian integral and its moments in closed form, and a
+  tensor-product Gauss-Hermite rule to integrate them numerically;
+- single overlap elements ``<n m | n' m'>``, from Gaussian moments
+  (levels 0 and 1) and by quadrature of the integrand (any levels);
+- the bare-basis thermal state formed as a dense matrix, its partial
+  traces and its eigenvalues.
+"""
+import math
+
+import numpy as np
+
+from qubit_entropy.hermite import ho_eigenfunctions
+from qubit_entropy.model import FrequencyMethod
+from qubit_entropy.transform import gaussian_coefficients
+
+
+def gauss2d_integral(a, b):
+    """Integral of ``exp(-x^T a x + b . x)`` over the plane, for a positive
+    definite 2 x 2 matrix ``a``: ``pi / sqrt(det a) * exp(b^T a^-1 b / 4)``."""
+    det = a[0, 0] * a[1, 1] - a[0, 1] * a[0, 1]
+    quad = a[1, 1] * b[0] ** 2 - 2.0 * a[0, 1] * b[0] * b[1] + a[0, 0] * b[1] ** 2
+    return math.pi / math.sqrt(det) * math.exp(quad / (4.0 * det))
+
+
+def gauss2d_moment(a, i, j):
+    """Integral of ``x1^i x2^j exp(-x^T a x)`` over the plane, for i + j <= 4.
+
+    Wick's theorem in terms of the covariance ``s = a^-1 / 2``; a moment of
+    odd degree is exactly zero.
+    """
+    if (i + j) % 2:
+        return 0.0
+    det = a[0, 0] * a[1, 1] - a[0, 1] * a[0, 1]
+    s11, s22, s12 = a[1, 1] / (2.0 * det), a[0, 0] / (2.0 * det), -a[0, 1] / (2.0 * det)
+    wick = {
+        (0, 0): 1.0,
+        (2, 0): s11,
+        (0, 2): s22,
+        (1, 1): s12,
+        (4, 0): 3.0 * s11 * s11,
+        (0, 4): 3.0 * s22 * s22,
+        (2, 2): s11 * s22 + 2.0 * s12 * s12,
+        (3, 1): 3.0 * s11 * s12,
+        (1, 3): 3.0 * s22 * s12,
+    }
+    return math.pi / math.sqrt(det) * wick[i, j]
+
+
+def quad2d(f, a, order=64):
+    """Tensor-product Gauss-Hermite value of the integral of ``f(x1, x2)``.
+
+    The nodes are mapped through the Gaussian ``exp(-x^T a x)``, so the
+    rule is exact whenever ``f / exp(-x^T a x)`` is a polynomial of
+    per-axis degree below ``2 * order``.
+    """
+    t, w = np.polynomial.hermite.hermgauss(order)
+    # weights for the bare integrand, in log space so w cannot underflow
+    v = np.exp(np.log(w) + t * t)
+    mu, rot = np.linalg.eigh(a)
+    scale = rot @ np.diag(1.0 / np.sqrt(mu))
+    t1, t2 = np.meshgrid(t, t, indexing="ij")
+    x1 = scale[0, 0] * t1 + scale[0, 1] * t2
+    x2 = scale[1, 0] * t1 + scale[1, 1] * t2
+    det = a[0, 0] * a[1, 1] - a[0, 1] * a[0, 1]
+    return float(1.0 / math.sqrt(det) * np.einsum("i,j,ij->", v, v, f(x1, x2)))
+
+
+def rotation(modes):
+    """``(c, s)`` with ``x1' = c x1 + s x2`` and ``x2' = c x2 - s x1``: the
+    rotation by ``modes.phi``, linearized under the small-angle method."""
+    if modes.method is FrequencyMethod.EXACT:
+        return math.cos(modes.phi), math.sin(modes.phi)
+    return 1.0, modes.phi
+
+
+def overlap_element_closed(n, m, n2, m2, params, modes):
+    """``<n m | n' m'>`` for levels 0 and 1, from Gaussian moments.
+
+    H_1 is linear, so each level-1 eigenfunction contributes its argument
+    and the integrand is a polynomial of total degree at most four times
+    the Gaussian of :func:`gaussian_coefficients`.  Odd level sums give odd
+    moments only, and an exact zero.  At g = 0 the bases coincide and the
+    element is a Kronecker delta.
+    """
+    if params.g == 0.0 and modes.phi == 0.0:
+        return 1.0 if (n, m) == (n2, m2) else 0.0
+    c, s = rotation(modes)
+    # the arguments x1, x2, x1' and x2' as {(power of x1, power of x2): coefficient}
+    arguments = (
+        {(1, 0): 1.0}, {(0, 1): 1.0}, {(1, 0): c, (0, 1): s}, {(0, 1): c, (1, 0): -s}
+    )
+    poly = {(0, 0): 1.0}
+    for level, factor in zip((n, m, n2, m2), arguments):
+        if level:
+            product = {}
+            for (i1, j1), c1 in poly.items():
+                for (i2, j2), c2 in factor.items():
+                    key = (i1 + i2, j1 + j2)
+                    product[key] = product.get(key, 0.0) + c1 * c2
+            poly = product
+    a = gaussian_coefficients(params, modes).matrix()
+    total = sum(coeff * gauss2d_moment(a, i, j) for (i, j), coeff in poly.items())
+    lam, w1, w2 = params.lam, modes.omega1, modes.omega2
+    kappa = (lam * w1 * w2) ** -0.25
+    scale = (
+        2.0 ** (0.5 * (n + m + n2 + m2))
+        * lam ** (0.5 * m) * w1 ** (0.5 * n2) * w2 ** (0.5 * m2)
+    )
+    return scale / (math.pi * kappa) * total
+
+
+def closed_form_matrix(params, modes):
+    """The d = 2 overlap tensor assembled from :func:`overlap_element_closed`."""
+    levels = [(n, m) for n in range(2) for m in range(2)]
+    return np.array(
+        [[overlap_element_closed(*bare, *mode, params, modes) for mode in levels]
+         for bare in levels]
+    )
+
+
+def overlap_element_quadrature(n, m, n2, m2, params, modes):
+    """``<n m | n' m'>`` for any levels, by quadrature of its integrand.
+
+    The four eigenfunctions are evaluated on the 64-node :func:`quad2d`
+    grid and summed: no parity fold and no shared tables.
+    """
+    c, s = rotation(modes)
+
+    def psi(level, x, length_scale):
+        return ho_eigenfunctions(level + 1, x, length_scale)[level]
+
+    def integrand(x1, x2):
+        return (
+            psi(n, x1, 1.0)
+            * psi(m, x2, 1.0 / math.sqrt(params.lam))
+            * psi(n2, c * x1 + s * x2, 1.0 / math.sqrt(modes.omega1))
+            * psi(m2, c * x2 - s * x1, 1.0 / math.sqrt(modes.omega2))
+        )
+
+    return quad2d(integrand, gaussian_coefficients(params, modes).matrix())
+
+
+def dense_states(weights, u):
+    """The bare-basis thermal states ``U^T diag(w) U / tr``, formed, one per
+    row of ``weights`` (normal-mode populations); ``u`` is the matrix of U."""
+    states = (u.T * weights[:, None, :]) @ u
+    return states / np.trace(states, axis1=1, axis2=2)[:, None, None]
+
+
+def unit_trace(matrices):
+    """A matrix, or a stack of them, each divided by its trace."""
+    matrices = np.asarray(matrices, dtype=float)
+    return matrices / np.trace(matrices, axis1=-2, axis2=-1)[..., None, None]
+
+
+def partial_traces(states):
+    """Both marginals of a stack of two-mode states, shape ``(2, k, d, d)``:
+    index 0 keeps the first label of the ``n*d + m`` index, index 1 the second."""
+    d = math.isqrt(states.shape[-1])
+    blocks = states.reshape(*states.shape[:-2], d, d, d, d)
+    return np.stack(
+        [np.einsum("...imjm->...ij", blocks), np.einsum("...ninj->...ij", blocks)]
+    )
+
+
+def spectra(states):
+    """Ascending eigenvalues of each state in a stack, clipped at zero."""
+    return np.clip(np.linalg.eigvalsh(states), 0.0, None)

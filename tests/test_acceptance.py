@@ -15,23 +15,21 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qubit_entropy.cli import CSV_COLUMNS, main, parse_config, run_sweep
-from qubit_entropy.entropy import bipartite_entropies, spectra, spectrum_entropies
-from qubit_entropy.hermite import (
-    GaussianQuadraticForm,
+from oracles import (
+    closed_form_matrix,
+    dense_states,
     gauss2d_integral,
     gauss2d_moment,
-    quad2d,
-)
-from qubit_entropy.model import CircuitParams, FrequencyMethod, normal_modes
-from qubit_entropy.state import (
-    canonical_densities,
     partial_traces,
-    rotate_thermal,
-    thermal_spectra,
-    thermal_weights,
+    quad2d,
+    spectra,
+    unit_trace,
 )
-from qubit_entropy.transform import build_transform, overlap_element_closed
+from qubit_entropy.cli import CSV_COLUMNS, main, parse_config, run_sweep
+from qubit_entropy.entropy import bipartite_entropies, spectrum_entropies
+from qubit_entropy.model import CircuitParams, FrequencyMethod, normal_modes
+from qubit_entropy.state import thermal_spectra, thermal_weights
+from qubit_entropy.transform import build_transform
 
 GOLDEN = Path(__file__).parent / "data" / "golden_default_sweep.csv"
 
@@ -45,15 +43,6 @@ def read_rows(text):
 @pytest.fixture(scope="module")
 def default_rows():
     return run_sweep(parse_config([])).rows()
-
-
-def closed_form_matrix(params, modes):
-    """The d = 2 overlap tensor assembled from the Gaussian-moment closed forms."""
-    levels = [(n, m) for n in range(2) for m in range(2)]
-    return np.array(
-        [[overlap_element_closed(*bare, *mode, params, modes) for mode in levels]
-         for bare in levels]
-    )
 
 
 def test_criterion_1_dual_oracle_transform():
@@ -108,7 +97,7 @@ def test_criterion_2_frequency_agreement_measured():
 def test_criterion_3_q_to_one_continuity():
     rng = np.random.default_rng(1618)
     raw = [a @ a.T for a in (rng.normal(size=(4, 4)) for _ in range(50))]
-    p = spectra(canonical_densities(np.stack(raw)))
+    p = spectra(unit_trace(np.stack(raw)))
     base = spectrum_entropies(p, 1.0)
     assert np.all(np.abs(spectrum_entropies(p, 1.0 + 1e-4) - base) <= 1e-3)
     assert np.all(np.abs(spectrum_entropies(p, 1.0 - 1e-4) - base) <= 1e-3)
@@ -153,7 +142,7 @@ def test_criterion_7_bipartite_plumbing(default_rows):
     params = CircuitParams(lam=1.5, g=0.1)
     modes = normal_modes(params)
     u = build_transform(params, modes, d=2)
-    states = rotate_thermal(thermal_weights(modes, [0.01, 0.1, 0.3, 0.5], 2), u)
+    states = dense_states(thermal_weights(modes, [0.01, 0.1, 0.3, 0.5], 2), u.entries)
     reduced = partial_traces(states)
     assert np.all(np.abs(np.trace(reduced, axis1=-2, axis2=-1) - 1.0) <= 1e-12)
     assert np.linalg.eigvalsh(reduced).min() >= -1e-10
@@ -166,7 +155,7 @@ def test_criterion_7_bipartite_plumbing(default_rows):
         rho_b = (b @ b.T) / np.trace(b @ b.T)
         factors.append((rho_a, rho_b))
         joints.append(np.kron(rho_a, rho_b))
-    first, second = partial_traces(canonical_densities(np.stack(joints)))
+    first, second = partial_traces(unit_trace(np.stack(joints)))
     assert_allclose(first, [rho_a for rho_a, _ in factors], atol=1e-12)
     assert_allclose(second, [rho_b for _, rho_b in factors], atol=1e-12)
 
@@ -180,37 +169,29 @@ def test_criterion_8_gaussian_calculus_oracle():
         c, s = math.cos(theta), math.sin(theta)
         q = np.array([[c, -s], [s, c]])
         a = q @ np.diag(mu) @ q.T
-        b1, b2 = rng.uniform(-1.0, 1.0, size=2)
-        form = GaussianQuadraticForm(
-            a11=a[0, 0], a22=a[1, 1], a12=a[0, 1], b1=float(b1), b2=float(b2)
-        )
-        pure = GaussianQuadraticForm(a11=a[0, 0], a22=a[1, 1], a12=a[0, 1])
+        b = rng.uniform(-1.0, 1.0, size=2)
 
         def with_weight(x1, x2, extra=lambda x1, x2: 1.0):
-            quad = (
-                pure.a11 * x1**2 + pure.a22 * x2**2 + 2 * pure.a12 * x1 * x2
-            )
+            quad = a[0, 0] * x1**2 + a[1, 1] * x2**2 + 2 * a[0, 1] * x1 * x2
             return np.exp(-quad) * extra(x1, x2)
 
         integral = quad2d(
             lambda x1, x2: with_weight(
-                x1, x2, lambda x1, x2: np.exp(form.b1 * x1 + form.b2 * x2)
+                x1, x2, lambda x1, x2: np.exp(b[0] * x1 + b[1] * x2)
             ),
+            a,
             order=48,
-            weight=pure,
         )
-        assert_allclose(gauss2d_integral(form), integral, rtol=1e-10)
+        assert_allclose(gauss2d_integral(a, b), integral, rtol=1e-10)
         for i, j in moment_powers:
             numeric = quad2d(
                 lambda x1, x2, i=i, j=j: with_weight(
                     x1, x2, lambda x1, x2: x1**i * x2**j
                 ),
+                a,
                 order=32,
-                weight=pure,
             )
-            assert_allclose(
-                gauss2d_moment(pure, (i, j)), numeric, rtol=1e-10, atol=1e-12
-            )
+            assert_allclose(gauss2d_moment(a, i, j), numeric, rtol=1e-10, atol=1e-12)
 
 
 def test_criterion_9_cli_determinism_and_golden(tmp_path):

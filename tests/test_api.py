@@ -12,3 +12,13 @@ def test_every_exported_name_resolves(suffix):
     assert module.__all__
     assert len(set(module.__all__)) == len(module.__all__)
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def test_package_exports_exactly_the_submodule_lists():
+    # each public name is listed once, in its submodule's __all__
+    package = importlib.import_module("qubit_entropy")
+    names = ["__version__"]
+    for suffix in ("entropy", "hermite", "model", "state", "transform"):
+        names += importlib.import_module("qubit_entropy." + suffix).__all__
+    assert sorted(package.__all__) == sorted(names)
+    assert "SMALL_ANGLE_LIMIT" in names

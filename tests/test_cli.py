@@ -287,6 +287,16 @@ class TestRunSweep:
         rows = run_sweep(config).rows()
         assert all(abs(row["I"]) < 1e-10 for row in rows)
 
+    @pytest.mark.parametrize("lam", [0.5, 0.7, 1.3, 1.5, 2.2])
+    def test_uncoupled_mutual_info_never_negative(self, lam):
+        # at g = 0 the state is a product and I = S_1 + S_2 - S_joint is
+        # exactly 0: the three rounded entropies must not print it below 0
+        argv = ["--lambda", str(lam), "--g", "0", "--q", "1", "--t-max", "1",
+                "--t-steps", "40"]
+        mutual_info = run_sweep(parse_config(argv)).entropies[0, 3]
+        assert np.all(mutual_info >= 0.0)
+        assert not np.any(np.signbit(mutual_info))
+
     def test_ground_state_joint_entropy_is_zero(self):
         # below GROUND_STATE_T the joint state is the ground projector
         config = parse_config(

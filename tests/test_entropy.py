@@ -5,19 +5,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import dense_states, partial_traces, spectra, unit_trace
 from qubit_entropy.entropy import (
     NonPositiveQ,
     bipartite_entropies,
-    spectra,
     spectrum_entropies,
 )
 from qubit_entropy.model import CircuitParams, normal_modes
-from qubit_entropy.state import (
-    canonical_densities,
-    partial_traces,
-    rotate_thermal,
-    thermal_weights,
-)
+from qubit_entropy.state import thermal_spectra, thermal_weights
 from qubit_entropy.transform import build_transform
 
 REF = CircuitParams(lam=1.5, g=0.1)
@@ -25,21 +20,13 @@ REF_MODES = normal_modes(REF)
 U_SMALL = build_transform(REF, REF_MODES, d=2)
 
 
-def density(raw):
-    return canonical_densities(np.asarray(raw, dtype=float)[None])[0]
-
-
 def random_state(rng, dim=4):
     a = rng.normal(size=(dim, dim))
-    return density(a @ a.T)
-
-
-def thermal_states(temperatures):
-    return rotate_thermal(thermal_weights(REF_MODES, temperatures, 2), U_SMALL)
+    return unit_trace(a @ a.T)
 
 
 def pipeline_state(temperature):
-    return thermal_states([temperature])[0]
+    return dense_states(thermal_weights(REF_MODES, [temperature], 2), U_SMALL.entries)[0]
 
 
 def entropy(rho, q):
@@ -47,18 +34,25 @@ def entropy(rho, q):
 
 
 def bipartite(states, q):
+    """The entropies of formed states, through the reference spectra."""
     return bipartite_entropies(spectra(states), spectra(partial_traces(states)), q)
+
+
+def thermal_bipartite(temperatures, q):
+    """The entropies of the reference circuit's thermal states, as the sweep takes them."""
+    weights = thermal_weights(REF_MODES, temperatures, 2)
+    return bipartite_entropies(*thermal_spectra(weights, U_SMALL), q)
 
 
 class TestVonNeumann:
     def test_pure_state_zero(self):
-        assert entropy(density(np.diag([1.0, 0.0, 0.0, 0.0])), 1.0) == 0.0
+        assert entropy(unit_trace(np.diag([1.0, 0.0, 0.0, 0.0])), 1.0) == 0.0
 
     def test_maximally_mixed(self):
-        assert_allclose(entropy(density(np.eye(4)), 1.0), math.log(4), rtol=1e-14)
+        assert_allclose(entropy(unit_trace(np.eye(4)), 1.0), math.log(4), rtol=1e-14)
 
     def test_half_mixed(self):
-        rho = density(np.diag([0.5, 0.5, 0.0, 0.0]))
+        rho = unit_trace(np.diag([0.5, 0.5, 0.0, 0.0]))
         assert_allclose(entropy(rho, 1.0), math.log(2), rtol=1e-14)
 
 
@@ -87,24 +81,24 @@ class TestSpectrumStacks:
         for q in (0.5, 1.0, 2.0):
             got = spectrum_entropies(stack, q)
             assert got.shape == (2, 3)
-            assert_allclose(got, entropy(density(np.eye(4)), q))
+            assert_allclose(got, entropy(unit_trace(np.eye(4)), q))
 
 
 class TestTsallis:
     def test_two_level_mixed_at_q_two(self):
-        assert_allclose(entropy(density(np.diag([0.5, 0.5])), 2.0), 0.5, rtol=1e-14)
+        assert_allclose(entropy(unit_trace(np.diag([0.5, 0.5])), 2.0), 0.5, rtol=1e-14)
 
     def test_pure_state_zero_for_any_q(self):
-        rho = density(np.diag([1.0, 0.0, 0.0, 0.0]))
+        rho = unit_trace(np.diag([1.0, 0.0, 0.0, 0.0]))
         for q in (0.3, 0.5, 1.0, 1.7, 3.0):
             assert entropy(rho, q) == 0.0
 
     def test_continuity_window_returns_von_neumann(self):
-        rho = density(np.diag([0.25, 0.25, 0.25, 0.25]))
+        rho = unit_trace(np.diag([0.25, 0.25, 0.25, 0.25]))
         assert entropy(rho, 1.0 + 1e-8) == entropy(rho, 1.0)
 
     def test_approach_to_von_neumann(self):
-        rho = density(np.diag([0.25, 0.25, 0.25, 0.25]))
+        rho = unit_trace(np.diag([0.25, 0.25, 0.25, 0.25]))
         for q in (1.0 - 1e-4, 1.0 + 1e-4):
             assert abs(entropy(rho, q) - math.log(4)) < 1e-4
 
@@ -118,7 +112,7 @@ class TestTsallis:
                     assert abs(entropy(rho, q) - base) <= 10 * eps
 
     def test_nonpositive_q_rejected(self):
-        rho = density(np.eye(2))
+        rho = unit_trace(np.eye(2))
         with pytest.raises(NonPositiveQ):
             entropy(rho, 0.0)
         with pytest.raises(NonPositiveQ):
@@ -129,7 +123,7 @@ class TestTsallis:
         for _ in range(10):
             rho = random_state(rng)
             basis, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-            rotated = density(basis @ rho @ basis.T)
+            rotated = unit_trace(basis @ rho @ basis.T)
             for q in (0.5, 1.0, 2.0):
                 assert_allclose(entropy(rotated, q), entropy(rho, q), atol=1e-10)
 
@@ -159,23 +153,23 @@ class TestAnalyzeBipartite:
             rho_a = (a @ a.T) / np.trace(a @ a.T)
             rho_b = (b @ b.T) / np.trace(b @ b.T)
             products.append(np.kron(rho_a, rho_b))
-        margin = bipartite(canonical_densities(np.stack(products)), 1.0)[3]
+        margin = bipartite(unit_trace(np.stack(products)), 1.0)[3]
         assert np.all(np.abs(margin) < 1e-10)
 
     def test_mutual_info_positive_in_validity_window(self):
-        margin = bipartite(thermal_states(np.linspace(0.01, 0.2, 8)), 1.0)[3]
+        margin = thermal_bipartite(np.linspace(0.01, 0.2, 8), 1.0)[3]
         assert np.all(margin >= 0.0)
 
     def test_subadditivity_margin_on_pipeline_states(self):
-        margin = bipartite(thermal_states([0.01, 0.1, 0.2, 0.35, 0.5]), 1.0)[3]
+        margin = thermal_bipartite([0.01, 0.1, 0.2, 0.35, 0.5], 1.0)[3]
         assert np.all(margin >= -1e-10)
 
     def test_margin_frozen_at_reference(self):
-        margin = bipartite(thermal_states([0.1]), 2.0)[3]
+        margin = thermal_bipartite([0.1], 2.0)[3]
         assert_allclose(margin, [0.0023261083], atol=1e-9)
 
     def test_report_fields_consistent(self):
-        s_joint, s_first, s_second, margin = bipartite(thermal_states([0.1]), 1.0)
+        s_joint, s_first, s_second, margin = thermal_bipartite([0.1], 1.0)
         assert margin == s_first + s_second - s_joint
         assert s_joint >= -1e-12
         assert s_first >= -1e-12
@@ -183,11 +177,12 @@ class TestAnalyzeBipartite:
 
     def test_q_one_matches_von_neumann_pieces(self):
         rho = pipeline_state(0.15)
-        s_joint = bipartite(rho[None], 1.0)[0]
+        s_joint = thermal_bipartite([0.15], 1.0)[0]
         p = np.linalg.eigvalsh(rho)
         p = p[p > 0]
         assert_allclose(s_joint, -(p * np.log(p)).sum(), atol=1e-10)
 
     def test_non_square_dimension_rejected(self):
+        # 5 levels cannot split into two equal modes
         with pytest.raises(ValueError):
-            bipartite(canonical_densities(np.eye(5)[None]), 1.0)
+            bipartite(unit_trace(np.eye(5)[None]), 1.0)

@@ -1,20 +1,16 @@
-"""Hermite recurrences, oscillator eigenfunctions, and Gaussian integrals."""
+"""Oscillator eigenfunctions, and the Gaussian integrals of tests/oracles.py."""
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import gauss2d_integral, gauss2d_moment, quad2d
 from qubit_entropy.hermite import (
     GaussianQuadraticForm,
     NotPositiveDefinite,
-    UnsupportedDegree,
-    gauss2d_integral,
-    gauss2d_moment,
-    hermite_poly,
-    ho_eigenfunction,
+    _require_positive_definite,
     ho_eigenfunctions,
-    quad2d,
 )
 
 
@@ -31,25 +27,39 @@ def explicit_hermite(k, x):
     return table[k](np.asarray(x, dtype=float))
 
 
+def explicit_eigenfunction(n, x, scale):
+    """psi_n from the explicit Hermite table, composed in the order of the
+    documented row formula, so its Gaussian factor rounds the same way."""
+    y = np.asarray(x, dtype=float) / scale
+    norm = 1.0 / math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
+    return norm / math.sqrt(scale) * np.exp(-0.5 * y * y) * explicit_hermite(n, y)
+
+
 class TestHermitePoly:
+    # the Hermite polynomials enter through the rows of ho_eigenfunctions
     def test_matches_explicit_table(self):
         x = np.linspace(-3.0, 3.0, 41)
+        table = ho_eigenfunctions(7, x, 1.0)
         for k in range(7):
-            assert_allclose(hermite_poly(k, x), explicit_hermite(k, x), rtol=1e-12)
+            assert_allclose(table[k], explicit_eigenfunction(k, x, 1.0), rtol=1e-12)
 
     def test_scalar_input_gives_scalar(self):
-        value = hermite_poly(3, 0.5)
-        assert isinstance(value, float)
-        assert_allclose(value, 8 * 0.5**3 - 12 * 0.5, rtol=1e-14)
+        value = ho_eigenfunctions(4, 0.5, 1.0)[3]
+        assert value.shape == ()
+        norm = 1.0 / math.sqrt(8 * 6 * math.sqrt(math.pi))
+        assert_allclose(value, norm * math.exp(-0.125) * (8 * 0.5**3 - 12 * 0.5), rtol=1e-14)
 
     def test_reference_points(self):
-        assert hermite_poly(0, 3.7) == 1.0
-        assert hermite_poly(1, 0.5) == 1.0
-        assert hermite_poly(2, 1.0) == 2.0
+        # H_0(3.7) = 1, H_1(0.5) = 1 and H_2(1) = 2, times norm_n exp(-x^2/2)
+        table = ho_eigenfunctions(3, np.array([3.7, 0.5, 1.0]), 1.0)
+        root = math.pi**-0.25
+        assert_allclose(table[0, 0], root * math.exp(-3.7**2 / 2), rtol=1e-14)
+        assert_allclose(table[1, 1], root / math.sqrt(2) * math.exp(-0.125), rtol=1e-14)
+        assert_allclose(table[2, 2], root / math.sqrt(2) * math.exp(-0.5), rtol=1e-14)
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
-            hermite_poly(-1, 0.0)
+            ho_eigenfunctions(-1, 0.0, 1.0)
 
 
 class TestEigenfunction:
@@ -58,25 +68,19 @@ class TestEigenfunction:
         # 1-D Gauss-Hermite in the scaled variable integrates the pair exactly
         t, w = np.polynomial.hermite.hermgauss(80)
         v = np.exp(np.log(w) + t * t)
-        x = t * scale
-        for n in range(6):
-            fn = ho_eigenfunction(n, x, scale)
-            for m in range(6):
-                fm = ho_eigenfunction(m, x, scale)
-                overlap = np.sum(v * fn * fm) * scale
-                assert_allclose(overlap, 1.0 if n == m else 0.0, atol=1e-10)
+        table = ho_eigenfunctions(6, t * scale, scale)
+        overlaps = (table * v) @ table.T * scale
+        assert_allclose(overlaps, np.eye(6), rtol=0, atol=1e-10)
 
     def test_ground_state_peak(self):
         # psi_0(0) = (pi * ls^2)^(-1/4)
         assert_allclose(
-            ho_eigenfunction(0, 0.0, 1.3), (math.pi * 1.3**2) ** -0.25, rtol=1e-14
+            ho_eigenfunctions(1, 0.0, 1.3)[0], (math.pi * 1.3**2) ** -0.25, rtol=1e-14
         )
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            ho_eigenfunction(-1, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            ho_eigenfunction(0, 0.0, 0.0)
+            ho_eigenfunctions(1, 0.0, 0.0)
 
 
 # |x| / length_scale above about 37.6 puts exp(-y^2/2) below the normal
@@ -95,12 +99,10 @@ class TestEigenfunctionTable:
         table = ho_eigenfunctions(d, grid, scale)
         assert table.shape == (d, *grid.shape)
         for n in range(d):
-            np.testing.assert_array_equal(table[n], ho_eigenfunction(n, grid, scale))
-            # the definition, composed from the reference recurrence
-            y = grid / scale
-            norm = 1.0 / math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
-            direct = norm / math.sqrt(scale) * np.exp(-0.5 * y * y) * hermite_poly(n, y)
-            np.testing.assert_array_equal(table[n], direct)
+            # row n of every longer table is psi_n, bit for bit
+            np.testing.assert_array_equal(table[n], ho_eigenfunctions(n + 1, grid, scale)[n])
+            if n < 7:
+                assert_allclose(table[n], explicit_eigenfunction(n, grid, scale), rtol=1e-12)
 
     def test_underflow_gives_exact_zeros(self):
         table = ho_eigenfunctions(20, np.array([45.0, -60.0]), 1.0)
@@ -109,8 +111,7 @@ class TestEigenfunctionTable:
     def test_scalar_point_gives_one_value_per_level(self):
         table = ho_eigenfunctions(3, 0.4, 1.3)
         assert table.shape == (3,)
-        assert table[2] == ho_eigenfunction(2, 0.4, 1.3)
-        assert isinstance(ho_eigenfunction(2, 0.4, 1.3), float)
+        assert table[2] == ho_eigenfunctions(3, np.array([0.4]), 1.3)[2, 0]
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -119,43 +120,42 @@ class TestEigenfunctionTable:
             ho_eigenfunctions(2, 0.0, -1.0)
 
 
-def random_pd_form(rng, with_linear=False):
-    # eigenvalues kept in [0.3, 5] so the forms stay well conditioned
+def random_pd_form(rng):
+    """A random positive definite 2 x 2 matrix, eigenvalues in [0.3, 5] so
+    that it stays well conditioned."""
     mu = rng.uniform(0.3, 5.0, size=2)
     theta = rng.uniform(0.0, math.pi)
     c, s = math.cos(theta), math.sin(theta)
     q = np.array([[c, -s], [s, c]])
-    a = q @ np.diag(mu) @ q.T
-    b1, b2 = (rng.uniform(-1.0, 1.0, size=2) if with_linear else (0.0, 0.0))
-    return GaussianQuadraticForm(
-        a11=a[0, 0], a22=a[1, 1], a12=a[0, 1], b1=float(b1), b2=float(b2)
-    )
+    return q @ np.diag(mu) @ q.T
+
+
+def gaussian(a):
+    """``exp(-x^T a x)`` as a function of the two coordinates."""
+    return lambda x1, x2: np.exp(-(a[0, 0] * x1**2 + a[1, 1] * x2**2 + 2 * a[0, 1] * x1 * x2))
 
 
 class TestGauss2dIntegral:
     def test_isotropic_reference(self):
-        form = GaussianQuadraticForm(a11=1.0, a22=1.0, a12=0.0)
-        assert_allclose(gauss2d_integral(form), math.pi, rtol=1e-14)
+        assert_allclose(gauss2d_integral(np.eye(2), np.zeros(2)), math.pi, rtol=1e-14)
 
     def test_matches_quadrature_with_linear_terms(self):
         # quad2d integrates f as given, so f carries the Gaussian factor
         rng = np.random.default_rng(314159)
         for _ in range(100):
-            form = random_pd_form(rng, with_linear=True)
-            pure = GaussianQuadraticForm(
-                a11=form.a11, a22=form.a22, a12=form.a12
-            )
+            a = random_pd_form(rng)
+            b = rng.uniform(-1.0, 1.0, size=2)
 
             def integrand(x1, x2):
-                quad = form.a11 * x1**2 + form.a22 * x2**2 + 2 * form.a12 * x1 * x2
-                return np.exp(-quad + form.b1 * x1 + form.b2 * x2)
+                return gaussian(a)(x1, x2) * np.exp(b[0] * x1 + b[1] * x2)
 
-            numeric = quad2d(integrand, order=48, weight=pure)
-            assert_allclose(gauss2d_integral(form), numeric, rtol=1e-10)
+            numeric = quad2d(integrand, a, order=48)
+            assert_allclose(gauss2d_integral(a, b), numeric, rtol=1e-10)
 
     def test_indefinite_form_rejected(self):
+        # the check build_transform makes before it integrates
         with pytest.raises(NotPositiveDefinite):
-            gauss2d_integral(GaussianQuadraticForm(a11=1.0, a22=1.0, a12=2.0))
+            _require_positive_definite(GaussianQuadraticForm(a11=1.0, a22=1.0, a12=2.0))
 
 
 class TestGauss2dMoment:
@@ -163,57 +163,36 @@ class TestGauss2dMoment:
         rng = np.random.default_rng(271828)
         powers = [(i, j) for i in range(5) for j in range(5) if i + j <= 4]
         for _ in range(100):
-            form = random_pd_form(rng)
+            a = random_pd_form(rng)
             for i, j in powers:
                 def integrand(x1, x2, i=i, j=j):
-                    quad = (
-                        form.a11 * x1**2
-                        + form.a22 * x2**2
-                        + 2 * form.a12 * x1 * x2
-                    )
-                    return x1**i * x2**j * np.exp(-quad)
+                    return x1**i * x2**j * gaussian(a)(x1, x2)
 
-                numeric = quad2d(integrand, order=32, weight=form)
-                closed = gauss2d_moment(form, (i, j))
+                numeric = quad2d(integrand, a, order=32)
+                closed = gauss2d_moment(a, i, j)
                 assert_allclose(closed, numeric, rtol=1e-10, atol=1e-12)
 
     def test_odd_moments_are_exact_zero(self):
-        form = GaussianQuadraticForm(a11=2.0, a22=1.5, a12=0.4)
-        for powers in [(1, 0), (0, 1), (2, 1), (1, 2), (3, 0), (0, 3)]:
-            assert gauss2d_moment(form, powers) == 0.0
-
-    def test_degree_cap(self):
-        form = GaussianQuadraticForm(a11=1.0, a22=1.0, a12=0.0)
-        with pytest.raises(UnsupportedDegree):
-            gauss2d_moment(form, (3, 2))
-        with pytest.raises(UnsupportedDegree):
-            gauss2d_moment(form, (-1, 0))
-
-    def test_linear_terms_rejected(self):
-        form = GaussianQuadraticForm(a11=1.0, a22=1.0, a12=0.0, b1=0.5)
-        with pytest.raises(ValueError):
-            gauss2d_moment(form, (2, 0))
+        a = np.array([[2.0, 0.4], [0.4, 1.5]])
+        for i, j in [(1, 0), (0, 1), (2, 1), (1, 2), (3, 0), (0, 3)]:
+            assert gauss2d_moment(a, i, j) == 0.0
 
 
 class TestQuad2d:
     def test_unit_weight_gaussian(self):
-        # integral of exp(-x1^2 - x2^2 + x1 x2) over the plane
-        value = quad2d(lambda x1, x2: np.exp(-(x1**2) - x2**2 + x1 * x2))
+        # integral of exp(-x1^2 - x2^2 + x1 x2) over the plane, on nodes
+        # mapped through the unit weight exp(-x1^2 - x2^2)
+        value = quad2d(lambda x1, x2: np.exp(-(x1**2) - x2**2 + x1 * x2), np.eye(2))
         assert_allclose(value, 2 * math.pi / math.sqrt(3.0), rtol=1e-10)
 
     def test_polynomial_exactness_under_weight(self):
-        form = GaussianQuadraticForm(a11=1.2, a22=0.8, a12=0.3)
+        a = np.array([[1.2, 0.3], [0.3, 0.8]])
 
         def integrand(x1, x2):
-            quad = 1.2 * x1**2 + 0.8 * x2**2 + 0.6 * x1 * x2
-            return x1**2 * np.exp(-quad)
+            return x1**2 * gaussian(a)(x1, x2)
 
-        # degree 2 is exact already at the minimum order
-        low = quad2d(integrand, order=16, weight=form)
-        high = quad2d(integrand, order=64, weight=form)
+        # degree 2 is exact already at a low order
+        low = quad2d(integrand, a, order=16)
+        high = quad2d(integrand, a, order=64)
         assert_allclose(low, high, rtol=1e-13)
-        assert_allclose(low, gauss2d_moment(form, (2, 0)), rtol=1e-13)
-
-    def test_order_floor(self):
-        with pytest.raises(ValueError):
-            quad2d(lambda x1, x2: x1 * 0 + 1.0, order=8)
+        assert_allclose(low, gauss2d_moment(a, 2, 0), rtol=1e-13)

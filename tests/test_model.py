@@ -31,19 +31,6 @@ class TestCircuitParams:
         assert params.lam == 1.5
         assert params.g == 0.1
 
-    def test_from_inductances(self):
-        params = CircuitParams.from_inductances(l1=2.0, l2=0.5, l12=0.3, lam=1.5)
-        assert_allclose(params.g, 0.3 / math.sqrt(2.0 * 0.5), rtol=1e-15)
-        assert params.l1 == 2.0
-
-    def test_inconsistent_coupling_rejected(self):
-        with pytest.raises(ValueError):
-            CircuitParams(lam=1.5, g=0.5, l1=2.0, l2=0.5, l12=0.3)
-
-    def test_partial_inductances_rejected(self):
-        with pytest.raises(ValueError):
-            CircuitParams(lam=1.5, g=0.1, l1=2.0)
-
     @pytest.mark.parametrize("g", [1.0, -1.0, 1.2])
     def test_unstable_coupling_rejected(self, g):
         with pytest.raises(ValueError):

@@ -1,20 +1,18 @@
-"""Thermal states, basis change, reduction, and validity diagnostics."""
+"""Thermal weights, spectra and validity diagnostics, and the formed-state
+references of tests/oracles.py."""
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qubit_entropy.entropy import spectra, spectrum_entropies
+from oracles import dense_states, partial_traces, spectra, unit_trace
+from qubit_entropy.entropy import spectrum_entropies
 from qubit_entropy.model import CircuitParams, NormalModes, FrequencyMethod, normal_modes
 from qubit_entropy.state import (
     GROUND_STATE_T,
     DimensionMismatch,
     NonPositiveTemperature,
-    NotAProductDimension,
-    canonical_densities,
-    partial_traces,
-    rotate_thermal,
     thermal_spectra,
     thermal_weights,
     validity_diagnostics,
@@ -33,12 +31,8 @@ def modes_with(omega1, omega2):
     )
 
 
-def density(raw):
-    return canonical_densities(np.asarray(raw, dtype=float)[None])[0]
-
-
 def pipeline_state(temperature):
-    return rotate_thermal(thermal_weights(REF_MODES, [temperature], 2), U_SMALL)[0]
+    return dense_states(thermal_weights(REF_MODES, [temperature], 2), U_SMALL.entries)[0]
 
 
 def diagnostics_at(temperature, d_small=2):
@@ -93,47 +87,66 @@ class TestThermalDensity:
 
 
 class TestDensityFromArray:
+    # The pipeline forms no density matrix.  What canonicalizing one gave,
+    # a unit trace, no negative eigenvalue and loud rejection of bad input,
+    # thermal_spectra gives from the weights and U.
     def test_symmetrizes_and_normalizes(self):
-        rho = density([[2.0, 0.1], [0.3, 1.0]])
-        assert_allclose(rho, rho.T, atol=0)
-        assert_allclose(np.trace(rho), 1.0, rtol=1e-14)
-        assert_allclose(rho[0, 1], 0.2 / 3.0, rtol=1e-12)
+        # B^T B is symmetric by construction; weights that do not sum to
+        # one give the spectra of the unit-trace state, each entry to the
+        # relative accuracy of the SVD
+        u = build_transform(REF, REF_MODES, d=3)
+        weights = thermal_weights(REF_MODES, [0.1, 0.4], 3)
+        for got, want in zip(thermal_spectra(3.0 * weights, u), thermal_spectra(weights, u)):
+            assert_allclose(got, want, rtol=1e-12, atol=0)
+            assert_allclose(got.sum(axis=-1), 1.0, rtol=1e-14)
 
     def test_tiny_negative_eigenvalue_clamped(self):
-        rho = density(np.diag([1.0, -5e-11]))
-        assert np.linalg.eigvalsh(rho).min() >= 0
-        assert_allclose(np.trace(rho), 1.0, rtol=1e-14)
+        # eigvalsh of the formed states leaves rounding negatives; squared
+        # singular values cannot be negative
+        u = build_transform(REF, REF_MODES, d=4)
+        weights = thermal_weights(REF_MODES, [GROUND_STATE_T / 2, 0.01, 0.05], 4)
+        assert np.linalg.eigvalsh(dense_states(weights, u.entries)).min() < 0
+        joint, marginals = thermal_spectra(weights, u)
+        assert joint.min() >= 0.0
+        assert marginals.min() >= 0.0
+        assert_allclose(joint.sum(axis=1), 1.0, rtol=1e-14)
 
     def test_genuinely_negative_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            density(np.diag([1.0, -0.2]))
+        with pytest.raises(ValueError, match="non-negative"):
+            thermal_spectra(np.array([[1.0, -0.2, 0.0, 0.0]]), U_SMALL)
 
     def test_nonsquare_rejected(self):
-        with pytest.raises(ValueError):
-            canonical_densities(np.ones((2, 3)))
+        # one weight row, not a stack of them
+        with pytest.raises(DimensionMismatch):
+            thermal_spectra(np.full(4, 0.25), U_SMALL)
 
     def test_stack_matches_single_matrices(self):
-        # only the middle slice needs its rounding-level negative clamped
+        # arbitrary weights, zeros included, under an arbitrary orthogonal U
         rng = np.random.default_rng(99)
-        a = rng.normal(size=(3, 3))
-        stack = np.stack([a @ a.T, np.diag([1.0, 0.5, -5e-11]), np.eye(3)])
-        canonical = canonical_densities(stack)
-        for raw, got in zip(stack, canonical):
-            assert np.array_equal(got, density(raw))
+        q, _ = np.linalg.qr(rng.normal(size=(9, 9)))
+        u = TransformTensor(q, 3)
+        weights = rng.uniform(0.0, 1.0, size=(3, 9))
+        weights[1, [0, 4, 8]] = 0.0
+        joint, marginals = thermal_spectra(weights, u)
+        for k in range(3):
+            one_joint, one_marginals = thermal_spectra(weights[k:k + 1], u)
+            assert np.array_equal(joint[k], one_joint[0])
+            assert np.array_equal(marginals[:, k], one_marginals[:, 0])
 
     def test_stack_error_names_first_offending_matrix(self):
-        stack = np.stack([np.eye(2), np.diag([1.0, -0.2]), np.diag([1.0, -0.5])])
-        with pytest.raises(ValueError, match=r"min eigenvalue -2\.500e-01"):
-            canonical_densities(stack)
+        weights = np.array([[1.0, 0.0, 0.0, 0.0], [0.8, -0.2, 0.4, 0.0], [1.5, -0.5, 0.0, 0.0]])
+        with pytest.raises(ValueError, match=r"non-negative, got -0\.2$"):
+            thermal_spectra(weights, U_SMALL)
 
 
 class TestTransformDensity:
+    # the reference state U^T diag(w) U / tr, formed
     def test_identity_transform_keeps_state(self):
         params = CircuitParams(lam=1.5, g=0.0)
         modes = normal_modes(params)
         u = build_transform(params, modes, d=2)
         weights = thermal_weights(modes, [0.2], 2)
-        assert_allclose(rotate_thermal(weights, u)[0], np.diag(weights[0]), atol=1e-14)
+        assert_allclose(dense_states(weights, u.entries)[0], np.diag(weights[0]), atol=1e-14)
 
     def test_off_diagonals_appear_but_stay_small(self):
         rho = pipeline_state(0.1)
@@ -149,18 +162,17 @@ class TestTransformDensity:
     def test_dimension_mismatch_rejected(self):
         u = build_transform(REF, REF_MODES, d=3)
         with pytest.raises(DimensionMismatch):
-            rotate_thermal(thermal_weights(REF_MODES, [0.1], 2), u)
+            thermal_spectra(thermal_weights(REF_MODES, [0.1], 2), u)
 
     def test_stack_matches_dense_basis_change(self):
         # U^T diag(w) U / tr written out densely, one temperature at a time
         temps = np.linspace(0.02, 0.6, 12)
         weights = thermal_weights(REF_MODES, temps, d=6)
-        stacked = rotate_thermal(weights, U_BIG)
+        stacked = dense_states(weights, U_BIG.entries)
         u = U_BIG.entries
-        for k, (w, got) in enumerate(zip(weights, stacked)):
+        for w, got in zip(weights, stacked):
             dense = u.T @ np.diag(w) @ u
-            assert np.array_equal(got, dense / (w * (u * u).sum(axis=1)).sum())
-            assert np.array_equal(got, rotate_thermal(weights[k:k + 1], U_BIG)[0])
+            assert_allclose(got, dense / np.trace(dense), rtol=1e-13, atol=1e-16)
             assert_allclose(np.trace(got), 1.0, rtol=1e-14)
 
 
@@ -171,7 +183,7 @@ class TestThermalSpectra:
     def test_match_eigenvalues_of_formed_states(self, u):
         weights = thermal_weights(REF_MODES, self.TEMPS, u.d)
         joint, marginals = thermal_spectra(weights, u)
-        states = rotate_thermal(weights, u)
+        states = dense_states(weights, u.entries)
         # both routes err by about n eps in absolute terms, n = d^2
         allow = 4 * u.d**2 * np.finfo(float).eps
         assert_allclose(joint, np.linalg.eigvalsh(states), rtol=0, atol=allow)
@@ -240,11 +252,11 @@ class TestThermalSpectra:
 
 class TestPartialTrace:
     def test_ground_projector_reduces_to_ground(self):
-        for reduced in partial_traces(density(np.diag([1.0, 0.0, 0.0, 0.0]))):
+        for reduced in partial_traces(unit_trace(np.diag([1.0, 0.0, 0.0, 0.0]))):
             assert_allclose(reduced, np.diag([1.0, 0.0]), atol=1e-14)
 
     def test_diagonal_reduction_pattern(self):
-        first, second = partial_traces(density(np.diag([0.4, 0.3, 0.2, 0.1])))
+        first, second = partial_traces(unit_trace(np.diag([0.4, 0.3, 0.2, 0.1])))
         assert_allclose(first, np.diag([0.7, 0.3]), atol=1e-14)
         assert_allclose(second, np.diag([0.6, 0.4]), atol=1e-14)
 
@@ -255,7 +267,7 @@ class TestPartialTrace:
             b = rng.normal(size=(3, 3))
             rho_a = (a @ a.T) / np.trace(a @ a.T)
             rho_b = (b @ b.T) / np.trace(b @ b.T)
-            got_a, got_b = partial_traces(density(np.kron(rho_a, rho_b)))
+            got_a, got_b = partial_traces(unit_trace(np.kron(rho_a, rho_b)))
             assert_allclose(got_a, rho_a, atol=1e-12)
             assert_allclose(got_b, rho_b, atol=1e-12)
 
@@ -269,7 +281,7 @@ class TestPartialTrace:
         params = CircuitParams(lam=1.5, g=0.0)
         modes = normal_modes(params)
         u = build_transform(params, modes, d=2)
-        rho = rotate_thermal(thermal_weights(modes, [0.2], 2), u)[0]
+        rho = dense_states(thermal_weights(modes, [0.2], 2), u.entries)[0]
         first, second = partial_traces(rho)
         z1 = 1.0 + math.exp(-1.0 / 0.2)
         z2 = 1.0 + math.exp(-1.5 / 0.2)
@@ -281,32 +293,33 @@ class TestPartialTrace:
         stack = []
         for _ in range(6):
             a = rng.normal(size=(9, 9))
-            stack.append(density(a @ a.T))
+            stack.append(unit_trace(a @ a.T))
         both = partial_traces(np.stack(stack))
         assert both.shape == (2, 6, 3, 3)
         for k, entries in enumerate(stack):
             assert np.array_equal(both[:, k], partial_traces(entries[None])[:, 0])
 
     def test_non_square_dimension_rejected(self):
-        with pytest.raises(NotAProductDimension):
-            partial_traces(density(np.eye(5)))
+        # 5 levels cannot split into two equal modes: the reshape fails
+        with pytest.raises(ValueError):
+            partial_traces(unit_trace(np.eye(5)))
 
 
 class TestPurity:
     # purity Tr rho^2 = sum p^2 enters the pipeline as 1 - S_2
     def test_pure_state(self):
-        p = spectra(density(np.diag([1.0, 0.0, 0.0, 0.0])))
+        p = spectra(unit_trace(np.diag([1.0, 0.0, 0.0, 0.0])))
         assert 1.0 - spectrum_entropies(p, 2.0) == 1.0
 
     def test_maximally_mixed(self):
-        p = spectra(density(np.eye(4)))
+        p = spectra(unit_trace(np.eye(4)))
         assert_allclose(1.0 - spectrum_entropies(p, 2.0), 0.25, rtol=1e-14)
 
     def test_bounded_by_one_with_equality_iff_pure(self):
         rng = np.random.default_rng(777)
         for _ in range(25):
             a = rng.normal(size=(4, 4))
-            p = spectra(density(a @ a.T))
+            p = spectra(unit_trace(a @ a.T))
             mu = 1.0 - spectrum_entropies(p, 2.0)
             assert mu <= 1.0 + 1e-12
             if mu > 1.0 - 1e-10:
@@ -350,14 +363,13 @@ class TestSubspaceValidity:
 
 def dense_diagnostics(u, weights, d_small):
     """The dense reference route: the full unit-trace d_big^2 state
-    ``canonical_densities(U^T diag(w) U)``, then its block and complement
-    sums.  Returns (mu_block, mu_complement, offdiag_sum, block trace)."""
+    ``U^T diag(w) U / tr``, then its block and complement sums.
+    Returns (mu_block, mu_complement, offdiag_sum, block trace)."""
     d_big = math.isqrt(len(u))
     kept = [n * d_big + m for n in range(d_small) for m in range(d_small)]
     rest = [i for i in range(d_big * d_big) if i not in kept]
     out = []
-    for w in weights:
-        state = canonical_densities((u.T @ np.diag(w) @ u)[None])[0]
+    for state in dense_states(weights, u):
         block = state[np.ix_(kept, kept)]
         block_trace = float(np.trace(block))
         block = block / block_trace
@@ -380,8 +392,7 @@ class TestValidityDiagnostics:
     def test_matches_dense_state(self, d_big, lam, g):
         # Rounding allowance.  Each entry of the dense state sums
         # n = d_big^2 products bounded by |U|^T diag(w) |U|, whose Frobenius
-        # norm is at most its trace (about 1), and the eigh behind the clamp
-        # has backward error O(n eps ||rho||): the entry errors E of one
+        # norm is at most its trace (about 1): the entry errors E of one
         # route have ||E||_F <= n eps (constant taken as 1).  The closed form
         # errs by no more: each G_ij is off by order n eps and, by
         # Cauchy-Schwarz, sum w_i w_j |G_ij| <= sqrt(mu_II) tr.  Per route,

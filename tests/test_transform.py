@@ -1,19 +1,19 @@
-"""Basis-change tensor: closed forms against the quadrature oracle."""
+"""Basis-change tensor against the closed-form and quadrature references."""
 from math import sqrt
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qubit_entropy.hermite import ho_eigenfunction
-from qubit_entropy.model import CircuitParams, FrequencyMethod, normal_modes
-from qubit_entropy.transform import (
-    IndexOutOfRange,
-    build_transform,
-    gaussian_coefficients,
+from oracles import (
+    closed_form_matrix,
     overlap_element_closed,
     overlap_element_quadrature,
+    rotation,
 )
+from qubit_entropy.hermite import ho_eigenfunctions
+from qubit_entropy.model import CircuitParams, FrequencyMethod, normal_modes
+from qubit_entropy.transform import build_transform, gaussian_coefficients
 
 REF = CircuitParams(lam=1.5, g=0.1)
 REF_MODES = normal_modes(REF)
@@ -36,24 +36,21 @@ def per_entry_tables(params, modes, d, order=None):
     t1, t2 = np.meshgrid(t, t, indexing="ij")
     x1 = scale[0, 0] * t1 + scale[0, 1] * t2
     x2 = scale[1, 0] * t1 + scale[1, 1] * t2
-    if modes.method is FrequencyMethod.EXACT:
-        c, s = np.cos(modes.phi), np.sin(modes.phi)
-    else:
-        c, s = 1.0, modes.phi
+    c, s = rotation(modes)
     x1p = c * x1 + s * x2
     x2p = c * x2 - s * x1
     scale2 = 1.0 / sqrt(params.lam)
     scale1p, scale2p = 1.0 / sqrt(modes.omega1), 1.0 / sqrt(modes.omega2)
 
     weights = (np.outer(v, v) / sqrt(form.det)).ravel()
+    f1, f2 = ho_eigenfunctions(d, x1, 1.0), ho_eigenfunctions(d, x2, scale2)
+    f1p, f2p = ho_eigenfunctions(d, x1p, scale1p), ho_eigenfunctions(d, x2p, scale2p)
     bare = np.empty((d * d, t.size * t.size))
     rotated = np.empty((d * d, t.size * t.size))
     for a in range(d):
-        f1 = ho_eigenfunction(a, x1, 1.0)
-        f1p = ho_eigenfunction(a, x1p, scale1p)
         for b in range(d):
-            bare[a * d + b] = (f1 * ho_eigenfunction(b, x2, scale2)).ravel()
-            rotated[a * d + b] = (f1p * ho_eigenfunction(b, x2p, scale2p)).ravel()
+            bare[a * d + b] = (f1[a] * f2[b]).ravel()
+            rotated[a * d + b] = (f1p[a] * f2p[b]).ravel()
     return bare, rotated, weights
 
 
@@ -84,15 +81,6 @@ def per_entry_quadrature_build(params, modes, d, order=None, fold=False):
     if fold:
         entries[odd_level_sum(d)] = 0.0
     return entries
-
-
-def closed_form_matrix(params, modes):
-    """The d = 2 overlap tensor assembled from the Gaussian-moment closed forms."""
-    levels = [(n, m) for n in range(2) for m in range(2)]
-    return np.array(
-        [[overlap_element_closed(*bare, *mode, params, modes) for mode in levels]
-         for bare in levels]
-    )
 
 
 def probe_block_deviation(params, modes, d):
@@ -186,10 +174,6 @@ class TestClosedElements:
                         value = overlap_element_closed(n, m, n2, m2, params, modes)
                         assert value == (1.0 if (n, m) == (n2, m2) else 0.0)
 
-    def test_levels_above_one_rejected(self):
-        with pytest.raises(IndexOutOfRange):
-            overlap_element_closed(2, 0, 0, 0, REF, REF_MODES)
-
 
 class TestQuadratureElements:
     def test_ground_element_at_zero_coupling(self):
@@ -209,7 +193,8 @@ class TestQuadratureElements:
         assert abs(value) < 1.5
 
     def test_negative_level_rejected(self):
-        with pytest.raises(IndexOutOfRange):
+        # the eigenfunction table has no row -1
+        with pytest.raises(ValueError):
             overlap_element_quadrature(-1, 0, 0, 0, REF, REF_MODES)
 
 
@@ -357,13 +342,13 @@ class TestBuildTransform:
 
     def test_closed_form_limited_to_two_levels(self):
         # the closed forms cover levels 0 and 1 in every slot; the build
-        # has no such limit
-        for slot in range(4):
-            levels = [0, 0, 0, 0]
-            levels[slot] = 2
-            with pytest.raises(IndexOutOfRange):
-                overlap_element_closed(*levels, REF, REF_MODES)
-        assert build_transform(REF, REF_MODES, d=3).entries.shape == (9, 9)
+        # has no such limit, and its d = 3 tensor (order 5) agrees with them
+        # on the levels they cover
+        built = build_transform(REF, REF_MODES, d=3).entries
+        assert built.shape == (9, 9)
+        low = [0, 1, 3, 4]  # (n, m) in {0, 1}^2 at d = 3
+        closed = closed_form_matrix(REF, REF_MODES)
+        assert_allclose(built[np.ix_(low, low)], closed, rtol=0, atol=1e-14)
 
 
 class TestTruncationLeakage:
