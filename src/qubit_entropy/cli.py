@@ -24,7 +24,7 @@ from . import __version__
 from .entropy import bipartite_entropies
 from .model import CircuitParams, FrequencyMethod, NormalModes, normal_modes
 from .state import thermal_spectra, thermal_weights, validity_diagnostics
-from .transform import TransformTensor, build_transform
+from .transform import build_transform
 
 __all__ = ["Sweep", "SweepConfig", "SweepError", "emit", "main", "parse_config", "run_sweep"]
 
@@ -79,19 +79,6 @@ class Sweep:
     q_values: tuple[float, ...]
     entropies: np.ndarray
     diagnostics: np.ndarray
-
-    def rows(self) -> list[dict[str, float]]:
-        """One dict per (T, q) grid point keyed by CSV_COLUMNS, in T-major order."""
-        mu_block, mu_complement, offdiag = self.diagnostics.tolist()
-        by_q = self.entropies.tolist()
-        rows: list[dict[str, float]] = []
-        for i, temperature in enumerate(self.temperatures.tolist()):
-            diagnostics = (mu_block[i], mu_complement[i], offdiag[i])
-            for q, (s_joint, s_first, s_second, margin) in zip(self.q_values, by_q):
-                entropies = (s_joint[i], s_first[i], s_second[i], margin[i], margin[i])
-                values = (temperature, q, *entropies, *diagnostics)
-                rows.append(dict(zip(CSV_COLUMNS, values)))
-        return rows
 
 
 @dataclass(frozen=True)
@@ -226,7 +213,7 @@ def parse_config(argv: list[str] | None = None) -> SweepConfig:
             args = parser.parse_args(_config_file_flags(args.config) + argv)
         config = SweepConfig(**{f.name: getattr(args, f.name) for f in fields(SweepConfig)})
         config.validate()
-        config.modes  # DegenerateFrequencies, UnstableMode: bad configuration
+        config.modes  # a circuit without small-angle modes: bad configuration
         if config.output == "":
             raise ValueError("--output must name a file")
         if not os.path.isdir(os.path.dirname(config.output or "") or "."):
@@ -282,8 +269,8 @@ def run_sweep(config: SweepConfig) -> Sweep:
 def _sweep_chunk(
     config: SweepConfig,
     modes: NormalModes,
-    u_small: TransformTensor,
-    u_big: TransformTensor,
+    u_small: np.ndarray,
+    u_big: np.ndarray,
     temps: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Columns for a chunk of temperatures, every stage stacked over the chunk.
@@ -328,23 +315,21 @@ def _header_lines(config: SweepConfig) -> list[str]:
     ]
 
 
-def emit(sweep: Sweep, config: SweepConfig, stream=None) -> None:
-    """Write the sweep to config.output (or a given stream) as CSV or JSON.
+def emit(sweep: Sweep, config: SweepConfig) -> None:
+    """Write the sweep to config.output (stdout if unset) as CSV or JSON.
 
-    CSV carries the configuration in leading ``#`` comments and prints
-    every value with 12 significant digits; JSON is a bare array of row
-    objects with the same keys and rounding, laid out as
-    ``json.dumps(sweep.rows(), indent=2)`` would lay it out.  Line
-    endings are LF.
+    Both hold one row per (T, q) grid point, T-major, with the values of
+    CSV_COLUMNS.  CSV carries the configuration in leading ``#`` comments
+    and prints every value with 12 significant digits; JSON is a bare
+    array of row objects keyed by CSV_COLUMNS with the same rounding, laid
+    out as ``json.dumps(rows, indent=2)`` would lay it out.  Line endings
+    are LF.
     """
-    if stream is None:
-        if config.output is None:
-            _write(sweep, config, sys.stdout)
-        else:
-            with open(config.output, "w", encoding="utf-8", newline="") as handle:
-                _write(sweep, config, handle)
+    if config.output is None:
+        _write(sweep, config, sys.stdout)
     else:
-        _write(sweep, config, stream)
+        with open(config.output, "w", encoding="utf-8", newline="") as handle:
+            _write(sweep, config, handle)
 
 
 def _csv_cells(values: np.ndarray) -> np.ndarray:

@@ -3,20 +3,12 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "NonPositiveQ",
-    "bipartite_entropies",
-    "spectrum_entropies",
-]
+__all__ = ["bipartite_entropies", "spectrum_entropies"]
 
 # |q - 1| below this routes to the von Neumann limit; the spectral
 # formula divides by (q - 1) and loses accuracy long before it hits a
 # literal zero.
 VON_NEUMANN_WINDOW = 1e-6
-
-
-class NonPositiveQ(ValueError):
-    """Entropic index q must be positive."""
 
 
 def _von_neumann(p: np.ndarray) -> np.ndarray:
@@ -56,7 +48,7 @@ def spectrum_entropies(p: np.ndarray, q: float) -> np.ndarray:
     which the spectral formula approaches in that limit.
     """
     if q <= 0:
-        raise NonPositiveQ(f"entropic index must be positive, got q={q}")
+        raise ValueError(f"entropic index must be positive, got q={q}")
     if abs(q - 1.0) < VON_NEUMANN_WINDOW:
         return _von_neumann(p)
     others = p[..., :-1]

@@ -1,55 +1,19 @@
-"""Oscillator eigenfunctions and the Gaussian that weights their products.
+"""Oscillator eigenfunctions and the Gauss-Hermite rule for their products.
 
 Everything here serves the overlap integrals between two product bases
 of oscillator eigenfunctions: each integrand is a product of four
 eigenfunctions, whose Gaussian factors combine into one correlated 2-D
-Gaussian, and a tensor-product Gauss-Hermite rule mapped through that
-Gaussian integrates it.
+Gaussian (formed in `transform`), and a tensor-product Gauss-Hermite
+rule mapped through that Gaussian integrates it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-__all__ = [
-    "GaussianQuadraticForm",
-    "NotPositiveDefinite",
-    "ho_eigenfunctions",
-]
-
-
-class NotPositiveDefinite(ValueError):
-    """The quadratic form does not define a convergent Gaussian."""
-
-
-@dataclass(frozen=True)
-class GaussianQuadraticForm:
-    """Exponent data for ``exp(-(a11*x1^2 + a22*x2^2 + 2*a12*x1*x2))``.
-
-    The form must be positive definite for any integral to exist; that
-    is checked where the form is consumed, not here.
-    """
-
-    a11: float
-    a22: float
-    a12: float
-
-    @property
-    def det(self) -> float:
-        return self.a11 * self.a22 - self.a12 * self.a12
-
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.a11, self.a12], [self.a12, self.a22]])
-
-
-def _require_positive_definite(form: GaussianQuadraticForm) -> None:
-    if form.a11 <= 0 or form.det <= 0:
-        raise NotPositiveDefinite(
-            f"form with a11={form.a11}, det={form.det} is not positive definite"
-        )
+__all__ = ["ho_eigenfunctions"]
 
 
 def ho_eigenfunctions(
@@ -66,7 +30,7 @@ def ho_eigenfunctions(
     """
     if d < 1:
         raise ValueError(f"need at least one level, got d={d}")
-    if length_scale <= 0:
+    if not length_scale > 0:
         raise ValueError(f"length scale must be positive, got {length_scale}")
     y = np.asarray(x, dtype=float) / length_scale
     gauss = np.exp(-0.5 * y * y)

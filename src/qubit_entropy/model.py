@@ -18,10 +18,8 @@ from enum import Enum
 __all__ = [
     "SMALL_ANGLE_LIMIT",
     "CircuitParams",
-    "DegenerateFrequencies",
     "FrequencyMethod",
     "NormalModes",
-    "UnstableMode",
     "normal_modes",
     "rotation_angle_exact",
     "rotation_angle_small",
@@ -30,14 +28,6 @@ __all__ = [
 # |phi| at or above this is outside the regime the linearized rotation
 # was derived for; callers get a warning rather than an error.
 SMALL_ANGLE_LIMIT = 0.3
-
-
-class DegenerateFrequencies(ValueError):
-    """The small-angle rotation formula is singular at lam = 1."""
-
-
-class UnstableMode(ValueError):
-    """A squared normal-mode frequency came out non-positive."""
 
 
 class FrequencyMethod(Enum):
@@ -82,11 +72,11 @@ def rotation_angle_small(params: CircuitParams) -> float:
 
     Raises
     ------
-    DegenerateFrequencies
+    ValueError
         If ``lam == 1``, where the linearized expression blows up.
     """
     if params.lam == 1:
-        raise DegenerateFrequencies(
+        raise ValueError(
             "small-angle rotation is singular at lam = 1; use the exact method"
         )
     phi = params.g * params.lam / (params.lam**2 - 1)
@@ -142,7 +132,7 @@ def normal_modes(
         w1_sq = lam**2 * s**2 + c**2 - 2 * g * lam * s * c
         w2_sq = s**2 + lam**2 * c**2 + 2 * g * lam * s * c
     if w1_sq <= 0 or w2_sq <= 0:
-        raise UnstableMode(
+        raise ValueError(
             f"non-positive squared frequency (omega1^2={w1_sq}, omega2^2={w2_sq})"
         )
     return NormalModes(phi, math.sqrt(w1_sq), math.sqrt(w2_sq), method)

@@ -9,30 +9,17 @@ state's populations.  A single state is a stack of one.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .model import NormalModes
-from .transform import TransformTensor
 
-__all__ = [
-    "DimensionMismatch",
-    "NonPositiveTemperature",
-    "thermal_spectra",
-    "thermal_weights",
-    "validity_diagnostics",
-]
+__all__ = ["thermal_spectra", "thermal_weights", "validity_diagnostics"]
 
 # Below this temperature every excited Boltzmann weight underflows;
 # return the exact ground-state projector instead.
 GROUND_STATE_T = 1e-8
-
-
-class NonPositiveTemperature(ValueError):
-    """Thermal states need T > 0."""
-
-
-class DimensionMismatch(ValueError):
-    """Operator dimensions do not agree."""
 
 
 def thermal_weights(modes: NormalModes, temperatures, d: int) -> np.ndarray:
@@ -47,9 +34,7 @@ def thermal_weights(modes: NormalModes, temperatures, d: int) -> np.ndarray:
     temps = np.asarray(temperatures, dtype=float)
     bad = ~(temps > 0)
     if bad.any():
-        raise NonPositiveTemperature(
-            f"temperature must be positive, got {float(temps[bad][0])}"
-        )
+        raise ValueError(f"temperature must be positive, got {float(temps[bad][0])}")
     if d < 2:
         raise ValueError(f"need at least two levels per mode, got d={d}")
     n = np.arange(d, dtype=float)
@@ -63,33 +48,36 @@ def thermal_weights(modes: NormalModes, temperatures, d: int) -> np.ndarray:
 
 
 def _weights_and_traces(
-    weights: np.ndarray, transform: TransformTensor
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(U, w, tr)``, checked, with ``tr = w . sum_a U_ia^2`` the trace of
-    each ``U^T diag(w) U``."""
+    weights: np.ndarray, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(w, tr, d)``, checked, with ``tr = w . sum_a U_ia^2`` the trace of
+    each ``U^T diag(w) U`` and d the levels per mode of the (d*d, d*d) U."""
     # C-ordered: the row sums below round differently on other layouts
-    u, w = transform.entries, np.ascontiguousarray(weights, dtype=float)
-    if w.ndim != 2 or w.shape[1] != u.shape[0]:
-        raise DimensionMismatch(f"weights {w.shape} do not match transform {u.shape}")
+    w, d = np.ascontiguousarray(weights, dtype=float), math.isqrt(len(u))
+    if u.shape != (d * d, d * d) or w.ndim != 2 or w.shape[1] != len(u):
+        raise ValueError(f"weights {w.shape} do not match transform {u.shape}")
     bad = ~(np.isfinite(w) & (w >= 0))
     if bad.any():
         raise ValueError(f"weights must be finite and non-negative, got {w[bad][0]}")
     traces = (w * (u * u).sum(axis=1)).sum(axis=1)
     if not (traces > 0).all():
         raise ValueError(f"trace must be positive, got {traces.min()}")
-    return u, w, traces
+    return w, traces, d
 
 
 def thermal_spectra(
-    weights: np.ndarray, transform: TransformTensor
+    weights: np.ndarray, u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ascending spectra of a stack of k bare-basis thermal states and of
     their marginals, with no state formed.
 
-    Returns ``joint`` of shape ``(k, d*d)`` and ``marginals`` of shape
-    ``(2, k, d)``: ``marginals[0]`` is the spectrum of the first mode's
-    marginal (the label n of the bare index ``n*d + m``), ``marginals[1]``
-    that of the second mode's (the label m).
+    ``weights`` holds one row of normal-mode populations per state and
+    ``u`` is the ``(d*d, d*d)`` overlap matrix of
+    :func:`~qubit_entropy.transform.build_transform`.  Returns ``joint``
+    of shape ``(k, d*d)`` and ``marginals`` of shape ``(2, k, d)``:
+    ``marginals[0]`` is the spectrum of the first mode's marginal (the
+    label n of the bare index ``n*d + m``), ``marginals[1]`` that of the
+    second mode's (the label m).
 
     The state ``U^T diag(w) U / tr`` is ``B^T B / tr`` with ``B = sqrt(w) U``;
     a marginal is ``C^T C / tr``, C being B with rows (i, m) and columns n
@@ -100,8 +88,8 @@ def thermal_spectra(
     relative accuracy (Demmel and Veselic, SIAM J. Matrix Anal. Appl. 13,
     1204 (1992)).  A non-finite spectrum raises ValueError.
     """
-    u, w, traces = _weights_and_traces(weights, transform)
-    k, dim, d = len(w), len(u), transform.d
+    w, traces, d = _weights_and_traces(weights, u)
+    k, dim = len(w), len(u)
     # the SVD keeps relative accuracy on rows graded from large to small
     order = np.argsort(-w, axis=1, kind="stable")
     b = np.sqrt(np.take_along_axis(w, order, axis=1))[:, :, None] * u[order]
@@ -117,12 +105,12 @@ def thermal_spectra(
 
 
 def validity_diagnostics(
-    weights: np.ndarray, transform: TransformTensor, d_small: int
+    weights: np.ndarray, u: np.ndarray, d_small: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """How well the d_small^2 block approximates each d_big^2 thermal state.
 
     One entry per row of thermal ``weights`` (normal-mode populations at
-    ``transform.d`` levels per mode) in each of three arrays, for the
+    the d_big levels per mode of ``u``) in each of three arrays, for the
     bare-basis state ``U^T diag(w) U / tr``: the purity of its
     renormalized block of bare levels below d_small (mu_block), the
     squared weight of the complement without renormalization
@@ -135,8 +123,7 @@ def validity_diagnostics(
     terms.  The state is ``B^T B`` with ``B = sqrt(w) U``, so PSD for finite
     non-negative weights, which are checked.
     """
-    u, w, traces = _weights_and_traces(weights, transform)
-    d_big = transform.d
+    w, traces, d_big = _weights_and_traces(weights, u)
     if not 2 <= d_small < d_big:
         raise ValueError(f"need 2 <= d_small < d_big, got {d_small}, {d_big}")
     kept = [n * d_big + m for n in range(d_small) for m in range(d_small)]

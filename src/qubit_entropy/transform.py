@@ -19,81 +19,37 @@ and columns over normal-mode levels.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import cos, sin, sqrt
 
 import numpy as np
 
-from .hermite import (
-    GaussianQuadraticForm,
-    ho_eigenfunctions,
-    _hermgauss_scaled,
-    _require_positive_definite,
-)
+from .hermite import ho_eigenfunctions, _hermgauss_scaled
 from .model import CircuitParams, FrequencyMethod, NormalModes
 
-__all__ = [
-    "TransformTensor",
-    "build_transform",
-    "gaussian_coefficients",
-]
-
-
-@dataclass(frozen=True)
-class TransformTensor:
-    """Overlap tensor flattened to a (d*d, d*d) matrix.
-
-    Row index is n*d + m over bare levels, column index is n'*d + m'
-    over normal-mode levels; the second label runs fastest.
-    """
-
-    entries: np.ndarray
-    d: int
-
-
-def _rotation_coefficients(modes: NormalModes) -> tuple[float, float]:
-    """Substitution coefficients (c, s) with x1' = c*x1 + s*x2, x2' = c*x2 - s*x1."""
-    if modes.method is FrequencyMethod.EXACT:
-        return cos(modes.phi), sin(modes.phi)
-    # linearized rotation used throughout the small-angle treatment
-    return 1.0, modes.phi
-
-
-def gaussian_coefficients(
-    params: CircuitParams, modes: NormalModes
-) -> GaussianQuadraticForm:
-    """Quadratic form shared by every overlap integrand.
-
-    Collecting the four eigenfunction Gaussians
-    ``exp(-x1^2/2 - lam*x2^2/2 - omega1*x1'^2/2 - omega2*x2'^2/2)`` with
-    the rotation substituted gives ``exp(-(a11*x1^2 + a22*x2^2 +
-    2*a12*x1*x2))`` with
-
-        a11 = (1   + omega1*c^2 + omega2*s^2) / 2
-        a22 = (lam + omega1*s^2 + omega2*c^2) / 2
-        a12 = c*s*(omega1 - omega2) / 2
-    """
-    lam = params.lam
-    c, s = _rotation_coefficients(modes)
-    w1, w2 = modes.omega1, modes.omega2
-    return GaussianQuadraticForm(
-        a11=0.5 * (1.0 + w1 * c * c + w2 * s * s),
-        a22=0.5 * (lam + w1 * s * s + w2 * c * c),
-        a12=0.5 * c * s * (w1 - w2),
-    )
-
-
-def _integrand_scales(
-    params: CircuitParams, modes: NormalModes
-) -> tuple[float, float, float]:
-    return 1.0 / sqrt(params.lam), 1.0 / sqrt(modes.omega1), 1.0 / sqrt(modes.omega2)
+__all__ = ["build_transform"]
 
 
 def build_transform(
     params: CircuitParams, modes: NormalModes, d: int = 2
-) -> TransformTensor:
-    """Assemble the full (d*d, d*d) overlap tensor by quadrature.
+) -> np.ndarray:
+    """The overlap tensor as a (d*d, d*d) matrix, by quadrature.
+
+    Row index is n*d + m over bare levels, column index is n'*d + m'
+    over normal-mode levels; the second label runs fastest.
+
+    The normal-mode coordinates are ``x1' = c*x1 + s*x2`` and
+    ``x2' = c*x2 - s*x1``, with ``(c, s) = (cos phi, sin phi)`` for the
+    exact angle and the linearized ``(1, phi)`` of the small-angle
+    treatment.  With them substituted, the four eigenfunction Gaussians
+    ``exp(-x1^2/2 - lam*x2^2/2 - omega1*x1'^2/2 - omega2*x2'^2/2)``
+    combine into ``exp(-(a11*x1^2 + a22*x2^2 + 2*a12*x1*x2))`` with
+
+        a11 = (1   + omega1*c^2 + omega2*s^2) / 2
+        a22 = (lam + omega1*s^2 + omega2*c^2) / 2
+        a12 = c*s*(omega1 - omega2) / 2
+
+    which must be positive definite (ValueError otherwise, NaN included).
 
     At g = 0 and phi = 0 the bases coincide and the tensor is the exact
     identity.  Otherwise every entry comes from one shared grid of 2d - 1
@@ -113,26 +69,34 @@ def build_transform(
     if d < 2:
         raise ValueError(f"need at least two levels per mode, got d={d}")
     if params.g == 0.0 and modes.phi == 0.0:
-        return TransformTensor(np.eye(d * d), d)
-    form = gaussian_coefficients(params, modes)
-    _require_positive_definite(form)
+        return np.eye(d * d)
+    lam, w1, w2 = params.lam, modes.omega1, modes.omega2
+    if modes.method is FrequencyMethod.EXACT:
+        c, s = cos(modes.phi), sin(modes.phi)
+    else:
+        c, s = 1.0, modes.phi
+    a11 = 0.5 * (1.0 + w1 * c * c + w2 * s * s)
+    a22 = 0.5 * (lam + w1 * s * s + w2 * c * c)
+    a12 = 0.5 * c * s * (w1 - w2)
+    det = a11 * a22 - a12 * a12
+    if not (a11 > 0 and det > 0):
+        raise ValueError(f"form with a11={a11}, det={det} is not positive definite")
     t, v = _hermgauss_scaled(2 * d - 1)
-    mu, rot = np.linalg.eigh(form.matrix())
+    mu, rot = np.linalg.eigh(np.array([[a11, a12], [a12, a22]]))
     scale = rot @ np.diag(1.0 / np.sqrt(mu))
     half = (t.size * t.size + 1) // 2  # the last kept node is the centre
     t1, t2 = (a.ravel()[:half] for a in np.meshgrid(t, t, indexing="ij"))
     x1 = scale[0, 0] * t1 + scale[0, 1] * t2
     x2 = scale[1, 0] * t1 + scale[1, 1] * t2
-    c, s = _rotation_coefficients(modes)
     x1p = c * x1 + s * x2
     x2p = c * x2 - s * x1
-    scale2, scale1p, scale2p = _integrand_scales(params, modes)
 
-    weights = (np.outer(v, v) / sqrt(form.det)).ravel()[:half]
+    weights = (np.outer(v, v) / sqrt(det)).ravel()[:half]
     weights[:-1] *= 2.0
-    f1, f2 = ho_eigenfunctions(d, x1, 1.0), ho_eigenfunctions(d, x2, scale2)
+    f1, f2 = ho_eigenfunctions(d, x1, 1.0), ho_eigenfunctions(d, x2, 1.0 / sqrt(lam))
     bare = (f1[:, None] * f2[None, :]).reshape(d * d, half)
-    f1, f2 = ho_eigenfunctions(d, x1p, scale1p), ho_eigenfunctions(d, x2p, scale2p)
+    f1 = ho_eigenfunctions(d, x1p, 1.0 / sqrt(w1))
+    f2 = ho_eigenfunctions(d, x2p, 1.0 / sqrt(w2))
     rotated = (f1[:, None] * f2[None, :]).reshape(d * d, half)
     del f1, f2
     bare *= weights  # in place: no third d^2 x N array at the peak
@@ -141,4 +105,4 @@ def build_transform(
     levels = entries.reshape(d, d, d, d)
     for n, m, n2 in product((0, 1), repeat=3):
         levels[n::2, m::2, n2::2, (1 + n + m + n2) % 2::2] = 0.0
-    return TransformTensor(entries, d)
+    return entries

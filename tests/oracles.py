@@ -5,18 +5,20 @@ with no input checks:
 
 - the 2-D Gaussian integral and its moments in closed form, and a
   tensor-product Gauss-Hermite rule to integrate them numerically;
+- the Gaussian shared by every overlap integrand, from the rotation;
 - single overlap elements ``<n m | n' m'>``, from Gaussian moments
   (levels 0 and 1) and by quadrature of the integrand (any levels);
 - the bare-basis thermal state formed as a dense matrix, its partial
-  traces and its eigenvalues.
+  traces and its eigenvalues;
+- the rows of a sweep report as dicts, one per (T, q) grid point.
 """
 import math
 
 import numpy as np
 
+from qubit_entropy.cli import CSV_COLUMNS
 from qubit_entropy.hermite import ho_eigenfunctions
 from qubit_entropy.model import FrequencyMethod
-from qubit_entropy.transform import gaussian_coefficients
 
 
 def gauss2d_integral(a, b):
@@ -78,12 +80,23 @@ def rotation(modes):
     return 1.0, modes.phi
 
 
+def gaussian_form(params, modes):
+    """The matrix ``a`` of the Gaussian ``exp(-x^T a x)`` of every overlap
+    integrand, ``(diag(1, lam) + M^T diag(omega1, omega2) M) / 2``: the
+    exponents of the four eigenfunctions, with ``M = [[c, s], [-s, c]]``
+    taking ``(x1, x2)`` to the normal-mode coordinates ``(x1', x2')``."""
+    c, s = rotation(modes)
+    m = np.array([[c, s], [-s, c]])
+    omegas = np.diag([modes.omega1, modes.omega2])
+    return 0.5 * (np.diag([1.0, params.lam]) + m.T @ omegas @ m)
+
+
 def overlap_element_closed(n, m, n2, m2, params, modes):
     """``<n m | n' m'>`` for levels 0 and 1, from Gaussian moments.
 
     H_1 is linear, so each level-1 eigenfunction contributes its argument
     and the integrand is a polynomial of total degree at most four times
-    the Gaussian of :func:`gaussian_coefficients`.  Odd level sums give odd
+    the Gaussian of :func:`gaussian_form`.  Odd level sums give odd
     moments only, and an exact zero.  At g = 0 the bases coincide and the
     element is a Kronecker delta.
     """
@@ -103,7 +116,7 @@ def overlap_element_closed(n, m, n2, m2, params, modes):
                     key = (i1 + i2, j1 + j2)
                     product[key] = product.get(key, 0.0) + c1 * c2
             poly = product
-    a = gaussian_coefficients(params, modes).matrix()
+    a = gaussian_form(params, modes)
     total = sum(coeff * gauss2d_moment(a, i, j) for (i, j), coeff in poly.items())
     lam, w1, w2 = params.lam, modes.omega1, modes.omega2
     kappa = (lam * w1 * w2) ** -0.25
@@ -142,7 +155,7 @@ def overlap_element_quadrature(n, m, n2, m2, params, modes):
             * psi(m2, c * x2 - s * x1, 1.0 / math.sqrt(modes.omega2))
         )
 
-    return quad2d(integrand, gaussian_coefficients(params, modes).matrix())
+    return quad2d(integrand, gaussian_form(params, modes))
 
 
 def dense_states(weights, u):
@@ -171,3 +184,18 @@ def partial_traces(states):
 def spectra(states):
     """Ascending eigenvalues of each state in a stack, clipped at zero."""
     return np.clip(np.linalg.eigvalsh(states), 0.0, None)
+
+
+def sweep_rows(sweep):
+    """One dict per (T, q) grid point of a sweep, keyed by CSV_COLUMNS, in
+    T-major order; the margin column repeats I."""
+    mu_block, mu_complement, offdiag = sweep.diagnostics.tolist()
+    by_q = sweep.entropies.tolist()
+    rows = []
+    for i, temperature in enumerate(sweep.temperatures.tolist()):
+        diagnostics = (mu_block[i], mu_complement[i], offdiag[i])
+        for q, (s_joint, s_first, s_second, margin) in zip(sweep.q_values, by_q):
+            entropies = (s_joint[i], s_first[i], s_second[i], margin[i], margin[i])
+            values = (temperature, q, *entropies, *diagnostics)
+            rows.append(dict(zip(CSV_COLUMNS, values)))
+    return rows

@@ -23,6 +23,7 @@ from oracles import (
     partial_traces,
     quad2d,
     spectra,
+    sweep_rows,
     unit_trace,
 )
 from qubit_entropy.cli import CSV_COLUMNS, main, parse_config, run_sweep
@@ -42,7 +43,7 @@ def read_rows(text):
 
 @pytest.fixture(scope="module")
 def default_rows():
-    return run_sweep(parse_config([])).rows()
+    return sweep_rows(run_sweep(parse_config([])))
 
 
 def test_criterion_1_dual_oracle_transform():
@@ -55,7 +56,7 @@ def test_criterion_1_dual_oracle_transform():
         )
         modes = normal_modes(params)
         closed = closed_form_matrix(params, modes)
-        quad = build_transform(params, modes, d=2).entries
+        quad = build_transform(params, modes, d=2)
         assert np.max(np.abs(closed - quad)) <= 1e-8
         for i, j in odd_cells:
             assert closed[i, j] == 0.0
@@ -118,9 +119,9 @@ def test_criterion_5_mutual_info_positive(default_rows):
     for row in default_rows:
         if row["q"] == 1.0:
             assert row["I"] >= -1e-10
-    uncoupled = run_sweep(
-        parse_config(["--g", "0", "--t-steps", "10", "--q", "1.0"])
-    ).rows()
+    uncoupled = sweep_rows(
+        run_sweep(parse_config(["--g", "0", "--t-steps", "10", "--q", "1.0"]))
+    )
     for row in uncoupled:
         assert abs(row["I"]) <= 1e-10
 
@@ -142,7 +143,7 @@ def test_criterion_7_bipartite_plumbing(default_rows):
     params = CircuitParams(lam=1.5, g=0.1)
     modes = normal_modes(params)
     u = build_transform(params, modes, d=2)
-    states = dense_states(thermal_weights(modes, [0.01, 0.1, 0.3, 0.5], 2), u.entries)
+    states = dense_states(thermal_weights(modes, [0.01, 0.1, 0.3, 0.5], 2), u)
     reduced = partial_traces(states)
     assert np.all(np.abs(np.trace(reduced, axis1=-2, axis2=-1) - 1.0) <= 1e-12)
     assert np.linalg.eigvalsh(reduced).min() >= -1e-10

@@ -22,3 +22,29 @@ def test_package_exports_exactly_the_submodule_lists():
         names += importlib.import_module("qubit_entropy." + suffix).__all__
     assert sorted(package.__all__) == sorted(names)
     assert "SMALL_ANGLE_LIMIT" in names
+
+
+def test_public_names_are_pinned():
+    # widening either surface has to be an edit here
+    package = importlib.import_module("qubit_entropy")
+    assert sorted(package.__all__) == [
+        "CircuitParams",
+        "FrequencyMethod",
+        "NormalModes",
+        "SMALL_ANGLE_LIMIT",
+        "__version__",
+        "bipartite_entropies",
+        "build_transform",
+        "ho_eigenfunctions",
+        "normal_modes",
+        "rotation_angle_exact",
+        "rotation_angle_small",
+        "spectrum_entropies",
+        "thermal_spectra",
+        "thermal_weights",
+        "validity_diagnostics",
+    ]
+    cli = importlib.import_module("qubit_entropy.cli")
+    assert sorted(cli.__all__) == [
+        "Sweep", "SweepConfig", "SweepError", "emit", "main", "parse_config", "run_sweep",
+    ]

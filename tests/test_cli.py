@@ -1,4 +1,5 @@
 """Sweep configuration, output formats, and the command-line contract."""
+import contextlib
 import io
 import json
 import math
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import sweep_rows
 import qubit_entropy.cli as cli_mod
 from qubit_entropy.cli import (
     CSV_COLUMNS,
@@ -73,8 +75,8 @@ def chunk_bytes_per_temperature(config):
 
 def reference_report(sweep, config):
     """The per-cell writer emit replaced: one ``_fmt`` call per cell of
-    ``Sweep.rows()``, and JSON through ``json.dumps(indent=2)``."""
-    rows = sweep.rows()
+    ``sweep_rows``, and JSON through ``json.dumps(indent=2)``."""
+    rows = sweep_rows(sweep)
     if config.output_format == "json":
         rounded = [
             {key: float(cli_mod._fmt(row[key])) for key in CSV_COLUMNS} for row in rows
@@ -86,8 +88,10 @@ def reference_report(sweep, config):
 
 
 def emitted(sweep, config):
+    # emit looks up sys.stdout when it is called
     buffer = io.StringIO()
-    emit(sweep, config, stream=buffer)
+    with contextlib.redirect_stdout(buffer):
+        emit(sweep, config)
     return buffer.getvalue()
 
 
@@ -268,7 +272,7 @@ class TestParseConfig:
 class TestRunSweep:
     def test_row_count_and_order(self):
         config = parse_config(FAST)
-        rows = run_sweep(config).rows()
+        rows = sweep_rows(run_sweep(config))
         assert len(rows) == 3 * 2
         # T-major, q fastest
         assert rows[0]["T"] == rows[1]["T"]
@@ -278,13 +282,13 @@ class TestRunSweep:
 
     def test_log_grid(self):
         config = parse_config(FAST + ["--t-scale", "log"])
-        rows = run_sweep(config).rows()
+        rows = sweep_rows(run_sweep(config))
         temps = sorted({row["T"] for row in rows})
         assert_allclose(temps[1] / temps[0], temps[2] / temps[1], rtol=1e-12)
 
     def test_zero_coupling_mutual_info_vanishes(self):
         config = parse_config(["--g", "0", "--t-steps", "4", "--q", "1.0"])
-        rows = run_sweep(config).rows()
+        rows = sweep_rows(run_sweep(config))
         assert all(abs(row["I"]) < 1e-10 for row in rows)
 
     @pytest.mark.parametrize("lam", [0.5, 0.7, 1.3, 1.5, 2.2])
@@ -334,7 +338,7 @@ class TestRunSweep:
         config = parse_config(
             ["--g", "0", "--t-steps", "6", "--q", "1.0", "--method", method]
         )
-        rows = run_sweep(config).rows()
+        rows = sweep_rows(run_sweep(config))
         d, d_small = config.levels_big, config.levels_small
         grid = cli_mod._temperature_grid(config)
         w = thermal_weights(config.modes, grid, d)
@@ -346,7 +350,7 @@ class TestRunSweep:
             assert row["mu_II"] == mu_complement
 
     def test_diagnostics_repeat_across_q(self):
-        rows = run_sweep(parse_config(FAST)).rows()
+        rows = sweep_rows(run_sweep(parse_config(FAST)))
         assert rows[0]["mu_I"] == rows[1]["mu_I"]
         assert rows[0]["offdiag_sum"] == rows[1]["offdiag_sum"]
 
@@ -398,7 +402,7 @@ class TestRunSweep:
             return real_chunk(config, modes, u_small, u_big, temps)
 
         monkeypatch.setattr(cli_mod, "_sweep_chunk", recording_chunk)
-        rows = run_sweep(config).rows()
+        rows = sweep_rows(run_sweep(config))
         assert sizes[:-1] == [7] * (len(sizes) - 1) and 0 < sizes[-1] < 7
         expected = per_temperature_rows(config)
         assert len(rows) == len(expected)
@@ -427,7 +431,7 @@ class TestEmit:
         assert any("lambda=1.5" in ln for ln in comment_lines)
         header, parsed = parse_csv(text)
         assert header == list(CSV_COLUMNS)
-        assert len(parsed) == len(sweep.rows())
+        assert len(parsed) == len(sweep_rows(sweep))
 
     def test_single_row_gives_header_plus_row(self):
         config = parse_config(FAST)
@@ -447,7 +451,7 @@ class TestEmit:
         config = parse_config(FAST)
         sweep = run_sweep(config)
         _, parsed = parse_csv(emitted(sweep, config))
-        for printed, computed in zip(parsed, sweep.rows()):
+        for printed, computed in zip(parsed, sweep_rows(sweep)):
             for key in CSV_COLUMNS:
                 assert printed[key] == pytest.approx(computed[key], rel=1e-11)
 

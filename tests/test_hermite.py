@@ -6,12 +6,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import gauss2d_integral, gauss2d_moment, quad2d
-from qubit_entropy.hermite import (
-    GaussianQuadraticForm,
-    NotPositiveDefinite,
-    _require_positive_definite,
-    ho_eigenfunctions,
-)
+from qubit_entropy.hermite import ho_eigenfunctions
+from qubit_entropy.model import CircuitParams, FrequencyMethod, NormalModes
+from qubit_entropy.transform import build_transform
 
 
 def explicit_hermite(k, x):
@@ -81,6 +78,8 @@ class TestEigenfunction:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             ho_eigenfunctions(1, 0.0, 0.0)
+        with pytest.raises(ValueError, match="length scale must be positive"):
+            ho_eigenfunctions(2, 0.0, float("nan"))
 
 
 # |x| / length_scale above about 37.6 puts exp(-y^2/2) below the normal
@@ -153,9 +152,13 @@ class TestGauss2dIntegral:
             assert_allclose(gauss2d_integral(a, b), numeric, rtol=1e-10)
 
     def test_indefinite_form_rejected(self):
-        # the check build_transform makes before it integrates
-        with pytest.raises(NotPositiveDefinite):
-            _require_positive_definite(GaussianQuadraticForm(a11=1.0, a22=1.0, a12=2.0))
+        # the check build_transform makes before it integrates: a negative
+        # mode frequency makes a11 negative, a NaN one makes the form NaN
+        params = CircuitParams(lam=1.5, g=0.1)
+        for omega1, omega2 in [(-5.0, 1.5), (0.1, float("nan"))]:
+            modes = NormalModes(0.1, omega1, omega2, FrequencyMethod.SMALL_ANGLE)
+            with pytest.raises(ValueError, match="not positive definite"):
+                build_transform(params, modes, 2)
 
 
 class TestGauss2dMoment:

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 from qubit_entropy.model import (
     SMALL_ANGLE_LIMIT,
     CircuitParams,
-    DegenerateFrequencies,
     FrequencyMethod,
     normal_modes,
     rotation_angle_exact,
@@ -66,7 +65,7 @@ class TestRotationAngle:
             assert gap < 1.5 * abs(phi) ** 3
 
     def test_degenerate_ratio_small_angle_raises(self):
-        with pytest.raises(DegenerateFrequencies):
+        with pytest.raises(ValueError, match="singular at lam = 1"):
             rotation_angle_small(CircuitParams(lam=1.0, g=0.1))
 
     def test_degenerate_ratio_exact_is_quarter_pi(self):

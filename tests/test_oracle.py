@@ -65,7 +65,7 @@ def misses(argv, columns=("S_joint", "S_1", "S_2", "I"), rel=REL, abs=ABS):
     config = parse_config(argv)
     sweep = run_sweep(config)
     params = CircuitParams(lam=config.lam, g=config.g)
-    u = build_transform(params, config.modes, d=config.levels_small).entries
+    u = build_transform(params, config.modes, d=config.levels_small)
     bad = []
     for k, temperature in enumerate(sweep.temperatures.tolist()):
         oracle = oracle_cells(

@@ -7,13 +7,14 @@ from numpy.testing import assert_allclose
 
 from oracles import (
     closed_form_matrix,
+    gaussian_form,
     overlap_element_closed,
     overlap_element_quadrature,
     rotation,
 )
 from qubit_entropy.hermite import ho_eigenfunctions
 from qubit_entropy.model import CircuitParams, FrequencyMethod, normal_modes
-from qubit_entropy.transform import build_transform, gaussian_coefficients
+from qubit_entropy.transform import build_transform
 
 REF = CircuitParams(lam=1.5, g=0.1)
 REF_MODES = normal_modes(REF)
@@ -28,21 +29,26 @@ def per_entry_tables(params, modes, d, order=None):
     entry-by-entry assembly that build_transform replaced by per-axis
     eigenfunction tables, over every node of the tensor-product rule.
     """
-    form = gaussian_coefficients(params, modes)
+    lam, w1, w2 = params.lam, modes.omega1, modes.omega2
+    c, s = rotation(modes)
+    # the Gaussian as build_transform writes it, so the grids agree bit for bit
+    a11 = 0.5 * (1.0 + w1 * c * c + w2 * s * s)
+    a22 = 0.5 * (lam + w1 * s * s + w2 * c * c)
+    a12 = 0.5 * c * s * (w1 - w2)
+    det = a11 * a22 - a12 * a12
     t, w = np.polynomial.hermite.hermgauss(order or 2 * d - 1)
     v = np.exp(np.log(w) + t * t)
-    mu, rot = np.linalg.eigh(form.matrix())
+    mu, rot = np.linalg.eigh(np.array([[a11, a12], [a12, a22]]))
     scale = rot @ np.diag(1.0 / np.sqrt(mu))
     t1, t2 = np.meshgrid(t, t, indexing="ij")
     x1 = scale[0, 0] * t1 + scale[0, 1] * t2
     x2 = scale[1, 0] * t1 + scale[1, 1] * t2
-    c, s = rotation(modes)
     x1p = c * x1 + s * x2
     x2p = c * x2 - s * x1
-    scale2 = 1.0 / sqrt(params.lam)
-    scale1p, scale2p = 1.0 / sqrt(modes.omega1), 1.0 / sqrt(modes.omega2)
+    scale2 = 1.0 / sqrt(lam)
+    scale1p, scale2p = 1.0 / sqrt(w1), 1.0 / sqrt(w2)
 
-    weights = (np.outer(v, v) / sqrt(form.det)).ravel()
+    weights = (np.outer(v, v) / sqrt(det)).ravel()
     f1, f2 = ho_eigenfunctions(d, x1, 1.0), ho_eigenfunctions(d, x2, scale2)
     f1p, f2p = ho_eigenfunctions(d, x1p, scale1p), ho_eigenfunctions(d, x2p, scale2p)
     bare = np.empty((d * d, t.size * t.size))
@@ -86,22 +92,23 @@ def per_entry_quadrature_build(params, modes, d, order=None, fold=False):
 def probe_block_deviation(params, modes, d):
     """Max-norm gap of the lowest 2x2-level block of U^T U from identity."""
     u = build_transform(params, modes, d=d)
-    gram = u.entries.T @ u.entries
+    gram = u.T @ u
     idx = [n * d + m for n in range(2) for m in range(2)]
     return np.max(np.abs(gram[np.ix_(idx, idx)] - np.eye(4)))
 
 
 class TestGaussianCoefficients:
+    # the Gaussian of tests/oracles.py, derived there from the rotation
     def test_zero_coupling_is_separable(self):
         params = CircuitParams(lam=1.0, g=0.0)
-        form = gaussian_coefficients(params, normal_modes(params))
-        assert form.a12 == 0.0
-        assert form.det > 0
+        form = gaussian_form(params, normal_modes(params))
+        assert form[0, 1] == form[1, 0] == 0.0
+        assert np.linalg.det(form) > 0
 
     def test_positive_definite_at_reference(self):
-        form = gaussian_coefficients(REF, REF_MODES)
-        assert form.a11 > 0
-        assert form.det > 0
+        form = gaussian_form(REF, REF_MODES)
+        assert form[0, 0] > 0
+        assert np.linalg.det(form) > 0
 
     def test_legacy_table_fails_zero_coupling_identity(self):
         # at g=0 the transform must be the identity, which needs
@@ -109,31 +116,31 @@ class TestGaussianCoefficients:
         params = CircuitParams(lam=1.5, g=0.0)
         modes = normal_modes(params)
         kappa = (params.lam * modes.omega1 * modes.omega2) ** -0.25
-        good = gaussian_coefficients(params, modes)
-        assert_allclose(1.0 / (kappa * np.sqrt(good.det)), 1.0, rtol=1e-14)
+        good = gaussian_form(params, modes)
+        assert_allclose(1.0 / (kappa * np.sqrt(np.linalg.det(good))), 1.0, rtol=1e-14)
 
     def test_quadrature_arbitrates_between_tables(self):
         # the ground-state element follows 1/(K sqrt(det A)); the
         # current coefficients reproduce the directly integrated value
         kappa = (REF.lam * REF_MODES.omega1 * REF_MODES.omega2) ** -0.25
         oracle = overlap_element_quadrature(0, 0, 0, 0, REF, REF_MODES)
-        good = gaussian_coefficients(REF, REF_MODES)
-        assert_allclose(1.0 / (kappa * np.sqrt(good.det)), oracle, rtol=1e-10)
+        good = gaussian_form(REF, REF_MODES)
+        assert_allclose(1.0 / (kappa * np.sqrt(np.linalg.det(good))), oracle, rtol=1e-10)
 
 
 class TestClosedElements:
     def test_ground_element_formula(self):
-        form = gaussian_coefficients(REF, REF_MODES)
+        det = np.linalg.det(gaussian_form(REF, REF_MODES))
         kappa = (REF.lam * REF_MODES.omega1 * REF_MODES.omega2) ** -0.25
-        expected = 1.0 / (kappa * np.sqrt(form.det))
+        expected = 1.0 / (kappa * np.sqrt(det))
         assert_allclose(
             overlap_element_closed(0, 0, 0, 0, REF, REF_MODES), expected, rtol=1e-13
         )
 
     def test_both_excited_element_formula(self):
-        form = gaussian_coefficients(REF, REF_MODES)
+        form = gaussian_form(REF, REF_MODES)
         kappa = (REF.lam * REF_MODES.omega1 * REF_MODES.omega2) ** -0.25
-        expected = -form.a12 * np.sqrt(REF.lam) / (kappa * form.det**1.5)
+        expected = -form[0, 1] * np.sqrt(REF.lam) / (kappa * np.linalg.det(form) ** 1.5)
         assert_allclose(
             overlap_element_closed(1, 1, 0, 0, REF, REF_MODES), expected, rtol=1e-13
         )
@@ -142,11 +149,12 @@ class TestClosedElements:
         # two prefactor groupings from the superseded derivation, both
         # well off the integrated value; the moment expansion matches it
         phi = REF_MODES.phi
-        form = gaussian_coefficients(REF, REF_MODES)
+        form = gaussian_form(REF, REF_MODES)
+        det = np.linalg.det(form)
         kappa = (REF.lam * REF_MODES.omega1 * REF_MODES.omega2) ** -0.25
-        shared = (1 - phi**2) * (1 + 3 * form.a12**2 / form.det)
-        grouping_a = shared / (kappa * form.det) ** 1.5
-        grouping_b = shared / (kappa * form.det**1.5)
+        shared = (1 - phi**2) * (1 + 3 * form[0, 1] ** 2 / det)
+        grouping_a = shared / (kappa * det) ** 1.5
+        grouping_b = shared / (kappa * det**1.5)
         oracle = overlap_element_quadrature(1, 1, 1, 1, REF, REF_MODES)
         closed = overlap_element_closed(1, 1, 1, 1, REF, REF_MODES)
         assert_allclose(closed, oracle, atol=1e-10)
@@ -208,14 +216,14 @@ class TestDualOracle:
             modes = normal_modes(params)
             closed = closed_form_matrix(params, modes)
             quad = build_transform(params, modes, d=2)
-            assert np.max(np.abs(closed - quad.entries)) < 1e-8
+            assert np.max(np.abs(closed - quad)) < 1e-8
 
     def test_quadrature_parity_cells_tiny(self):
         # the fold sets every entry of odd level sum to an exact zero
         for method in FrequencyMethod:
             modes = normal_modes(REF, method)
             for d in (2, 3, 8, 20):
-                entries = build_transform(REF, modes, d=d).entries
+                entries = build_transform(REF, modes, d=d)
                 odd = odd_level_sum(d)
                 assert np.all(entries[odd] == 0.0)
                 assert not np.any(np.signbit(entries[odd]))
@@ -228,7 +236,7 @@ class TestDualOracle:
         shifted = build_transform(
             shifted_params, normal_modes(shifted_params), d=2
         )
-        assert np.max(np.abs(base.entries - shifted.entries)) < 1e-4
+        assert np.max(np.abs(base - shifted)) < 1e-4
 
 
 class TestBuildTransform:
@@ -237,7 +245,7 @@ class TestBuildTransform:
         # they differ by rounding only
         built = build_transform(REF, REF_MODES, d=2)
         closed = closed_form_matrix(REF, REF_MODES)
-        assert_allclose(built.entries, closed, rtol=0, atol=1e-14)
+        assert_allclose(built, closed, rtol=0, atol=1e-14)
 
     def test_quadrature_build_equals_elementwise_values(self):
         built = build_transform(REF, REF_MODES, d=3)
@@ -249,7 +257,7 @@ class TestBuildTransform:
                             n, m, n2, m2, REF, REF_MODES
                         )
                         assert_allclose(
-                            built.entries[n * 3 + m, n2 * 3 + m2], element, atol=1e-13
+                            built[n * 3 + m, n2 * 3 + m2], element, atol=1e-13
                         )
 
     @pytest.mark.parametrize(
@@ -270,7 +278,7 @@ class TestBuildTransform:
             expected = np.eye(d * d)
         else:
             expected = per_entry_quadrature_build(params, modes, d, fold=True)
-        np.testing.assert_array_equal(built.entries, expected)
+        np.testing.assert_array_equal(built, expected)
 
     @pytest.mark.parametrize("method", list(FrequencyMethod))
     @pytest.mark.parametrize("d", [2, 4, 8, 20])
@@ -294,7 +302,7 @@ class TestBuildTransform:
         # terms plus one for the second product, gamma_k = k u / (1 - k u).
         # Entries of odd level sum have an exact sum of zero.
         modes = normal_modes(REF, method)
-        built = build_transform(REF, modes, d=d).entries
+        built = build_transform(REF, modes, d=d)
         bare, rotated, weights = per_entry_tables(REF, modes, d)
         full = (bare * weights) @ rotated.T
         unit = np.finfo(float).eps / 2
@@ -320,7 +328,7 @@ class TestBuildTransform:
             modes = normal_modes(params, method)
             built = build_transform(params, modes, d)
             high = per_entry_quadrature_build(params, modes, d, order=64)
-            assert np.max(np.abs(built.entries - high)) <= 1e-14
+            assert np.max(np.abs(built - high)) <= 1e-14
 
     def test_zero_coupling_closed_build_is_exact_identity(self):
         params = CircuitParams(lam=1.5, g=0.0)
@@ -329,12 +337,13 @@ class TestBuildTransform:
     def test_zero_coupling_quadrature_build_near_identity(self):
         params = CircuitParams(lam=1.5, g=0.0)
         built = build_transform(params, normal_modes(params), d=2)
-        assert np.array_equal(built.entries, np.eye(4))
+        assert np.array_equal(built, np.eye(4))
 
     def test_metadata_recorded(self):
+        # a plain matrix: the levels per mode are the square root of its size
         built = build_transform(REF, REF_MODES, d=3)
-        assert built.d == 3
-        assert built.entries.shape == (9, 9)
+        assert type(built) is np.ndarray
+        assert built.shape == (9, 9) and built.dtype == np.float64
 
     def test_dimension_floor(self):
         with pytest.raises(ValueError):
@@ -344,7 +353,7 @@ class TestBuildTransform:
         # the closed forms cover levels 0 and 1 in every slot; the build
         # has no such limit, and its d = 3 tensor (order 5) agrees with them
         # on the levels they cover
-        built = build_transform(REF, REF_MODES, d=3).entries
+        built = build_transform(REF, REF_MODES, d=3)
         assert built.shape == (9, 9)
         low = [0, 1, 3, 4]  # (n, m) in {0, 1}^2 at d = 3
         closed = closed_form_matrix(REF, REF_MODES)
@@ -382,7 +391,7 @@ class TestTruncationLeakage:
         for lam, g, bound in cases:
             params = CircuitParams(lam=lam, g=g)
             u = build_transform(params, normal_modes(params), d=2)
-            gram = u.entries.T @ u.entries
+            gram = u.T @ u
             assert np.max(np.abs(gram - np.eye(4))) <= bound
 
     def test_weak_coupling_leakage_below_tolerance(self):
@@ -392,5 +401,5 @@ class TestTruncationLeakage:
             for g in (0.002, 0.005, 0.01):
                 params = CircuitParams(lam=lam, g=g)
                 u = build_transform(params, normal_modes(params), d=2)
-                gram = u.entries.T @ u.entries
+                gram = u.T @ u
                 assert np.max(np.abs(gram - np.eye(4))) <= 1e-3
