@@ -34,10 +34,10 @@ __all__ = ["Sweep", "SweepConfig", "SweepError", "emit", "main", "parse_config",
 # save little, cost memory.
 CHUNK_BYTES = 256 * 1024
 
-# The levels-big transform holds two tables of levels_big^2 eigenfunction
-# products on the half of the (2 * levels_big - 1)^2 quadrature nodes its
-# parity fold keeps, growing as levels_big^4: 16 MB each at this limit,
-# 25 GB each at levels-big 200.
+# The largest array of the levels-big transform is the product of two
+# eigenfunction tables its first matrix product sums, levels_big^2 rows on
+# levels_big x (2 * levels_big - 1) quadrature nodes, growing as
+# levels_big^4: 17 MB at this limit, 26 GB at levels-big 200.
 MAX_LEVELS_BIG = 32
 
 # --method and the config key method are accepted and ignored: both

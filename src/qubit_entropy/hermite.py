@@ -4,7 +4,8 @@ Everything here serves the overlap integrals between two product bases
 of oscillator eigenfunctions: each integrand is a product of four
 eigenfunctions, whose Gaussian factors combine into one correlated 2-D
 Gaussian (formed in `transform`), and a tensor-product Gauss-Hermite
-rule mapped through that Gaussian integrates it.
+rule, its nodes mapped through the triangular factor of that Gaussian,
+integrates it.
 """
 from __future__ import annotations
 

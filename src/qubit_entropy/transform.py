@@ -11,11 +11,14 @@ where |n m> are eigenstates of the uncoupled pair (length scales 1 and
 1/sqrt(omega1), 1/sqrt(omega2)) of the rotated coordinates.  Each
 element is a 2-D integral of four oscillator eigenfunctions against a
 shared Gaussian.  :func:`build_transform` fills the tensor by Gauss-Hermite
-quadrature, folded by parity: every integrand is even or odd under
-``(x1, x2) -> (-x1, -x2)``, so half of the symmetric grid is evaluated and
-the elements whose four levels have an odd sum are exact zeros.  The
-tensor is flattened to a ``(d*d, d*d)`` matrix, rows over bare levels
-and columns over normal-mode levels.
+quadrature on a grid mapped through the triangular factor of that
+Gaussian, so the bare x2 depends on one node index only and the sum
+factorizes into two matrix products, one per axis.  The sum is folded by
+parity: every integrand is even or odd under ``(x1, x2) -> (-x1, -x2)``,
+so half of the symmetric grid is evaluated and the elements whose four
+levels have an odd sum are exact zeros.  The tensor is flattened to a
+``(d*d, d*d)`` matrix, rows over bare levels and columns over
+normal-mode levels.
 """
 from __future__ import annotations
 
@@ -49,22 +52,29 @@ def build_transform(
         a22 = (lam + omega1*s^2 + omega2*c^2) / 2
         a12 = c*s*(omega1 - omega2) / 2
 
-    which must be positive definite (ValueError otherwise, NaN included).
+    which must be positive definite, and both mode frequencies must be
+    positive (ValueError otherwise, NaN included).
 
     At g = 0 and phi = 0 the bases coincide and the tensor is the exact
-    identity.  Otherwise every entry comes from one shared grid of 2d - 1
-    nodes per axis: each axis gets one table of eigenfunctions, the bare
-    and normal-mode products are formed from those tables, and the
-    weighted sum is one matrix product.  The integrand of every entry has
-    per-axis degree at most 4(d - 1), so this order is the lowest at which
-    the rule is exact; a higher one changes U only by rounding.
+    identity.  Otherwise every entry comes from one tensor-product
+    Gauss-Hermite rule of 2d - 1 nodes per axis.  The integrand of every
+    entry has per-axis degree at most 4(d - 1), so this order is the
+    lowest at which the rule is exact; a higher one changes U only by
+    rounding.
 
-    The grid is folded by parity.  The Gauss-Hermite rule is symmetric,
-    so flat node N - 1 - k is node k negated, bit for bit, and an
-    eigenfunction product of levels (n, m) takes the factor (-1)^(n+m)
-    there.  Only the first half of the nodes, through the centre, is
-    evaluated, with every weight but the centre's doubled; the entries
-    whose four levels have an odd sum vanish and are set to exact zeros.
+    The nodes ``(t[k1], t[k2])`` are mapped through the triangular factor
+    of the Gaussian, ``t[k1] = sqrt(a11)*(x1 + a12/a11*x2)`` and
+    ``t[k2] = sqrt(det/a11)*x2``, so the bare x2 depends on k2 alone and
+    the sum factorizes: for each k2, one matrix product sums the bare
+    mode-1 and both normal-mode eigenfunctions over k1, and a second
+    product sums the bare mode-2 eigenfunctions over k2.
+
+    The k2 axis is folded by parity.  The rule is symmetric and the map
+    linear, so node ``(N-1-k1, N-1-k2)`` is node ``(k1, k2)`` negated,
+    bit for bit, where each integrand takes the factor (-1)^(n+m+n'+m').
+    Only k2 up to the centre is evaluated, with every weight but the
+    centre's doubled; the entries whose four levels have an odd sum
+    vanish and are set to exact zeros.
     """
     if d < 2:
         raise ValueError(f"need at least two levels per mode, got d={d}")
@@ -81,28 +91,31 @@ def build_transform(
     det = a11 * a22 - a12 * a12
     if not (a11 > 0 and det > 0):
         raise ValueError(f"form with a11={a11}, det={det} is not positive definite")
+    for name, omega in (("omega1", w1), ("omega2", w2)):
+        if not omega > 0:
+            raise ValueError(f"normal mode frequency {name}={omega} is not positive")
     t, v = _hermgauss_scaled(2 * d - 1)
-    mu, rot = np.linalg.eigh(np.array([[a11, a12], [a12, a22]]))
-    scale = rot @ np.diag(1.0 / np.sqrt(mu))
-    half = (t.size * t.size + 1) // 2  # the last kept node is the centre
-    t1, t2 = (a.ravel()[:half] for a in np.meshgrid(t, t, indexing="ij"))
-    x1 = scale[0, 0] * t1 + scale[0, 1] * t2
-    x2 = scale[1, 0] * t1 + scale[1, 1] * t2
-    x1p = c * x1 + s * x2
-    x2p = c * x2 - s * x1
+    # k2 runs through the centre node, k1 over all nodes: grids are (k2, k1)
+    x2 = t[:d] / sqrt(det / a11)
+    x1 = t / sqrt(a11) - (a12 / a11) * x2[:, None]
+    x1p = c * x1 + s * x2[:, None]
+    x2p = c * x2[:, None] - s * x1
 
-    weights = (np.outer(v, v) / sqrt(det)).ravel()[:half]
+    weights = v[:d] / sqrt(det)
     weights[:-1] *= 2.0
-    f1, f2 = ho_eigenfunctions(d, x1, 1.0), ho_eigenfunctions(d, x2, 1.0 / sqrt(lam))
-    bare = (f1[:, None] * f2[None, :]).reshape(d * d, half)
-    f1 = ho_eigenfunctions(d, x1p, 1.0 / sqrt(w1))
-    f2 = ho_eigenfunctions(d, x2p, 1.0 / sqrt(w2))
-    rotated = (f1[:, None] * f2[None, :]).reshape(d * d, half)
-    del f1, f2
-    bare *= weights  # in place: no third d^2 x N array at the peak
-    entries = bare @ rotated.T
+    bare2 = ho_eigenfunctions(d, x2, 1.0 / sqrt(lam)) * weights
+    bare1 = ho_eigenfunctions(d, x1, 1.0) * v
+    rotated1 = ho_eigenfunctions(d, x1p, 1.0 / sqrt(w1))
+    rotated2 = ho_eigenfunctions(d, x2p, 1.0 / sqrt(w2))
+    # sum over k1: (k2, n n', k1) @ (k2, k1, m') for each k2
+    pairs = bare1.transpose(1, 0, 2)[:, :, None] * rotated1.transpose(1, 0, 2)[:, None]
+    del bare1, rotated1
+    inner = pairs.reshape(d, d * d, -1) @ rotated2.transpose(1, 2, 0)
+    del pairs
+    # sum over k2: (m, k2) @ (k2, n' m') for each n, giving (n, m, n' m')
+    entries = bare2 @ inner.reshape(d, d, -1).transpose(1, 0, 2)
     # zero the entries whose level sum n + m + n' + m' is odd
     levels = entries.reshape(d, d, d, d)
     for n, m, n2 in product((0, 1), repeat=3):
         levels[n::2, m::2, n2::2, (1 + n + m + n2) % 2::2] = 0.0
-    return entries
+    return entries.reshape(d * d, d * d)

@@ -7,11 +7,13 @@ with no input checks:
   tensor-product Gauss-Hermite rule to integrate them numerically;
 - the Gaussian shared by every overlap integrand, from the rotation;
 - single overlap elements ``<n m | n' m'>``, from Gaussian moments
-  (levels 0 and 1) and by quadrature of the integrand (any levels);
+  (levels 0 and 1) and by quadrature of the integrand (any levels), and
+  the whole overlap tensor from a generating-function recurrence;
 - the bare-basis thermal state formed as a dense matrix, its partial
   traces and its eigenvalues;
 - the rows of a sweep report as dicts, one per (T, q) grid point.
 """
+import itertools
 import math
 
 import numpy as np
@@ -156,6 +158,48 @@ def overlap_element_quadrature(n, m, n2, m2, params, modes):
         )
 
     return quad2d(integrand, gaussian_form(params, modes))
+
+
+def overlap_recurrence(params, modes, d):
+    """The (d*d, d*d) overlap tensor from the generating function, with no
+    eigenfunctions and no grid.
+
+    With ``y = P^T x`` the four eigenfunction arguments,
+    ``P = [diag(1, sqrt(lam)) | M^T diag(sqrt(omega1), sqrt(omega2))]``,
+    the generating functions of the four eigenfunctions integrate against
+    the Gaussian ``a`` of :func:`gaussian_form` to
+    ``sum_k U_k s^k / sqrt(k!) = U_0 exp(s^T Q s / 2)`` over the level
+    quadruples k = (n, m, n', m'), with ``Q = P^T a^-1 P - I`` and
+    ``U_0 = (lam omega1 omega2)^(1/4) / sqrt(det a)``.  Its derivative in
+    ``s_i`` gives ``sqrt(k_i + 1) U_{k+e_i} = sum_j Q_ij sqrt(k_j) U_{k-e_j}``.
+
+    An oracle only: the recurrence cancels at strong coupling and loses
+    accuracy as d grows (1.6e-10 at d = 24 for lam = 2.5, g = 0.9).
+    """
+    c, s = rotation(modes)
+    m = np.array([[c, s], [-s, c]])
+    a = gaussian_form(params, modes)
+    omegas = np.sqrt([modes.omega1, modes.omega2])
+    p = np.hstack([np.diag([1.0, math.sqrt(params.lam)]), m.T * omegas])
+    q = p.T @ np.linalg.solve(a, p) - np.eye(4)
+    u = np.zeros((d,) * 4)
+    u[0, 0, 0, 0] = (params.lam * modes.omega1 * modes.omega2) ** 0.25 / math.sqrt(
+        np.linalg.det(a)
+    )
+    # lexicographic order: every k - e_j comes before k
+    for k in itertools.product(range(d), repeat=4):
+        if any(k):
+            i = next(j for j in range(4) if k[j])
+            prev = list(k)
+            prev[i] -= 1
+            total = 0.0
+            for j in range(4):
+                if prev[j]:
+                    lower = list(prev)
+                    lower[j] -= 1
+                    total += q[i, j] * math.sqrt(prev[j]) * u[tuple(lower)]
+            u[k] = total / math.sqrt(k[i])
+    return u.reshape(d * d, d * d)
 
 
 def dense_states(weights, u):

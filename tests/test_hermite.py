@@ -160,6 +160,15 @@ class TestGauss2dIntegral:
             with pytest.raises(ValueError, match="not positive definite"):
                 build_transform(params, modes, 2)
 
+    def test_nonpositive_frequency_rejected(self):
+        # a negative frequency whose form is still positive definite: rejected
+        # by name before any square root of it is taken
+        params = CircuitParams(lam=1.5, g=0.1)
+        for omega1, omega2, name in [(-0.1, 1.5, "omega1"), (0.1, -0.1, "omega2")]:
+            modes = NormalModes(0.1, omega1, omega2, FrequencyMethod.SMALL_ANGLE)
+            with pytest.raises(ValueError, match=f"{name}=-0.1 is not positive"):
+                build_transform(params, modes, 2)
+
 
 class TestGauss2dMoment:
     def test_matches_quadrature_up_to_quartic(self):

@@ -10,6 +10,7 @@ from oracles import (
     gaussian_form,
     overlap_element_closed,
     overlap_element_quadrature,
+    overlap_recurrence,
     rotation,
 )
 from qubit_entropy.hermite import ho_eigenfunctions
@@ -22,27 +23,31 @@ REF_MODES = normal_modes(REF)
 ODD_CELLS = [(0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2)]
 
 
-def per_entry_tables(params, modes, d, order=None):
+def per_entry_tables(params, modes, d, order=None, triangular=False):
     """Bare and normal-mode eigenfunction products and the weights on the full grid.
 
-    One row per (n, m), filled one eigenfunction product at a time: the
-    entry-by-entry assembly that build_transform replaced by per-axis
-    eigenfunction tables, over every node of the tensor-product rule.
+    One row per (n, m), filled one eigenfunction product at a time, over
+    every node of the tensor-product rule; columns run over the flat node
+    index k1 * N + k2.  The nodes are mapped through the eigen-decomposition
+    of the Gaussian, which build_transform does not use, so its grid shares
+    no node with the build's; or, with ``triangular``, through the
+    triangular factor of the Gaussian, as build_transform maps them.
     """
     lam, w1, w2 = params.lam, modes.omega1, modes.omega2
     c, s = rotation(modes)
-    # the Gaussian as build_transform writes it, so the grids agree bit for bit
-    a11 = 0.5 * (1.0 + w1 * c * c + w2 * s * s)
-    a22 = 0.5 * (lam + w1 * s * s + w2 * c * c)
-    a12 = 0.5 * c * s * (w1 - w2)
-    det = a11 * a22 - a12 * a12
+    a = gaussian_form(params, modes)
+    det = a[0, 0] * a[1, 1] - a[0, 1] * a[0, 1]
     t, w = np.polynomial.hermite.hermgauss(order or 2 * d - 1)
     v = np.exp(np.log(w) + t * t)
-    mu, rot = np.linalg.eigh(np.array([[a11, a12], [a12, a22]]))
-    scale = rot @ np.diag(1.0 / np.sqrt(mu))
     t1, t2 = np.meshgrid(t, t, indexing="ij")
-    x1 = scale[0, 0] * t1 + scale[0, 1] * t2
-    x2 = scale[1, 0] * t1 + scale[1, 1] * t2
+    if triangular:
+        x2 = t2 / sqrt(det / a[0, 0])
+        x1 = t1 / sqrt(a[0, 0]) - (a[0, 1] / a[0, 0]) * x2
+    else:
+        mu, rot = np.linalg.eigh(a)
+        scale = rot @ np.diag(1.0 / np.sqrt(mu))
+        x1 = scale[0, 0] * t1 + scale[0, 1] * t2
+        x2 = scale[1, 0] * t1 + scale[1, 1] * t2
     x1p = c * x1 + s * x2
     x2p = c * x2 - s * x1
     scale2 = 1.0 / sqrt(lam)
@@ -66,27 +71,32 @@ def odd_level_sum(d):
     return np.add.outer(level_sum, level_sum) % 2 == 1
 
 
-def per_entry_quadrature_build(params, modes, d, order=None, fold=False):
-    """The quadrature tensor from :func:`per_entry_tables`.
+def per_entry_quadrature_build(params, modes, d, order=None, triangular=False):
+    """The quadrature tensor from :func:`per_entry_tables`, summed over the
+    full grid in one matrix product, and its absolute sum
+    ``S = sum |W B R|``, which bounds its rounding error."""
+    bare, rotated, weights = per_entry_tables(params, modes, d, order, triangular)
+    magnitude = (np.abs(bare) * weights) @ np.abs(rotated).T
+    return (bare * weights) @ rotated.T, magnitude
 
-    Unfolded, it sums over the full grid.  Folded, it keeps the first
-    half of the flat nodes through the centre (the order must be odd),
-    doubles every weight but the centre's and zeroes the entries of odd
-    level sum, as build_transform does at its order 2d - 1 (the
-    default), with the same grid, weights and matrix product, so the two
-    must agree bit for bit.
+
+def gamma(k):
+    """Higham's ``gamma_k = k u / (1 - k u)``, u the unit roundoff of float64."""
+    unit = np.finfo(float).eps / 2
+    return k * unit / (1 - k * unit)
+
+
+def build_rounding_bound(params, modes, d):
+    """``gamma_k * S`` for build_transform at order 2d - 1.
+
+    Its sum of an entry runs over the N = 2d - 1 nodes k1 in one matrix
+    product, then over the d folded nodes k2 in a second: k = N + d counts
+    the N - 1 and d - 1 additions plus one for each product.  S is the
+    absolute sum over the full triangular grid, which the fold's doubled
+    weights reproduce.
     """
-    bare, rotated, weights = per_entry_tables(params, modes, d, order)
-    if fold:
-        half = (weights.size + 1) // 2
-        bare = np.ascontiguousarray(bare[:, :half])
-        rotated = np.ascontiguousarray(rotated[:, :half])
-        weights = weights[:half].copy()
-        weights[:-1] *= 2.0
-    entries = (bare * weights) @ rotated.T
-    if fold:
-        entries[odd_level_sum(d)] = 0.0
-    return entries
+    magnitude = per_entry_quadrature_build(params, modes, d, triangular=True)[1]
+    return gamma((2 * d - 1) + d) * magnitude
 
 
 def probe_block_deviation(params, modes, d):
@@ -267,27 +277,37 @@ class TestBuildTransform:
             (1.5, 0.1, 8, FrequencyMethod.SMALL_ANGLE),
             (1.5, 0.0, 4, FrequencyMethod.SMALL_ANGLE),
             (0.6, -0.05, 4, FrequencyMethod.EXACT),
+            (1.5, 0.1, 20, FrequencyMethod.SMALL_ANGLE),
+            (1.5, 0.1, 32, FrequencyMethod.SMALL_ANGLE),
+            (2.5, 0.9, 20, FrequencyMethod.EXACT),
+            (2.5, 0.9, 32, FrequencyMethod.EXACT),
         ],
     )
     def test_quadrature_build_equals_per_entry_assembly(self, lam, g, d, method):
+        # Both rules are exact for the integrand, so each computed sum lies
+        # within gamma_k * S of the same integral, S its own absolute sum:
+        # the build on the triangular grid, the reference on the eigen-mapped
+        # grid, its k the N^2 terms plus one for the second product.
         params = CircuitParams(lam=lam, g=g)
         modes = normal_modes(params, method)
         built = build_transform(params, modes, d=d)
         # at g = 0 the bases coincide and the build is the exact identity
         if g == 0:
-            expected = np.eye(d * d)
-        else:
-            expected = per_entry_quadrature_build(params, modes, d, fold=True)
-        np.testing.assert_array_equal(built, expected)
+            np.testing.assert_array_equal(built, np.eye(d * d))
+            return
+        reference, magnitude = per_entry_quadrature_build(params, modes, d)
+        bound = build_rounding_bound(params, modes, d)
+        bound += gamma((2 * d - 1) ** 2 + 1) * magnitude
+        assert np.all(np.abs(built - reference) <= bound)
 
     @pytest.mark.parametrize("method", list(FrequencyMethod))
     @pytest.mark.parametrize("d", [2, 4, 8, 20])
     def test_grid_mirrors_by_parity(self, d, method):
-        # why the fold is exact: flat node N - 1 - k is node k negated, the
-        # weights are symmetric and each product of levels (n, m) takes the
-        # factor (-1)^(n+m) there, all bit for bit
+        # why the fold is exact: on the triangular grid, flat node N^2 - 1 - k
+        # is node k negated, the weights are symmetric and each product of
+        # levels (n, m) takes the factor (-1)^(n+m) there, all bit for bit
         modes = normal_modes(REF, method)
-        bare, rotated, weights = per_entry_tables(REF, modes, d)
+        bare, rotated, weights = per_entry_tables(REF, modes, d, triangular=True)
         sign = np.where(np.add.outer(np.arange(d), np.arange(d)).ravel() % 2, -1.0, 1.0)
         np.testing.assert_array_equal(weights[::-1], weights)
         np.testing.assert_array_equal(bare[:, ::-1], sign[:, None] * bare)
@@ -296,24 +316,17 @@ class TestBuildTransform:
     @pytest.mark.parametrize("method", list(FrequencyMethod))
     @pytest.mark.parametrize("d", [2, 4, 8, 20])
     def test_folded_build_within_rounding_of_full_grid(self, d, method):
-        # Both sums are over the same computed terms W B R (the mirror half
-        # repeats them up to sign), so each lies within gamma_k * S of their
-        # exact sum, S = sum |W B R| over the full grid, k the number of
-        # terms plus one for the second product, gamma_k = k u / (1 - k u).
-        # Entries of odd level sum have an exact sum of zero.
+        # The folded, factorized build and the full-grid sum on the same
+        # triangular grid form their terms in different orders, so each is
+        # bounded on its own: within gamma_k * S of the integral, S the
+        # absolute sum over the full grid, k the N^2 terms plus one for the
+        # full-grid sum.  Entries of odd level sum have an exact sum of zero.
         modes = normal_modes(REF, method)
         built = build_transform(REF, modes, d=d)
-        bare, rotated, weights = per_entry_tables(REF, modes, d)
-        full = (bare * weights) @ rotated.T
-        unit = np.finfo(float).eps / 2
-
-        def gamma(k):
-            return k * unit / (1 - k * unit)
-
-        terms = weights.size
-        bound = gamma(terms + 1) + gamma((terms + 1) // 2 + 1)
-        magnitude = (np.abs(bare) * weights) @ np.abs(rotated).T
-        assert np.all(np.abs(built - full) <= bound * magnitude)
+        full, magnitude = per_entry_quadrature_build(REF, modes, d, triangular=True)
+        bound = build_rounding_bound(REF, modes, d)
+        bound += gamma((2 * d - 1) ** 2 + 1) * magnitude
+        assert np.all(np.abs(built - full) <= bound)
 
     def test_quadrature_order_is_exactness_floor(self):
         # the integrand has per-axis degree up to 4(d - 1), so order 2d - 1
@@ -327,7 +340,7 @@ class TestBuildTransform:
             params = CircuitParams(lam=lam, g=g)
             modes = normal_modes(params, method)
             built = build_transform(params, modes, d)
-            high = per_entry_quadrature_build(params, modes, d, order=64)
+            high = per_entry_quadrature_build(params, modes, d, order=64)[0]
             assert np.max(np.abs(built - high)) <= 1e-14
 
     def test_zero_coupling_closed_build_is_exact_identity(self):
@@ -358,6 +371,28 @@ class TestBuildTransform:
         low = [0, 1, 3, 4]  # (n, m) in {0, 1}^2 at d = 3
         closed = closed_form_matrix(REF, REF_MODES)
         assert_allclose(built[np.ix_(low, low)], closed, rtol=0, atol=1e-14)
+
+
+class TestRecurrenceOracle:
+    # the generating-function recurrence shares no code with the build:
+    # no eigenfunctions, no grid, no parity fold
+    @pytest.mark.parametrize(
+        "lam, g, method",
+        [
+            (lam, g, method)
+            for lam, g in [
+                (1.5, 0.1), (0.6, -0.05), (2.2, 0.25), (1.2, 0.1), (1.8, 0.02), (2.5, 0.5)
+            ]
+            for method in FrequencyMethod
+        ]
+        + [(2.5, 0.9, FrequencyMethod.EXACT)],
+    )
+    def test_build_matches_recurrence(self, lam, g, method):
+        params = CircuitParams(lam=lam, g=g)
+        modes = normal_modes(params, method)
+        for d in (2, 6, 9, 12):
+            expected = overlap_recurrence(params, modes, d)
+            assert_allclose(build_transform(params, modes, d), expected, rtol=0, atol=1e-13)
 
 
 class TestTruncationLeakage:
