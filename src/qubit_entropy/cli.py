@@ -23,15 +23,17 @@ import numpy as np
 from . import __version__
 from .entropy import bipartite_entropies
 from .model import CircuitParams, FrequencyMethod, NormalModes, normal_modes
-from .state import thermal_spectra, thermal_weights, validity_diagnostics
+from .state import _kept_levels, thermal_spectra, thermal_weights, validity_diagnostics
 from .transform import build_transform
 
 __all__ = ["Sweep", "SweepConfig", "SweepError", "emit", "main", "parse_config", "run_sweep"]
 
 # The sweep evaluates temperatures in chunks of at most this many bytes:
 # 8 * (levels_small**4 + levels_big**2) per temperature, for the matrix
-# sqrt(w) U of levels_small and the levels-big weight row.  Larger chunks
-# save little, cost memory.
+# sqrt(w) U of levels_small and the levels-big weight row.  The block
+# product of validity_diagnostics stacks levels_small**2 * levels_big**2
+# more values per temperature, up to 16 times the count above (reached at
+# levels-big 32).  Larger chunks save little, cost memory.
 CHUNK_BYTES = 256 * 1024
 
 # The largest array of the levels-big transform is the product of two
@@ -40,8 +42,8 @@ CHUNK_BYTES = 256 * 1024
 # levels_big^4: 17 MB at this limit, 26 GB at levels-big 200.
 MAX_LEVELS_BIG = 32
 
-# --method and the config key method are accepted and ignored: both
-# transforms are built by the one quadrature route.
+# --method and the config key method are accepted and ignored: the
+# transform is built by the one quadrature route.
 METHODS = ("closed-form", "quadrature")
 
 # The writer formats and writes this many temperatures at a time, so its
@@ -234,14 +236,19 @@ def _temperature_grid(config: SweepConfig) -> np.ndarray:
 def run_sweep(config: SweepConfig) -> Sweep:
     """Compute the sweep columns over the (T, q) grid.
 
-    Both transform tensors are built once and reused across the grid,
-    which is evaluated in chunks of temperatures (see CHUNK_BYTES); the
-    columns do not depend on the chunking.
+    One transform tensor is built, at levels_big, and reused across the
+    grid, which is evaluated in chunks of temperatures (see CHUNK_BYTES);
+    the columns do not depend on the chunking.  The levels_small tensor
+    is its leading block, the rows and columns of levels below
+    levels_small: an overlap does not depend on the truncation, and the
+    order-(2*levels_big - 1) rule is exact for every lower level, so the
+    block equals a levels_small build to rounding.
     """
     params = CircuitParams(lam=config.lam, g=config.g)
     modes = config.modes
-    u_small = build_transform(params, modes, d=config.levels_small)
     u_big = build_transform(params, modes, d=config.levels_big)
+    kept = _kept_levels(config.levels_small, config.levels_big)
+    u_small = u_big[np.ix_(kept, kept)]
     grid = _temperature_grid(config)
     step = max(1, CHUNK_BYTES // (8 * (config.levels_small**4 + config.levels_big**2)))
     diagnostics, entropies = [], []

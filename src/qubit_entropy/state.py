@@ -3,9 +3,12 @@
 The thermal state is diagonal in the normal-mode basis, with populations
 ``w``; in the bare basis it is ``U^T diag(w) U / tr``, U the overlap tensor.
 Its spectra and diagnostics are computed from ``w`` and U without forming
-that matrix.  Every function works on a stack: the leading axis indexes
-states (one per temperature in the sweep), the last axis holds one
-state's populations.  A single state is a stack of one.
+that matrix.  The coupling ``x1 x2`` preserves total parity, so
+``U[nm, n'm']`` is zero whenever ``n + m + n' + m'`` is odd; the
+diagnostics rely on it and split their Gram matrix by parity.  Every
+function works on a stack: the leading axis indexes states (one per
+temperature in the sweep), the last axis holds one state's
+populations.  A single state is a stack of one.
 """
 from __future__ import annotations
 
@@ -104,6 +107,11 @@ def thermal_spectra(
     return joint, marginals
 
 
+def _kept_levels(d_small: int, d_big: int) -> list[int]:
+    """The bare indices ``n*d_big + m`` with both levels below d_small, in order."""
+    return [n * d_big + m for n in range(d_small) for m in range(d_small)]
+
+
 def validity_diagnostics(
     weights: np.ndarray, u: np.ndarray, d_small: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -118,23 +126,44 @@ def validity_diagnostics(
     the off-diagonal elements of the renormalized block (offdiag_sum).
 
     The state is never formed: ``tr = w . r`` with ``r_i = sum_a U_ia^2``,
-    the kept block is ``U_K^T diag(w) U_K``, and the complement weight is
+    the kept block is ``U_K^T diag(w) U_K``, formed per state as
+    ``(U_K^T w) @ U_K``, and the complement weight is
     ``w^T (G o G) w / tr^2`` with ``G = U_R U_R^T``, a sum of non-negative
     terms.  The state is ``B^T B`` with ``B = sqrt(w) U``, so PSD for finite
     non-negative weights, which are checked.
+
+    G is computed as two parity blocks: rows of level sum ``n + m`` of
+    one parity against the complement columns of the same parity, which
+    is all of G when no complement column of ``u`` couples rows of unlike
+    parity, as for every tensor of
+    :func:`~qubit_entropy.transform.build_transform`.  A ``u`` whose
+    complement columns do couple them raises ValueError.
     """
     w, traces, d_big = _weights_and_traces(weights, u)
     if not 2 <= d_small < d_big:
         raise ValueError(f"need 2 <= d_small < d_big, got {d_small}, {d_big}")
-    kept = [n * d_big + m for n in range(d_small) for m in range(d_small)]
-    u_kept, u_rest = u[:, kept], np.delete(u, kept, axis=1)
-    # one vector-matrix product per state, so a row rounds as it would alone
-    pairs = (u_kept[:, :, None] * u_kept[:, None, :]).reshape(len(u), -1)
-    block = (w[:, None, :] @ pairs)[:, 0]  # each row a flattened block
+    kept = _kept_levels(d_small, d_big)
+    parity = np.add.outer(np.arange(d_big), np.arange(d_big)).ravel() % 2
+    rest = np.ones(len(u), dtype=bool)
+    rest[kept] = False
+    u_kept = u[:, kept]
+    # one product per state, so a row rounds as it would alone
+    block = ((u_kept.T * w[:, None, :]) @ u_kept).reshape(len(w), -1)
     block /= block[:, :: len(kept) + 1].sum(axis=1, keepdims=True)
-    gram = u_rest @ u_rest.T
     mu_block = (block * block).sum(axis=1)
-    mu_complement = ((w[:, None, :] @ (gram * gram))[:, 0] * w).sum(axis=1) / traces**2
+    # (G o G) w per state and parity block, scattered back to bare order so
+    # that w . (G o G) w sums over the bare index as one product would
+    gram_w = np.empty_like(w)
+    for p in (0, 1):
+        rows = parity == p
+        u_rows = u.compress(rows, axis=0)
+        if u_rows.compress(rest & ~rows, axis=1).any():
+            raise ValueError("a complement column of u couples levels of unlike parity")
+        u_rest = u_rows.compress(rest & rows, axis=1)
+        gram = u_rest @ u_rest.T
+        w_rows = w.compress(rows, axis=1)[:, None, :]
+        gram_w[:, rows] = (w_rows @ (gram * gram))[:, 0]
+    mu_complement = (gram_w * w).sum(axis=1) / traces**2
     off_diagonal = ~np.eye(len(kept), dtype=bool).ravel()
     # compress keeps the rows C-ordered, so each row sums as it would alone
     offdiag = np.abs(block.compress(off_diagonal, axis=1)).sum(axis=1)

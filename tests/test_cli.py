@@ -40,11 +40,15 @@ def failing_entropies(joint, marginals, q):
 
 def per_temperature_rows(config):
     """The sweep composed one temperature at a time, each stage a stacked
-    call on a batch of one: the reference for the chunked sweep."""
+    call on a batch of one: the reference for the chunked sweep.  The
+    levels-small tensor is the leading block of the levels-big one, as the
+    sweep takes it."""
     params = CircuitParams(lam=config.lam, g=config.g)
     modes = normal_modes(params)
-    u_small = build_transform(params, modes, d=config.levels_small)
     u_big = build_transform(params, modes, d=config.levels_big)
+    d_small, d_big = config.levels_small, config.levels_big
+    kept = [n * d_big + m for n in range(d_small) for m in range(d_small)]
+    u_small = u_big[np.ix_(kept, kept)]
     rows = []
     for temperature in cli_mod._temperature_grid(config).tolist():
         big = thermal_weights(modes, [temperature], config.levels_big)
@@ -348,6 +352,46 @@ class TestRunSweep:
         for row, mu_complement in zip(rows, expected):
             assert row["offdiag_sum"] == 0.0
             assert row["mu_II"] == mu_complement
+
+    def test_one_transform_build_per_sweep(self, monkeypatch):
+        # the levels-small tensor is the leading block of the levels-big one
+        calls = []
+
+        def counting_build(params, modes, d):
+            calls.append(d)
+            return build_transform(params, modes, d)
+
+        monkeypatch.setattr(cli_mod, "build_transform", counting_build)
+        config = parse_config(FAST + ["--levels-small", "3", "--levels-big", "7"])
+        run_sweep(config)
+        assert calls == [7]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_coupling_sign_invariance(self, seed):
+        # g -> -g is the reflection x2 -> -x2 of the circuit: U takes the
+        # signs (-1)^(m + m'), a local sign change on mode 2 that leaves
+        # every column unchanged, so the two sweeps differ by rounding
+        # alone.  Every cell comes from sums of at most d_big^2 products of
+        # entries of unit-trace states or of their spectra, terms bounded
+        # by max(1, |cell|); each sweep errs by at most d_big^2 eps times
+        # that (constant taken as 1), and the two sweeps' errors add.
+        rng = np.random.default_rng(seed)
+        lam = float(rng.choice([rng.uniform(0.3, 0.8), rng.uniform(1.3, 3.0)]))
+        # a rotation angle inside the small-angle regime
+        phi = float(rng.uniform(0.01, 0.25))
+        g = phi * abs(lam**2 - 1) / lam
+        d_small, d_big = [(2, 6), (3, 8), (2, 20)][seed % 3]
+        argv = [
+            "--lambda", repr(lam), "--t-min", "1e-9", "--t-max", "2",
+            "--t-scale", "log", "--t-steps", "30", "--q", "0.5,1,2",
+            "--levels-small", str(d_small), "--levels-big", str(d_big),
+        ]
+        plus = run_sweep(parse_config(argv + ["--g", repr(g)]))
+        minus = run_sweep(parse_config(argv + ["--g", repr(-g)]))
+        allow = 2 * d_big**2 * np.finfo(float).eps
+        for a, b in [(plus.entropies, minus.entropies),
+                     (plus.diagnostics, minus.diagnostics)]:
+            assert np.all(np.abs(a - b) <= allow * np.maximum(1.0, np.abs(a)))
 
     def test_diagnostics_repeat_across_q(self):
         rows = sweep_rows(run_sweep(parse_config(FAST)))

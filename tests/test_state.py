@@ -1,6 +1,7 @@
 """Thermal weights, spectra and validity diagnostics, and the formed-state
 references of tests/oracles.py."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -361,15 +362,16 @@ class TestSubspaceValidity:
             diagnostics_at(0.2, d_small=6)
 
 
-def dense_diagnostics(u, weights, d_small):
-    """The dense reference route: the full unit-trace d_big^2 state
-    ``U^T diag(w) U / tr``, then its block and complement sums.
-    Returns (mu_block, mu_complement, offdiag_sum, block trace)."""
-    d_big = math.isqrt(len(u))
+def dense_diagnostics(states, d_small):
+    """The dense reference route: the block and complement sums of each
+    formed unit-trace d_big^2 state ``U^T diag(w) U / tr`` (see
+    ``dense_states``).  Returns (mu_block, mu_complement, offdiag_sum,
+    block trace)."""
+    d_big = math.isqrt(states.shape[-1])
     kept = [n * d_big + m for n in range(d_small) for m in range(d_small)]
     rest = [i for i in range(d_big * d_big) if i not in kept]
     out = []
-    for state in dense_states(weights, u):
+    for state in states:
         block = state[np.ix_(kept, kept)]
         block_trace = float(np.trace(block))
         block = block / block_trace
@@ -386,7 +388,7 @@ def dense_diagnostics(u, weights, d_small):
 class TestValidityDiagnostics:
     ORACLE_TEMPS = [1e-9, 0.01, 0.03, 0.1, 0.3, 0.7, 1.5, 3.0]
 
-    @pytest.mark.parametrize("d_big", [6, 8, 20])
+    @pytest.mark.parametrize("d_big", [6, 8, 20, 32])
     @pytest.mark.parametrize("lam", [0.6, 1.5, 2.5])
     @pytest.mark.parametrize("g", [0.0, 0.3, -0.3])
     def test_matches_dense_state(self, d_big, lam, g):
@@ -400,21 +402,24 @@ class TestValidityDiagnostics:
         # and the block B, divided by its trace t_K, moves by
         # ||dB||_F <= 2 ||E|| / t_K, so |d mu_I| <= 2 ||B|| ||dB|| with
         # ||B|| <= 1, and |d offdiag_sum| <= d_small^2 ||dB||_F over the
-        # d_small^4 entries.  The two routes' errors add.
+        # d_small^4 entries.  The two routes' errors add.  An odd d_small
+        # keeps unequal numbers of even and odd levels.
         params = CircuitParams(lam=lam, g=g)
         modes = normal_modes(params, FrequencyMethod.EXACT)
         u = build_transform(params, modes, d=d_big)
         weights = thermal_weights(modes, self.ORACLE_TEMPS, d_big)
-        mu_block, mu_complement, offdiag = validity_diagnostics(weights, u, 2)
-        ref_block, ref_complement, ref_offdiag, block_trace = dense_diagnostics(
-            u, weights, 2
-        )
+        states = dense_states(weights, u)
         n_eps = d_big**2 * np.finfo(float).eps
-        block_move = 2 * (2 * n_eps / block_trace)
-        allow_complement = 2 * (2 * np.sqrt(ref_complement) * n_eps + n_eps**2)
-        assert np.all(np.abs(mu_block - ref_block) <= 2 * block_move)
-        assert np.all(np.abs(mu_complement - ref_complement) <= allow_complement)
-        assert np.all(np.abs(offdiag - ref_offdiag) <= 2**2 * block_move)
+        for d_small in (2, 3, 5):
+            mu_block, mu_complement, offdiag = validity_diagnostics(weights, u, d_small)
+            ref_block, ref_complement, ref_offdiag, block_trace = dense_diagnostics(
+                states, d_small
+            )
+            block_move = 2 * (2 * n_eps / block_trace)
+            allow_complement = 2 * (2 * np.sqrt(ref_complement) * n_eps + n_eps**2)
+            assert np.all(np.abs(mu_block - ref_block) <= 2 * block_move)
+            assert np.all(np.abs(mu_complement - ref_complement) <= allow_complement)
+            assert np.all(np.abs(offdiag - ref_offdiag) <= d_small**2 * block_move)
 
     @pytest.mark.parametrize("d_small, d_big", [(2, 6), (3, 8), (2, 20)])
     def test_ground_state_is_rank_one_projector(self, d_small, d_big):
@@ -459,6 +464,31 @@ class TestValidityDiagnostics:
         kept = w[0, [0, 1, 6, 7]].sum() + 1e-26 * w[0, :2].sum()
         expected = 2e-13 * w[0, :2].sum() / kept
         assert_allclose(validity_diagnostics(w, u, 2)[2], [expected], rtol=1e-12)
+
+    def test_complement_coupling_unlike_parity_rejected(self):
+        # a general orthogonal u couples levels of either parity in the
+        # complement, where the parity-blocked Gram would drop those terms
+        rng = np.random.default_rng(7)
+        u = np.linalg.qr(rng.standard_normal((36, 36)))[0]
+        weights = thermal_weights(REF_MODES, [0.1, 0.2], 6)
+        with pytest.raises(ValueError, match="unlike parity"):
+            validity_diagnostics(weights, u, 2)
+
+    def test_peak_memory_within_chunk_budget(self):
+        # the block is formed per state as (U_K^T w) @ U_K, k d_small^2 d_big^2
+        # values: 0.5 MB here, where a (d_big^2, d_small^4) table of the kept
+        # column pairs would take 66 MB
+        params = CircuitParams(lam=1.5, g=0.1)
+        modes = normal_modes(params)
+        u = build_transform(params, modes, d=20)
+        weights = thermal_weights(modes, [0.3], 20)
+        tracemalloc.start()
+        try:
+            validity_diagnostics(weights, u, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_zero_trace_rejected(self):
         u = build_transform(REF, REF_MODES, d=6)

@@ -373,26 +373,46 @@ class TestBuildTransform:
         assert_allclose(built[np.ix_(low, low)], closed, rtol=0, atol=1e-14)
 
 
+# (lam, g, method) of the circuits checked against the recurrence oracle
+CIRCUITS = [
+    (lam, g, method)
+    for lam, g in [
+        (1.5, 0.1), (0.6, -0.05), (2.2, 0.25), (1.2, 0.1), (1.8, 0.02), (2.5, 0.5)
+    ]
+    for method in FrequencyMethod
+] + [(2.5, 0.9, FrequencyMethod.EXACT)]
+
+
 class TestRecurrenceOracle:
     # the generating-function recurrence shares no code with the build:
     # no eigenfunctions, no grid, no parity fold
-    @pytest.mark.parametrize(
-        "lam, g, method",
-        [
-            (lam, g, method)
-            for lam, g in [
-                (1.5, 0.1), (0.6, -0.05), (2.2, 0.25), (1.2, 0.1), (1.8, 0.02), (2.5, 0.5)
-            ]
-            for method in FrequencyMethod
-        ]
-        + [(2.5, 0.9, FrequencyMethod.EXACT)],
-    )
+    @pytest.mark.parametrize("lam, g, method", CIRCUITS)
     def test_build_matches_recurrence(self, lam, g, method):
         params = CircuitParams(lam=lam, g=g)
         modes = normal_modes(params, method)
         for d in (2, 6, 9, 12):
             expected = overlap_recurrence(params, modes, d)
             assert_allclose(build_transform(params, modes, d), expected, rtol=0, atol=1e-13)
+
+
+class TestLeadingBlock:
+    # A sweep takes its levels-small tensor from the levels-big build.  An
+    # overlap does not depend on the truncation and both rules are exact,
+    # so the leading block and the small build each lie within their own
+    # gamma_k * S of the same integrals.
+    @pytest.mark.parametrize("lam, g, method", CIRCUITS)
+    def test_leading_block_equals_smaller_build(self, lam, g, method):
+        params = CircuitParams(lam=lam, g=g)
+        modes = normal_modes(params, method)
+        builds, bounds = {}, {}
+        for d in (2, 3, 4, 6, 8, 12, 20, 31, 32):
+            builds[d] = build_transform(params, modes, d)
+            bounds[d] = build_rounding_bound(params, modes, d)
+        for d_small, d_big in [(2, 3), (2, 6), (4, 8), (2, 20), (12, 20), (31, 32)]:
+            kept = [n * d_big + m for n in range(d_small) for m in range(d_small)]
+            block = np.ix_(kept, kept)
+            gap = np.abs(builds[d_big][block] - builds[d_small])
+            assert np.all(gap <= bounds[d_big][block] + bounds[d_small])
 
 
 class TestTruncationLeakage:
