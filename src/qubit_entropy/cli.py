@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .entropy import bipartite_entropies
 from .model import CircuitParams, FrequencyMethod, NormalModes, normal_modes
-from .state import _kept_levels, thermal_spectra, thermal_weights, validity_diagnostics
+from .state import thermal_spectra, thermal_weights, validity_diagnostics
 from .transform import build_transform
 
 __all__ = ["Sweep", "SweepConfig", "SweepError", "emit", "main", "parse_config", "run_sweep"]
@@ -247,18 +247,16 @@ def run_sweep(config: SweepConfig) -> Sweep:
     params = CircuitParams(lam=config.lam, g=config.g)
     modes = config.modes
     u_big = build_transform(params, modes, d=config.levels_big)
-    kept = _kept_levels(config.levels_small, config.levels_big)
-    u_small = u_big[np.ix_(kept, kept)]
+    d_big, d_s = config.levels_big, config.levels_small
+    u_small = u_big.reshape((d_big,) * 4)[:d_s, :d_s, :d_s, :d_s].reshape(d_s**2, d_s**2)
     grid = _temperature_grid(config)
-    step = max(1, CHUNK_BYTES // (8 * (config.levels_small**4 + config.levels_big**2)))
+    step = max(1, CHUNK_BYTES // (8 * (d_s**4 + d_big**2)))
     diagnostics, entropies = [], []
     for start in range(0, len(grid), step):
         temps = grid[start:start + step]
         try:
             diag, by_q = _sweep_chunk(config, modes, u_small, u_big, temps)
         except SweepError:
-            if len(temps) == 1:
-                raise
             # name the first failing temperature of the chunk
             for k in range(len(temps)):
                 _sweep_chunk(config, modes, u_small, u_big, temps[k:k + 1])

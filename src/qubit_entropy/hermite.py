@@ -1,16 +1,13 @@
-"""Oscillator eigenfunctions and the Gauss-Hermite rule for their products.
+"""Oscillator eigenfunctions, tabulated level by level.
 
-Everything here serves the overlap integrals between two product bases
-of oscillator eigenfunctions: each integrand is a product of four
-eigenfunctions, whose Gaussian factors combine into one correlated 2-D
-Gaussian (formed in `transform`), and a tensor-product Gauss-Hermite
-rule, its nodes mapped through the triangular factor of that Gaussian,
-integrates it.
+They serve the overlap integrals between two product bases of oscillator
+eigenfunctions: each integrand is a product of four eigenfunctions, whose
+Gaussian factors combine into one correlated 2-D Gaussian, and
+`transform` integrates it with a Gauss-Hermite rule on tables from here.
 """
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -46,12 +43,3 @@ def ho_eigenfunctions(
         np.multiply(norm / math.sqrt(length_scale), gauss, out=row)
         row *= h
     return out
-
-
-@lru_cache(maxsize=None)
-def _hermgauss_scaled(order: int) -> tuple[np.ndarray, np.ndarray]:
-    # v = w * exp(t^2) are the weights for integrating a bare function;
-    # the log-space product avoids underflow of w at high order.
-    t, w = np.polynomial.hermite.hermgauss(order)
-    v = np.exp(np.log(w) + t * t)
-    return t, v

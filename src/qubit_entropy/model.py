@@ -21,8 +21,6 @@ __all__ = [
     "FrequencyMethod",
     "NormalModes",
     "normal_modes",
-    "rotation_angle_exact",
-    "rotation_angle_small",
 ]
 
 # |phi| at or above this is outside the regime the linearized rotation
@@ -67,67 +65,53 @@ class NormalModes:
     method: FrequencyMethod
 
 
-def rotation_angle_small(params: CircuitParams) -> float:
-    """Leading-order rotation angle ``g * lam / (lam**2 - 1)``.
-
-    Raises
-    ------
-    ValueError
-        If ``lam == 1``, where the linearized expression blows up.
-    """
-    if params.lam == 1:
-        raise ValueError(
-            "small-angle rotation is singular at lam = 1; use the exact method"
-        )
-    phi = params.g * params.lam / (params.lam**2 - 1)
-    if abs(phi) >= SMALL_ANGLE_LIMIT:
-        warnings.warn(
-            f"rotation angle {phi:.3f} is outside the small-angle regime",
-            stacklevel=2,
-        )
-    return phi
-
-
-def rotation_angle_exact(params: CircuitParams) -> float:
-    """Exact diagonalizing rotation angle.
-
-    Solves ``tan(2*phi) = 2*g*lam / (lam**2 - 1)`` on the branch that is
-    continuous in g with ``phi(g=0) = 0``, so mode labels follow the
-    bare oscillators rather than frequency ordering.  At ``lam == 1``
-    the limit from above is taken, giving ``pi/4`` for positive g.
-    """
-    lam, g = params.lam, params.g
-    if g == 0:
-        return 0.0
-    if lam >= 1:
-        return 0.5 * math.atan2(2 * g * lam, lam**2 - 1)
-    # lam < 1: atan2 lands near +-pi/2; fold back to the branch through zero
-    return 0.5 * math.atan(2 * g * lam / (lam**2 - 1))
-
-
 def normal_modes(
     params: CircuitParams,
     method: FrequencyMethod = FrequencyMethod.SMALL_ANGLE,
 ) -> NormalModes:
     """Diagonalize the coupled pair into normal modes.
 
-    The small-angle method evaluates the linearized frequency formulas
-    ``omega1**2 = 1 - 2*g*lam*phi + lam**2*phi**2`` and
-    ``omega2**2 = phi**2 + lam**2 + 2*g*lam*phi`` at the leading-order
-    angle.  The exact method evaluates the full rotated quadratic form
-    at the exact angle, which reproduces the eigenvalues of the
-    potential matrix ``[[1, g*lam], [g*lam, lam**2]]``.
+    The small-angle method takes the leading-order rotation angle
+    ``phi = g*lam / (lam**2 - 1)`` and evaluates the linearized frequency
+    formulas ``omega1**2 = 1 - 2*g*lam*phi + lam**2*phi**2`` and
+    ``omega2**2 = phi**2 + lam**2 + 2*g*lam*phi`` at it.  It raises
+    ValueError at ``lam == 1``, where the angle blows up, and warns when
+    ``|phi| >= SMALL_ANGLE_LIMIT``.
+
+    The exact method solves ``tan(2*phi) = 2*g*lam / (lam**2 - 1)`` on the
+    branch that is continuous in g with ``phi(g=0) = 0``, so mode labels
+    follow the bare oscillators rather than frequency ordering; at
+    ``lam == 1`` it takes the limit from above, ``pi/4`` for positive g.
+    It evaluates the full rotated quadratic form at that angle, which
+    reproduces the eigenvalues of the potential matrix
+    ``[[1, g*lam], [g*lam, lam**2]]``.
+
+    At ``g == 0`` both methods return ``phi = 0`` and the bare frequencies
+    ``(1, lam)``, with no check on lam.
     """
     lam, g = params.lam, params.g
     if g == 0:
         # no rotation needed; keep (1, lam) free of rounding
         return NormalModes(0.0, 1.0, lam, method)
     if method is FrequencyMethod.SMALL_ANGLE:
-        phi = rotation_angle_small(params)
+        if lam == 1:
+            raise ValueError(
+                "small-angle rotation is singular at lam = 1; use the exact method"
+            )
+        phi = g * lam / (lam**2 - 1)
+        if abs(phi) >= SMALL_ANGLE_LIMIT:
+            warnings.warn(
+                f"rotation angle {phi:.3f} is outside the small-angle regime",
+                stacklevel=2,
+            )
         w1_sq = 1 - 2 * g * lam * phi + lam**2 * phi**2
         w2_sq = phi**2 + lam**2 + 2 * g * lam * phi
     else:
-        phi = rotation_angle_exact(params)
+        if lam >= 1:
+            phi = 0.5 * math.atan2(2 * g * lam, lam**2 - 1)
+        else:
+            # atan2 lands near +-pi/2; fold back to the branch through zero
+            phi = 0.5 * math.atan(2 * g * lam / (lam**2 - 1))
         c, s = math.cos(phi), math.sin(phi)
         w1_sq = lam**2 * s**2 + c**2 - 2 * g * lam * s * c
         w2_sq = s**2 + lam**2 * c**2 + 2 * g * lam * s * c

@@ -1,7 +1,9 @@
 """Thermal weights, the spectra of the bare-basis states and truncation diagnostics.
 
-The thermal state is diagonal in the normal-mode basis, with populations
-``w``; in the bare basis it is ``U^T diag(w) U / tr``, U the overlap tensor.
+The thermal state is diagonal in the normal-mode basis, with Boltzmann
+populations ``w`` from one formula at every temperature (a cold row
+underflows to the exact ground-state projector); in the bare basis it is
+``U^T diag(w) U / tr``, U the overlap tensor.
 Its spectra and diagnostics are computed from ``w`` and U without forming
 that matrix.  The coupling ``x1 x2`` preserves total parity, so
 ``U[nm, n'm']`` is zero whenever ``n + m + n' + m'`` is odd; the
@@ -20,19 +22,18 @@ from .model import NormalModes
 
 __all__ = ["thermal_spectra", "thermal_weights", "validity_diagnostics"]
 
-# Below this temperature every excited Boltzmann weight underflows;
-# return the exact ground-state projector instead.
-GROUND_STATE_T = 1e-8
-
 
 def thermal_weights(modes: NormalModes, temperatures, d: int) -> np.ndarray:
     """Thermal populations of the two normal modes, one row per temperature.
 
     Row ``k`` holds ``exp(-(n*omega1 + m*omega2)/T_k)`` at index
     ``n*d + m`` (second label fastest), normalized by the truncated
-    sum; the zero-point energy cancels against the ground state.  Below
-    ``GROUND_STATE_T`` every excited weight underflows and the row is
-    the exact ground-state projector.
+    sum; the zero-point energy cancels against the ground state.  Every
+    row takes this one formula.  An excited weight is exactly 0 once its
+    gap exceeds about 745 T, where ``exp`` underflows (at a subnormal T,
+    ``gap / T`` overflows to inf first), so a cold row is the exact
+    ground-state projector while a mode whose gap is not many times T
+    keeps its weight.
     """
     temps = np.asarray(temperatures, dtype=float)
     bad = ~(temps > 0)
@@ -42,12 +43,9 @@ def thermal_weights(modes: NormalModes, temperatures, d: int) -> np.ndarray:
         raise ValueError(f"need at least two levels per mode, got d={d}")
     n = np.arange(d, dtype=float)
     gaps = (modes.omega1 * n[:, None] + modes.omega2 * n[None, :]).ravel()
-    weights = np.zeros((temps.size, d * d))
-    weights[:, 0] = 1.0
-    warm = temps >= GROUND_STATE_T
-    boltzmann = np.exp(-gaps / temps[warm, None])
-    weights[warm] = boltzmann / boltzmann.sum(axis=1, keepdims=True)
-    return weights
+    with np.errstate(over="ignore"):
+        boltzmann = np.exp(-gaps / temps[:, None])
+    return boltzmann / boltzmann.sum(axis=1, keepdims=True)
 
 
 def _weights_and_traces(
@@ -107,11 +105,6 @@ def thermal_spectra(
     return joint, marginals
 
 
-def _kept_levels(d_small: int, d_big: int) -> list[int]:
-    """The bare indices ``n*d_big + m`` with both levels below d_small, in order."""
-    return [n * d_big + m for n in range(d_small) for m in range(d_small)]
-
-
 def validity_diagnostics(
     weights: np.ndarray, u: np.ndarray, d_small: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -142,7 +135,7 @@ def validity_diagnostics(
     w, traces, d_big = _weights_and_traces(weights, u)
     if not 2 <= d_small < d_big:
         raise ValueError(f"need 2 <= d_small < d_big, got {d_small}, {d_big}")
-    kept = _kept_levels(d_small, d_big)
+    kept = [n * d_big + m for n in range(d_small) for m in range(d_small)]
     parity = np.add.outer(np.arange(d_big), np.arange(d_big)).ravel() % 2
     rest = np.ones(len(u), dtype=bool)
     rest[kept] = False

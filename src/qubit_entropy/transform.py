@@ -22,15 +22,25 @@ normal-mode levels.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from math import cos, sin, sqrt
 
 import numpy as np
 
-from .hermite import ho_eigenfunctions, _hermgauss_scaled
+from .hermite import ho_eigenfunctions
 from .model import CircuitParams, FrequencyMethod, NormalModes
 
 __all__ = ["build_transform"]
+
+
+@lru_cache(maxsize=None)
+def _hermgauss_scaled(order: int) -> tuple[np.ndarray, np.ndarray]:
+    # v = w * exp(t^2) are the weights for integrating a bare function;
+    # the log-space product avoids underflow of w at high order.
+    t, w = np.polynomial.hermite.hermgauss(order)
+    v = np.exp(np.log(w) + t * t)
+    return t, v
 
 
 def build_transform(

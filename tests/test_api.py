@@ -37,8 +37,6 @@ def test_public_names_are_pinned():
         "build_transform",
         "ho_eigenfunctions",
         "normal_modes",
-        "rotation_angle_exact",
-        "rotation_angle_small",
         "spectrum_entropies",
         "thermal_spectra",
         "thermal_weights",

@@ -23,12 +23,7 @@ from qubit_entropy.cli import (
 )
 from qubit_entropy.entropy import bipartite_entropies
 from qubit_entropy.model import CircuitParams, normal_modes
-from qubit_entropy.state import (
-    GROUND_STATE_T,
-    thermal_spectra,
-    thermal_weights,
-    validity_diagnostics,
-)
+from qubit_entropy.state import thermal_spectra, thermal_weights, validity_diagnostics
 from qubit_entropy.transform import build_transform
 
 FAST = ["--t-steps", "3", "--q", "1.0,2.0"]
@@ -306,9 +301,9 @@ class TestRunSweep:
         assert not np.any(np.signbit(mutual_info))
 
     def test_ground_state_joint_entropy_is_zero(self):
-        # below GROUND_STATE_T the joint state is the ground projector
+        # every excited weight underflows: the joint state is the ground projector
         config = parse_config(
-            ["--t-min", str(GROUND_STATE_T / 100), "--t-max", str(GROUND_STATE_T / 2),
+            ["--t-min", "1e-10", "--t-max", "5e-9",
              "--t-steps", "4", "--t-scale", "log", "--q", "0.3,0.5,1,1.5,2,3"]
         )
         s_joint = run_sweep(config).entropies[:, 0]
@@ -426,8 +421,8 @@ class TestRunSweep:
         "argv",
         [
             ["--t-steps", "333", "--levels-big", "8", "--t-scale", "log"],
-            # starts below GROUND_STATE_T, where states are ground projectors
-            ["--t-min", str(GROUND_STATE_T / 10), "--t-max", "0.3",
+            # starts where every excited weight underflows to a ground projector
+            ["--t-min", "1e-9", "--t-max", "0.3",
              "--t-steps", "40", "--t-scale", "log"],
             ["--method", "quadrature", "--levels-small", "3", "--levels-big", "5",
              "--t-steps", "30", "--q", "0.5,1.0,2.5"],
@@ -515,8 +510,8 @@ class TestEmit:
              "--q", "0.5,1,2.5"],
             # T = 1e5 prints as 100000 in CSV and 100000.0 in JSON
             ["--t-min", "1e-12", "--t-max", "1e5", "--t-scale", "log"],
-            # below GROUND_STATE_T, where S_joint at q = 1 prints as -0
-            ["--t-min", str(GROUND_STATE_T / 10), "--t-max", str(GROUND_STATE_T),
+            # ground projectors, where S_joint at q = 1 prints as -0
+            ["--t-min", "1e-9", "--t-max", "1e-8",
              "--t-steps", "4", "--t-scale", "log"],
             # duplicate and integer-valued q
             ["--q", "1,1,2"],

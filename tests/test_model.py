@@ -10,8 +10,6 @@ from qubit_entropy.model import (
     CircuitParams,
     FrequencyMethod,
     normal_modes,
-    rotation_angle_exact,
-    rotation_angle_small,
 )
 
 
@@ -45,47 +43,49 @@ class TestRotationAngle:
     def test_small_angle_reference_value(self):
         # gl/(l^2-1) = 0.15/1.25 at the reference point
         params = CircuitParams(lam=1.5, g=0.1)
-        assert_allclose(rotation_angle_small(params), 0.12, rtol=1e-14)
+        assert_allclose(normal_modes(params).phi, 0.12, rtol=1e-14)
 
     def test_small_angle_second_reference(self):
         params = CircuitParams(lam=2.0, g=0.05)
-        assert_allclose(rotation_angle_small(params), 0.1 / 3.0, rtol=1e-14)
+        assert_allclose(normal_modes(params).phi, 0.1 / 3.0, rtol=1e-14)
 
     def test_exact_angle_reference_value(self):
         params = CircuitParams(lam=1.5, g=0.1)
         expected = 0.5 * math.atan2(0.3, 1.25)
-        assert_allclose(rotation_angle_exact(params), expected, rtol=1e-14)
+        assert_allclose(normal_modes(params, FrequencyMethod.EXACT).phi, expected, rtol=1e-14)
 
     def test_exact_equals_small_at_leading_order(self):
         # gap grows as (4/3)*phi^3, so a 1.5 prefactor bounds it
         for lam, g in [(1.5, 0.1), (2.0, 0.05), (1.3, 0.02)]:
             params = CircuitParams(lam=lam, g=g)
-            phi = rotation_angle_small(params)
-            gap = abs(rotation_angle_exact(params) - phi)
+            phi = normal_modes(params).phi
+            gap = abs(normal_modes(params, FrequencyMethod.EXACT).phi - phi)
             assert gap < 1.5 * abs(phi) ** 3
 
     def test_degenerate_ratio_small_angle_raises(self):
         with pytest.raises(ValueError, match="singular at lam = 1"):
-            rotation_angle_small(CircuitParams(lam=1.0, g=0.1))
+            normal_modes(CircuitParams(lam=1.0, g=0.1))
 
     def test_degenerate_ratio_exact_is_quarter_pi(self):
-        angle = rotation_angle_exact(CircuitParams(lam=1.0, g=0.1))
+        angle = normal_modes(CircuitParams(lam=1.0, g=0.1), FrequencyMethod.EXACT).phi
         assert_allclose(angle, math.pi / 4, rtol=1e-15)
 
     def test_zero_coupling_angle_is_exact_zero(self):
-        assert rotation_angle_exact(CircuitParams(lam=1.5, g=0.0)) == 0.0
+        assert normal_modes(CircuitParams(lam=1.5, g=0.0), FrequencyMethod.EXACT).phi == 0.0
 
     def test_inverted_ratio_branch_continuous(self):
         # below lam=1 the angle must still vanish with g
         for g in (1e-3, 1e-5, 1e-7):
-            angle = rotation_angle_exact(CircuitParams(lam=0.7, g=g))
+            angle = normal_modes(CircuitParams(lam=0.7, g=g), FrequencyMethod.EXACT).phi
             assert abs(angle) < 2.0 * g
 
     def test_large_angle_warns(self):
         params = CircuitParams(lam=1.05, g=0.5)
-        with pytest.warns(UserWarning):
-            phi = rotation_angle_small(params)
+        with pytest.warns(UserWarning) as record:
+            phi = normal_modes(params).phi
         assert abs(phi) >= SMALL_ANGLE_LIMIT
+        # the warning points at the caller of normal_modes
+        assert record[0].filename == __file__
 
 
 class TestNormalModes:

@@ -2,6 +2,7 @@
 references of tests/oracles.py."""
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,12 +11,7 @@ from numpy.testing import assert_allclose
 from oracles import dense_states, partial_traces, spectra, unit_trace
 from qubit_entropy.entropy import spectrum_entropies
 from qubit_entropy.model import CircuitParams, NormalModes, FrequencyMethod, normal_modes
-from qubit_entropy.state import (
-    GROUND_STATE_T,
-    thermal_spectra,
-    thermal_weights,
-    validity_diagnostics,
-)
+from qubit_entropy.state import thermal_spectra, thermal_weights, validity_diagnostics
 from qubit_entropy.transform import build_transform
 
 REF = CircuitParams(lam=1.5, g=0.1)
@@ -53,6 +49,17 @@ class TestThermalDensity:
         w = thermal_weights(modes_with(1.0, 1.5), [1e-6], d=2)[0]
         assert_allclose(w, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
+    def test_slow_mode_stays_populated_when_cold(self):
+        # omega1 = 1.49e-8 here, so at T = 5e-9 the first excited level of
+        # mode 1 keeps about 5 % of the weight: a cold row is a ground
+        # projector only where every gap is many times T
+        modes = normal_modes(CircuitParams(1.0, 1 - 2**-53), FrequencyMethod.EXACT)
+        gaps = np.array([0.0, modes.omega2, modes.omega1, modes.omega1 + modes.omega2])
+        boltzmann = np.exp(-gaps / 5e-9)
+        w = thermal_weights(modes, [5e-9], d=2)[0]
+        assert_allclose(w, boltzmann / boltzmann.sum(), rtol=1e-14, atol=0)
+        assert w[2] > 0.048
+
     def test_unit_trace_and_diagonal(self):
         weights = thermal_weights(REF_MODES, [0.37], d=3)
         assert weights.shape == (1, 9)
@@ -78,9 +85,12 @@ class TestThermalDensity:
             thermal_weights(REF_MODES, [0.1, float("nan")], d=2)
 
     def test_weight_rows_match_single_states(self):
-        temps = [GROUND_STATE_T / 2, 1e-6, 0.05, 0.3, 2.0]
-        weights = thermal_weights(REF_MODES, temps, d=3)
-        assert weights[0].tolist() == [1.0] + [0.0] * 8
+        # at T = 1e-320, gap / T overflows to inf: the weight is exactly 0
+        temps = [5e-9, 1e-320, 1e-6, 0.05, 0.3, 2.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            weights = thermal_weights(REF_MODES, temps, d=3)
+        assert weights[0].tolist() == weights[1].tolist() == [1.0] + [0.0] * 8
         for row, t in zip(weights, temps):
             assert np.array_equal(row, thermal_weights(REF_MODES, [t], 3)[0])
 
@@ -103,7 +113,7 @@ class TestDensityFromArray:
         # eigvalsh of the formed states leaves rounding negatives; squared
         # singular values cannot be negative
         u = build_transform(REF, REF_MODES, d=4)
-        weights = thermal_weights(REF_MODES, [GROUND_STATE_T / 2, 0.01, 0.05], 4)
+        weights = thermal_weights(REF_MODES, [5e-9, 0.01, 0.05], 4)
         assert np.linalg.eigvalsh(dense_states(weights, u)).min() < 0
         joint, marginals = thermal_spectra(weights, u)
         assert joint.min() >= 0.0
@@ -215,7 +225,7 @@ class TestThermalSpectra:
         assert_allclose(joint, expected, rtol=1e-12, atol=0)
 
     def test_stack_matches_single_states(self):
-        temps = np.concatenate([[GROUND_STATE_T / 2], np.linspace(0.02, 0.6, 12)])
+        temps = np.concatenate([[5e-9], np.linspace(0.02, 0.6, 12)])
         u = build_transform(REF, REF_MODES, d=3)
         joint, marginals = thermal_spectra(thermal_weights(REF_MODES, temps, 3), u)
         for k, t in enumerate(temps):
@@ -228,7 +238,7 @@ class TestThermalSpectra:
         # a pure state's two marginals have the same Schmidt spectrum
         u = build_transform(REF, REF_MODES, d=4)
         joint, (first, second) = thermal_spectra(
-            thermal_weights(REF_MODES, [GROUND_STATE_T / 2], 4), u
+            thermal_weights(REF_MODES, [5e-9], 4), u
         )
         assert np.count_nonzero(joint) == 1
         assert_allclose(first, second, rtol=1e-10, atol=0)
@@ -423,11 +433,11 @@ class TestValidityDiagnostics:
 
     @pytest.mark.parametrize("d_small, d_big", [(2, 6), (3, 8), (2, 20)])
     def test_ground_state_is_rank_one_projector(self, d_small, d_big):
-        # below GROUND_STATE_T the state is U_0^T U_0 / |U_0|^2 (row 0 of U)
+        # every excited weight underflows: the state is U_0^T U_0 / |U_0|^2 (row 0 of U)
         params = CircuitParams(lam=1.5, g=0.3)
         modes = normal_modes(params, FrequencyMethod.EXACT)
         u = build_transform(params, modes, d=d_big)
-        weights = thermal_weights(modes, [GROUND_STATE_T / 10], d_big)
+        weights = thermal_weights(modes, [1e-9], d_big)
         mu_block, mu_complement, _ = validity_diagnostics(weights, u, d_small)
         row = u[0] ** 2
         kept = [n * d_big + m for n in range(d_small) for m in range(d_small)]
@@ -437,7 +447,7 @@ class TestValidityDiagnostics:
         assert mu_complement > 0
 
     def test_stack_matches_single_states(self):
-        temps = np.concatenate([[GROUND_STATE_T / 2], np.linspace(0.02, 0.6, 12)])
+        temps = np.concatenate([[5e-9], np.linspace(0.02, 0.6, 12)])
         stacked = validity_diagnostics(thermal_weights(REF_MODES, temps, 6), U_BIG, 2)
         for k, t in enumerate(temps):
             assert diagnostics_at(float(t)) == tuple(column[k] for column in stacked)
@@ -506,7 +516,7 @@ class TestValidityDiagnostics:
 class TestMemoryLayout:
     # weights cut from a wider table need not be C-ordered; each row must
     # round as the same row of a C-ordered copy
-    TEMPS = np.concatenate([[GROUND_STATE_T / 2], np.linspace(0.02, 0.6, 12)])
+    TEMPS = np.concatenate([[5e-9], np.linspace(0.02, 0.6, 12)])
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_thermal_spectra_ignore_layout(self, d):

@@ -23,15 +23,16 @@ REF_MODES = normal_modes(REF)
 ODD_CELLS = [(0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2)]
 
 
-def per_entry_tables(params, modes, d, order=None, triangular=False):
-    """Bare and normal-mode eigenfunction products and the weights on the full grid.
+def grid_tables(params, modes, d, order=None, triangular=False):
+    """The four eigenfunction tables on the full grid, its rule's weights
+    v and ``sqrt(det)``, whose inverse is the Jacobian of the node map.
 
-    One row per (n, m), filled one eigenfunction product at a time, over
-    every node of the tensor-product rule; columns run over the flat node
-    index k1 * N + k2.  The nodes are mapped through the eigen-decomposition
-    of the Gaussian, which build_transform does not use, so its grid shares
-    no node with the build's; or, with ``triangular``, through the
-    triangular factor of the Gaussian, as build_transform maps them.
+    Each table is ``(d, N, N)`` over levels and the node pair (k1, k2) of
+    the tensor-product rule.  The nodes are mapped through the
+    eigen-decomposition of the Gaussian, which build_transform does not
+    use, so its grid shares no node with the build's; or, with
+    ``triangular``, through the triangular factor of the Gaussian, as
+    build_transform maps them, where the bare x2 depends on k2 alone.
     """
     lam, w1, w2 = params.lam, modes.omega1, modes.omega2
     c, s = rotation(modes)
@@ -50,14 +51,26 @@ def per_entry_tables(params, modes, d, order=None, triangular=False):
         x2 = scale[1, 0] * t1 + scale[1, 1] * t2
     x1p = c * x1 + s * x2
     x2p = c * x2 - s * x1
-    scale2 = 1.0 / sqrt(lam)
-    scale1p, scale2p = 1.0 / sqrt(w1), 1.0 / sqrt(w2)
+    tables = (
+        ho_eigenfunctions(d, x1, 1.0),
+        ho_eigenfunctions(d, x2, 1.0 / sqrt(lam)),
+        ho_eigenfunctions(d, x1p, 1.0 / sqrt(w1)),
+        ho_eigenfunctions(d, x2p, 1.0 / sqrt(w2)),
+    )
+    return tables, v, sqrt(det)
 
-    weights = (np.outer(v, v) / sqrt(det)).ravel()
-    f1, f2 = ho_eigenfunctions(d, x1, 1.0), ho_eigenfunctions(d, x2, scale2)
-    f1p, f2p = ho_eigenfunctions(d, x1p, scale1p), ho_eigenfunctions(d, x2p, scale2p)
-    bare = np.empty((d * d, t.size * t.size))
-    rotated = np.empty((d * d, t.size * t.size))
+
+def per_entry_tables(params, modes, d, order=None, triangular=False):
+    """Bare and normal-mode eigenfunction products and the weights on the full grid.
+
+    One row per (n, m), filled one eigenfunction product at a time, over
+    every node of :func:`grid_tables`; columns run over the flat node
+    index k1 * N + k2.
+    """
+    (f1, f2, f1p, f2p), v, root_det = grid_tables(params, modes, d, order, triangular)
+    weights = (np.outer(v, v) / root_det).ravel()
+    bare = np.empty((d * d, v.size * v.size))
+    rotated = np.empty((d * d, v.size * v.size))
     for a in range(d):
         for b in range(d):
             bare[a * d + b] = (f1[a] * f2[b]).ravel()
@@ -93,9 +106,18 @@ def build_rounding_bound(params, modes, d):
     product, then over the d folded nodes k2 in a second: k = N + d counts
     the N - 1 and d - 1 additions plus one for each product.  S is the
     absolute sum over the full triangular grid, which the fold's doubled
-    weights reproduce.
+    weights reproduce.  On that grid the bare mode-2 table depends on k2
+    alone, so S factorizes as the build does, into a sum over k1 and then
+    one over k2 of absolute tables: O(d^5), every term non-negative.
     """
-    magnitude = per_entry_quadrature_build(params, modes, d, triangular=True)[1]
+    (f1, f2, f1p, f2p), v, root_det = grid_tables(params, modes, d, triangular=True)
+    nodes = v.size
+    # sum over k1 for each k2: (k2, n n', k1) @ (k2, k1, m')
+    pairs = (np.abs(f1) * v[:, None])[:, None] * np.abs(f1p)[None]
+    inner = pairs.transpose(3, 0, 1, 2).reshape(nodes, d * d, nodes) @ np.abs(f2p).transpose(2, 1, 0)
+    # sum over k2: (m, k2) @ (k2, n n' m'), then order the axes as (n m, n' m')
+    outer = (np.abs(f2[:, 0, :]) * (v / root_det)) @ inner.reshape(nodes, -1)
+    magnitude = outer.reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
     return gamma((2 * d - 1) + d) * magnitude
 
 
