@@ -14,6 +14,7 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
@@ -329,12 +330,42 @@ def emit(sweep: Sweep, config: SweepConfig) -> None:
     array of row objects keyed by CSV_COLUMNS with the same rounding, laid
     out as ``json.dumps(rows, indent=2)`` would lay it out.  Line endings
     are LF.
+
+    An existing output file is overwritten in place and then cut to the
+    report's length, so it ends with the same bytes ``open(path, "w")``
+    would leave, also when a write or the final flush fails midway (the
+    prefix the kernel accepted); a new file gets mode ``0o666 & ~umask``.
+    Two cases differ.  A process killed mid-write (SIGKILL, not an
+    exception) leaves the new prefix followed by the old tail, not the new
+    prefix alone.  An operating-system crash or power loss soon after a
+    rewrite can leave a file of the new length that mixes old and new
+    blocks, where a file truncated to zero first would read as the new
+    report or as empty: the overwritten blocks are not ordered against the
+    journaled change of length.
     """
     if config.output is None:
         _write(sweep, config, sys.stdout)
     else:
-        with open(config.output, "w", encoding="utf-8", newline="") as handle:
-            _write(sweep, config, handle)
+        # No O_TRUNC: a non-empty file truncated to zero and rewritten is
+        # flushed on close by ext4 (auto_da_alloc), which costs several
+        # times the rewrite of a report of a few KB.
+        fd = os.open(config.output, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", encoding="utf-8", newline="") as handle:
+            try:
+                _write(sweep, config, handle)
+                handle.flush()
+            finally:
+                # Cut a longer old report at the offset the kernel accepted,
+                # also after a failed write or flush; what is still buffered
+                # after an exception goes on close to that offset.  A new or
+                # equally long file is left alone: ext4 journals even a
+                # truncate to the file's own length.  /dev/null and FIFOs
+                # cannot be truncated.
+                info = os.fstat(fd)
+                if stat.S_ISREG(info.st_mode):
+                    end = os.lseek(fd, 0, os.SEEK_CUR)
+                    if info.st_size > end:
+                        os.ftruncate(fd, end)
 
 
 def _csv_cells(values: np.ndarray) -> np.ndarray:

@@ -1,8 +1,13 @@
 """Sweep configuration, output formats, and the command-line contract."""
+import builtins
 import contextlib
+import errno
 import io
 import json
 import math
+import os
+import stat
+import threading
 import warnings
 
 import numpy as np
@@ -637,6 +642,201 @@ class TestMain:
         code = main(FAST + ["--format", "json", "--output", str(out)])
         assert code == 0
         assert len(json.loads(out.read_text())) == 6
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+class TestReportFile:
+    """emit overwrites an existing report in place and cuts it to length:
+    the file ends as ``open(path, "w")`` would leave it."""
+
+    def fresh_report(self, tmp_path, argv):
+        path = tmp_path / "fresh.out"
+        assert main(argv + ["--output", str(path)]) == 0
+        return path.read_bytes()
+
+    def test_shorter_report_drops_the_old_tail(self, output_format, tmp_path):
+        fmt = ["--format", output_format]
+        out = tmp_path / "report.out"
+        assert main(fmt + ["--t-steps", "200", "--output", str(out)]) == 0
+        long_size = out.stat().st_size
+        assert main(fmt + ["--t-steps", "3", "--output", str(out)]) == 0
+        assert out.stat().st_size < long_size
+        assert out.read_bytes() == self.fresh_report(tmp_path, fmt + ["--t-steps", "3"])
+
+    def test_symlink_kept_and_target_rewritten(self, output_format, tmp_path):
+        fmt = ["--format", output_format]
+        target = tmp_path / "target.out"
+        link = tmp_path / "link.out"
+        link.symlink_to(target)
+        assert main(fmt + ["--t-steps", "200", "--output", str(link)]) == 0
+        assert main(fmt + FAST + ["--output", str(link)]) == 0
+        assert link.is_symlink()
+        assert os.readlink(link) == str(target)
+        assert target.read_bytes() == self.fresh_report(tmp_path, fmt + FAST)
+
+    def test_dev_null(self, output_format):
+        assert main(["--format", output_format] + FAST + ["--output", os.devnull]) == 0
+
+    def test_fifo_is_written_through(self, output_format, tmp_path):
+        # a FIFO can be neither truncated nor asked for its offset
+        fmt = ["--format", output_format]
+        fifo = tmp_path / "report.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(fifo.read_bytes()), daemon=True
+        )
+        reader.start()
+        assert main(fmt + FAST + ["--output", str(fifo)]) == 0
+        reader.join(timeout=30)
+        assert received == [self.fresh_report(tmp_path, fmt + FAST)]
+
+    def test_truncates_only_a_longer_old_report(
+        self, output_format, tmp_path, monkeypatch
+    ):
+        # ext4 journals even a truncate to the file's own length, which
+        # would slow every write to a new path and every same-size rewrite.
+        fmt = ["--format", output_format]
+        out = tmp_path / "report.out"
+        cuts = []
+        ftruncate = os.ftruncate
+
+        def recording_ftruncate(fd, length):
+            cuts.append(length)
+            return ftruncate(fd, length)
+
+        monkeypatch.setattr(os, "ftruncate", recording_ftruncate)
+        assert main(fmt + FAST + ["--output", str(out)]) == 0
+        report = out.read_bytes()
+        assert main(fmt + FAST + ["--output", str(out)]) == 0
+        assert cuts == []
+        out.write_bytes(report + b"old tail")
+        assert main(fmt + FAST + ["--output", str(out)]) == 0
+        assert cuts == [len(report)]
+        assert out.read_bytes() == report
+
+    def test_file_modes(self, output_format, tmp_path):
+        fmt = ["--format", output_format]
+        new, kept = tmp_path / "new.out", tmp_path / "kept.out"
+        kept.write_text("x" * 100_000)
+        kept.chmod(0o600)
+        old_umask = os.umask(0o027)
+        try:
+            assert main(fmt + FAST + ["--output", str(new)]) == 0
+            assert main(fmt + FAST + ["--output", str(kept)]) == 0
+        finally:
+            os.umask(old_umask)
+        # a new file as open(path, "w") creates it; an existing one keeps its mode
+        assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~0o027
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o600
+        assert kept.read_bytes() == new.read_bytes()
+
+    def test_failed_sweep_leaves_report_unchanged(
+        self, output_format, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "report.out"
+        assert main(["--format", output_format, "--output", str(out)]) == 0
+        before = out.read_bytes()
+        monkeypatch.setattr(cli_mod, "bipartite_entropies", failing_entropies)
+        assert main(["--format", output_format] + FAST + ["--output", str(out)]) == 1
+        assert out.read_bytes() == before
+
+    def test_failed_write_leaves_its_prefix(self, output_format, tmp_path, monkeypatch):
+        fmt = ["--format", output_format]
+        out = tmp_path / "report.out"
+        assert main(fmt + ["--t-steps", "200", "--output", str(out)]) == 0
+        long_report = out.read_bytes()
+
+        written = []
+
+        class FailingStream:
+            """Passes the header and the first block of rows to the file,
+            then raises on the second block.  With two q values a block of
+            one temperature is a single write of two or more lines; a
+            header write is at most one line."""
+
+            def __init__(self, stream):
+                self.stream = stream
+                self.blocks = 0
+
+            def write(self, text):
+                if text.count("\n") >= 2:
+                    self.blocks += 1
+                    if self.blocks == 2:
+                        raise OSError("synthetic write failure")
+                written.append(text)
+                return self.stream.write(text)
+
+        write = cli_mod._write
+        monkeypatch.setattr(cli_mod, "WRITE_TEMPERATURES", 1)
+        monkeypatch.setattr(
+            cli_mod, "_write",
+            lambda sweep, config, stream: write(sweep, config, FailingStream(stream)),
+        )
+        assert main(fmt + FAST + ["--output", str(out)]) == 1
+        prefix = "".join(written).encode()
+        monkeypatch.undo()
+        fresh = self.fresh_report(tmp_path, fmt + FAST)
+        assert len(prefix) < len(fresh) < len(long_report)
+        assert fresh.startswith(prefix)
+        assert out.read_bytes() == prefix
+
+    def test_failed_flush_leaves_the_accepted_prefix(
+        self, output_format, tmp_path, monkeypatch
+    ):
+        # A full disk shows when the buffer reaches the file, not in _write:
+        # the file must still end where the kernel stopped accepting bytes.
+        fmt = ["--format", output_format]
+        out = tmp_path / "report.out"
+        assert main(fmt + ["--t-steps", "200", "--output", str(out)]) == 0
+        fresh = self.fresh_report(tmp_path, fmt + FAST)
+        room = len(fresh) // 2
+
+        class FullDisk(io.FileIO):
+            """Takes ``room`` bytes, then fails as a full disk does."""
+
+            def write(self, data):
+                nonlocal room
+                if room == 0:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                taken = super().write(bytes(data)[:room])
+                room -= taken
+                return taken
+
+        def full_disk_open(fd, mode, **kwargs):
+            return io.TextIOWrapper(io.BufferedWriter(FullDisk(fd, "w")), **kwargs)
+
+        monkeypatch.setattr(cli_mod, "open", full_disk_open, raising=False)
+        assert main(fmt + FAST + ["--output", str(out)]) == 1
+        assert room == 0
+        assert out.read_bytes() == fresh[: len(fresh) // 2]
+
+    def test_report_path_never_opened_truncating(
+        self, output_format, tmp_path, monkeypatch
+    ):
+        # Truncating an existing report to zero before rewriting it costs a
+        # filesystem flush per file; emit opens it without O_TRUNC or "w".
+        out = tmp_path / "report.out"
+        out.write_text("x" * 100_000)
+        opened = []
+        os_open, builtin_open = os.open, builtins.open
+
+        def recording_os_open(path, flags, *args, **kwargs):
+            opened.append((os.fspath(path), "O_TRUNC" if flags & os.O_TRUNC else ""))
+            return os_open(path, flags, *args, **kwargs)
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            if not isinstance(file, int):
+                opened.append((os.fspath(file), mode))
+            return builtin_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording_os_open)
+        monkeypatch.setattr(builtins, "open", recording_open)
+        assert main(["--format", output_format] + FAST + ["--output", str(out)]) == 0
+        monkeypatch.undo()
+        modes = [mode for path, mode in opened if path == str(out)]
+        assert modes
+        assert not [mode for mode in modes if "O_TRUNC" in mode or "w" in mode]
 
 
 class TestSweepConfigValidation:
