@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .entropy import bipartite_entropies
-from .model import CircuitParams, FrequencyMethod, NormalModes, normal_modes
+from .model import FrequencyMethod, NormalModes, normal_modes
 from .state import thermal_spectra, thermal_weights, validity_diagnostics
 from .transform import build_transform
 
@@ -101,8 +101,7 @@ class SweepConfig:
     @cached_property
     def modes(self) -> NormalModes:
         """Small-angle normal modes of the circuit, built once per config."""
-        params = CircuitParams(lam=self.lam, g=self.g)
-        return normal_modes(params, FrequencyMethod.SMALL_ANGLE)
+        return normal_modes(self.lam, self.g, FrequencyMethod.SMALL_ANGLE)
 
     def validate(self) -> None:
         for name, value in (
@@ -245,9 +244,8 @@ def run_sweep(config: SweepConfig) -> Sweep:
     order-(2*levels_big - 1) rule is exact for every lower level, so the
     block equals a levels_small build to rounding.
     """
-    params = CircuitParams(lam=config.lam, g=config.g)
     modes = config.modes
-    u_big = build_transform(params, modes, d=config.levels_big)
+    u_big = build_transform(modes, d=config.levels_big)
     d_big, d_s = config.levels_big, config.levels_small
     u_small = u_big.reshape((d_big,) * 4)[:d_s, :d_s, :d_s, :d_s].reshape(d_s**2, d_s**2)
     grid = _temperature_grid(config)

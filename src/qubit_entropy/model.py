@@ -17,7 +17,6 @@ from enum import Enum
 
 __all__ = [
     "SMALL_ANGLE_LIMIT",
-    "CircuitParams",
     "FrequencyMethod",
     "NormalModes",
     "normal_modes",
@@ -34,42 +33,36 @@ class FrequencyMethod(Enum):
 
 
 @dataclass(frozen=True)
-class CircuitParams:
-    """Dimensionless parameters of the coupled pair.
-
-    Parameters
-    ----------
-    lam : float
-        Frequency ratio of the bare oscillators (second over first).
-    g : float
-        Coupling strength.  ``|g| < 1`` keeps both normal modes stable.
-    """
+class NormalModes:
+    """A circuit ``(lam, g)``, its rotation angle and normal-mode frequencies."""
 
     lam: float
     g: float
-
-    def __post_init__(self) -> None:
-        if not self.lam > 0:
-            raise ValueError(f"frequency ratio must be positive, got {self.lam}")
-        if not abs(self.g) < 1:
-            raise ValueError(f"|g| < 1 required for stable modes, got g={self.g}")
-
-
-@dataclass(frozen=True)
-class NormalModes:
-    """Rotation angle and normal-mode frequencies for one parameter set."""
-
     phi: float
     omega1: float
     omega2: float
     method: FrequencyMethod
 
+    @property
+    def rotation(self) -> tuple[float, float]:
+        """``(c, s)`` with normal-mode coordinates ``x1' = c*x1 + s*x2`` and
+        ``x2' = c*x2 - s*x1``: ``(cos phi, sin phi)`` for the exact angle,
+        the linearized ``(1, phi)`` of the small-angle treatment."""
+        if self.method is FrequencyMethod.EXACT:
+            return math.cos(self.phi), math.sin(self.phi)
+        return 1.0, self.phi
+
 
 def normal_modes(
-    params: CircuitParams,
+    lam: float,
+    g: float,
     method: FrequencyMethod = FrequencyMethod.SMALL_ANGLE,
 ) -> NormalModes:
     """Diagonalize the coupled pair into normal modes.
+
+    ``lam``, the ratio of the bare frequencies (second over first), must
+    be positive with a finite square, and ``|g| < 1`` keeps both modes
+    stable; ValueError otherwise.
 
     The small-angle method takes the leading-order rotation angle
     ``phi = g*lam / (lam**2 - 1)`` and evaluates the linearized frequency
@@ -87,36 +80,45 @@ def normal_modes(
     ``[[1, g*lam], [g*lam, lam**2]]``.
 
     At ``g == 0`` both methods return ``phi = 0`` and the bare frequencies
-    ``(1, lam)``, with no check on lam.
+    ``(1, lam)``.
     """
-    lam, g = params.lam, params.g
+    if not lam > 0:
+        raise ValueError(f"frequency ratio must be positive, got {lam}")
+    if not abs(g) < 1:
+        raise ValueError(f"|g| < 1 required for stable modes, got g={g}")
     if g == 0:
         # no rotation needed; keep (1, lam) free of rounding
-        return NormalModes(0.0, 1.0, lam, method)
+        return NormalModes(lam, g, 0.0, 1.0, lam, method)
+    try:
+        lam_sq = lam**2
+    except OverflowError:  # a float raises; a NumPy scalar gives inf
+        lam_sq = math.inf
+    if lam_sq == math.inf:
+        raise ValueError(f"frequency ratio {lam} is too large: lam**2 overflows")
     if method is FrequencyMethod.SMALL_ANGLE:
         if lam == 1:
             raise ValueError(
                 "small-angle rotation is singular at lam = 1; use the exact method"
             )
-        phi = g * lam / (lam**2 - 1)
+        phi = g * lam / (lam_sq - 1)
         if abs(phi) >= SMALL_ANGLE_LIMIT:
             warnings.warn(
                 f"rotation angle {phi:.3f} is outside the small-angle regime",
                 stacklevel=2,
             )
-        w1_sq = 1 - 2 * g * lam * phi + lam**2 * phi**2
-        w2_sq = phi**2 + lam**2 + 2 * g * lam * phi
+        w1_sq = 1 - 2 * g * lam * phi + lam_sq * phi**2
+        w2_sq = phi**2 + lam_sq + 2 * g * lam * phi
     else:
         if lam >= 1:
-            phi = 0.5 * math.atan2(2 * g * lam, lam**2 - 1)
+            phi = 0.5 * math.atan2(2 * g * lam, lam_sq - 1)
         else:
             # atan2 lands near +-pi/2; fold back to the branch through zero
-            phi = 0.5 * math.atan(2 * g * lam / (lam**2 - 1))
+            phi = 0.5 * math.atan(2 * g * lam / (lam_sq - 1))
         c, s = math.cos(phi), math.sin(phi)
-        w1_sq = lam**2 * s**2 + c**2 - 2 * g * lam * s * c
-        w2_sq = s**2 + lam**2 * c**2 + 2 * g * lam * s * c
+        w1_sq = lam_sq * s**2 + c**2 - 2 * g * lam * s * c
+        w2_sq = s**2 + lam_sq * c**2 + 2 * g * lam * s * c
     if w1_sq <= 0 or w2_sq <= 0:
         raise ValueError(
             f"non-positive squared frequency (omega1^2={w1_sq}, omega2^2={w2_sq})"
         )
-    return NormalModes(phi, math.sqrt(w1_sq), math.sqrt(w2_sq), method)
+    return NormalModes(lam, g, phi, math.sqrt(w1_sq), math.sqrt(w2_sq), method)

@@ -24,12 +24,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from math import cos, sin, sqrt
+from math import sqrt
 
 import numpy as np
 
 from .hermite import ho_eigenfunctions
-from .model import CircuitParams, FrequencyMethod, NormalModes
+from .model import NormalModes
 
 __all__ = ["build_transform"]
 
@@ -43,18 +43,15 @@ def _hermgauss_scaled(order: int) -> tuple[np.ndarray, np.ndarray]:
     return t, v
 
 
-def build_transform(
-    params: CircuitParams, modes: NormalModes, d: int = 2
-) -> np.ndarray:
+def build_transform(modes: NormalModes, d: int = 2) -> np.ndarray:
     """The overlap tensor as a (d*d, d*d) matrix, by quadrature.
 
     Row index is n*d + m over bare levels, column index is n'*d + m'
     over normal-mode levels; the second label runs fastest.
 
     The normal-mode coordinates are ``x1' = c*x1 + s*x2`` and
-    ``x2' = c*x2 - s*x1``, with ``(c, s) = (cos phi, sin phi)`` for the
-    exact angle and the linearized ``(1, phi)`` of the small-angle
-    treatment.  With them substituted, the four eigenfunction Gaussians
+    ``x2' = c*x2 - s*x1``, with ``(c, s) = modes.rotation``.  With them
+    substituted, the four eigenfunction Gaussians
     ``exp(-x1^2/2 - lam*x2^2/2 - omega1*x1'^2/2 - omega2*x2'^2/2)``
     combine into ``exp(-(a11*x1^2 + a22*x2^2 + 2*a12*x1*x2))`` with
 
@@ -62,8 +59,8 @@ def build_transform(
         a22 = (lam + omega1*s^2 + omega2*c^2) / 2
         a12 = c*s*(omega1 - omega2) / 2
 
-    which must be positive definite, and both mode frequencies must be
-    positive (ValueError otherwise, NaN included).
+    which must be positive definite, and lam and both mode frequencies
+    must be positive (ValueError otherwise, NaN included).
 
     At g = 0 and phi = 0 the bases coincide and the tensor is the exact
     identity.  Otherwise every entry comes from one tensor-product
@@ -88,22 +85,19 @@ def build_transform(
     """
     if d < 2:
         raise ValueError(f"need at least two levels per mode, got d={d}")
-    if params.g == 0.0 and modes.phi == 0.0:
-        return np.eye(d * d)
-    lam, w1, w2 = params.lam, modes.omega1, modes.omega2
-    if modes.method is FrequencyMethod.EXACT:
-        c, s = cos(modes.phi), sin(modes.phi)
-    else:
-        c, s = 1.0, modes.phi
+    lam, w1, w2 = modes.lam, modes.omega1, modes.omega2
+    c, s = modes.rotation
     a11 = 0.5 * (1.0 + w1 * c * c + w2 * s * s)
     a22 = 0.5 * (lam + w1 * s * s + w2 * c * c)
     a12 = 0.5 * c * s * (w1 - w2)
     det = a11 * a22 - a12 * a12
     if not (a11 > 0 and det > 0):
         raise ValueError(f"form with a11={a11}, det={det} is not positive definite")
-    for name, omega in (("omega1", w1), ("omega2", w2)):
-        if not omega > 0:
-            raise ValueError(f"normal mode frequency {name}={omega} is not positive")
+    for name, value in (("lam", lam), ("omega1", w1), ("omega2", w2)):
+        if not value > 0:
+            raise ValueError(f"frequency {name}={value} is not positive")
+    if modes.g == 0.0 and modes.phi == 0.0:
+        return np.eye(d * d)
     t, v = _hermgauss_scaled(2 * d - 1)
     # k2 runs through the centre node, k1 over all nodes: grids are (k2, k1)
     x2 = t[:d] / sqrt(det / a11)

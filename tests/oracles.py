@@ -11,7 +11,9 @@ with no input checks:
   the whole overlap tensor from a generating-function recurrence;
 - the bare-basis thermal state formed as a dense matrix, its partial
   traces and its eigenvalues;
-- the rows of a sweep report as dicts, one per (T, q) grid point.
+- the rows of a sweep report as dicts, one per (T, q) grid point;
+- the entropies of the untruncated Gaussian thermal state, from the
+  circuit alone.
 """
 import itertools
 import math
@@ -82,7 +84,7 @@ def rotation(modes):
     return 1.0, modes.phi
 
 
-def gaussian_form(params, modes):
+def gaussian_form(modes):
     """The matrix ``a`` of the Gaussian ``exp(-x^T a x)`` of every overlap
     integrand, ``(diag(1, lam) + M^T diag(omega1, omega2) M) / 2``: the
     exponents of the four eigenfunctions, with ``M = [[c, s], [-s, c]]``
@@ -90,10 +92,10 @@ def gaussian_form(params, modes):
     c, s = rotation(modes)
     m = np.array([[c, s], [-s, c]])
     omegas = np.diag([modes.omega1, modes.omega2])
-    return 0.5 * (np.diag([1.0, params.lam]) + m.T @ omegas @ m)
+    return 0.5 * (np.diag([1.0, modes.lam]) + m.T @ omegas @ m)
 
 
-def overlap_element_closed(n, m, n2, m2, params, modes):
+def overlap_element_closed(n, m, n2, m2, modes):
     """``<n m | n' m'>`` for levels 0 and 1, from Gaussian moments.
 
     H_1 is linear, so each level-1 eigenfunction contributes its argument
@@ -102,7 +104,7 @@ def overlap_element_closed(n, m, n2, m2, params, modes):
     moments only, and an exact zero.  At g = 0 the bases coincide and the
     element is a Kronecker delta.
     """
-    if params.g == 0.0 and modes.phi == 0.0:
+    if modes.g == 0.0 and modes.phi == 0.0:
         return 1.0 if (n, m) == (n2, m2) else 0.0
     c, s = rotation(modes)
     # the arguments x1, x2, x1' and x2' as {(power of x1, power of x2): coefficient}
@@ -118,9 +120,9 @@ def overlap_element_closed(n, m, n2, m2, params, modes):
                     key = (i1 + i2, j1 + j2)
                     product[key] = product.get(key, 0.0) + c1 * c2
             poly = product
-    a = gaussian_form(params, modes)
+    a = gaussian_form(modes)
     total = sum(coeff * gauss2d_moment(a, i, j) for (i, j), coeff in poly.items())
-    lam, w1, w2 = params.lam, modes.omega1, modes.omega2
+    lam, w1, w2 = modes.lam, modes.omega1, modes.omega2
     kappa = (lam * w1 * w2) ** -0.25
     scale = (
         2.0 ** (0.5 * (n + m + n2 + m2))
@@ -129,16 +131,16 @@ def overlap_element_closed(n, m, n2, m2, params, modes):
     return scale / (math.pi * kappa) * total
 
 
-def closed_form_matrix(params, modes):
+def closed_form_matrix(modes):
     """The d = 2 overlap tensor assembled from :func:`overlap_element_closed`."""
     levels = [(n, m) for n in range(2) for m in range(2)]
     return np.array(
-        [[overlap_element_closed(*bare, *mode, params, modes) for mode in levels]
+        [[overlap_element_closed(*bare, *mode, modes) for mode in levels]
          for bare in levels]
     )
 
 
-def overlap_element_quadrature(n, m, n2, m2, params, modes):
+def overlap_element_quadrature(n, m, n2, m2, modes):
     """``<n m | n' m'>`` for any levels, by quadrature of its integrand.
 
     The four eigenfunctions are evaluated on the 64-node :func:`quad2d`
@@ -152,15 +154,15 @@ def overlap_element_quadrature(n, m, n2, m2, params, modes):
     def integrand(x1, x2):
         return (
             psi(n, x1, 1.0)
-            * psi(m, x2, 1.0 / math.sqrt(params.lam))
+            * psi(m, x2, 1.0 / math.sqrt(modes.lam))
             * psi(n2, c * x1 + s * x2, 1.0 / math.sqrt(modes.omega1))
             * psi(m2, c * x2 - s * x1, 1.0 / math.sqrt(modes.omega2))
         )
 
-    return quad2d(integrand, gaussian_form(params, modes))
+    return quad2d(integrand, gaussian_form(modes))
 
 
-def overlap_recurrence(params, modes, d):
+def overlap_recurrence(modes, d):
     """The (d*d, d*d) overlap tensor from the generating function, with no
     eigenfunctions and no grid.
 
@@ -178,12 +180,12 @@ def overlap_recurrence(params, modes, d):
     """
     c, s = rotation(modes)
     m = np.array([[c, s], [-s, c]])
-    a = gaussian_form(params, modes)
+    a = gaussian_form(modes)
     omegas = np.sqrt([modes.omega1, modes.omega2])
-    p = np.hstack([np.diag([1.0, math.sqrt(params.lam)]), m.T * omegas])
+    p = np.hstack([np.diag([1.0, math.sqrt(modes.lam)]), m.T * omegas])
     q = p.T @ np.linalg.solve(a, p) - np.eye(4)
     u = np.zeros((d,) * 4)
-    u[0, 0, 0, 0] = (params.lam * modes.omega1 * modes.omega2) ** 0.25 / math.sqrt(
+    u[0, 0, 0, 0] = (modes.lam * modes.omega1 * modes.omega2) ** 0.25 / math.sqrt(
         np.linalg.det(a)
     )
     # lexicographic order: every k - e_j comes before k
@@ -243,3 +245,43 @@ def sweep_rows(sweep):
             values = (temperature, q, *entropies, *diagnostics)
             rows.append(dict(zip(CSV_COLUMNS, values)))
     return rows
+
+
+def gaussian_entropies(lam, g, temperatures, q):
+    """``(S_joint, S_1, S_2, margin)`` of the untruncated thermal state of
+    the coupled pair at entropic index q, each of shape ``(k,)`` for k
+    temperatures, with no basis, no truncation and no spectrum.
+
+    The state is Gaussian (Weedbrook et al., RMP 84, 621 (2012)).  With R
+    the eigenvectors of the potential ``K = [[1, g*lam], [g*lam, lam^2]]``,
+    ``omega_k = sqrt(eig K)`` and ``c_k = coth(omega_k / 2T) / 2``, bare
+    mode i has ``<x_i^2> = sum_k R_ik^2 c_k / omega_k`` and
+    ``<p_i^2> = sum_k R_ik^2 c_k omega_k``; its reduced state is thermal,
+    with symplectic eigenvalue ``nu_i = sqrt(<x_i^2> <p_i^2>)`` and
+    occupation ``n = nu_i - 1/2``.  The joint state is thermal in the
+    normal modes, with occupations ``1 / (exp(omega_k / T) - 1)``.  A mode
+    of occupation n has ``S = (n+1) ln(n+1) - n ln n`` and
+    ``Tr rho^q = 1 / ((n+1)^q - n^q)``; joint entropies add over the
+    normal modes and joint traces multiply.
+    """
+    t = np.asarray(temperatures, dtype=float)[:, None]
+    omega_sq, r = np.linalg.eigh([[1.0, g * lam], [g * lam, lam * lam]])
+    omega = np.sqrt(omega_sq)
+    c = 0.5 / np.tanh(omega / (2.0 * t))
+    x_sq, p_sq = (c / omega) @ (r * r).T, (c * omega) @ (r * r).T
+    bare = np.maximum(np.sqrt(x_sq * p_sq) - 0.5, 0.0)
+    normal = 1.0 / np.expm1(omega / t)
+
+    if abs(q - 1.0) < 1e-6:
+        def entropy(n):
+            return (n + 1.0) * np.log1p(n) - n * np.log(n, where=n > 0, out=np.zeros_like(n))
+
+        s_joint = entropy(normal).sum(axis=1)
+        s_first, s_second = entropy(bare).T
+    else:
+        def trace(n):
+            return 1.0 / ((n + 1.0) ** q - n**q)
+
+        s_joint = (1.0 - trace(normal).prod(axis=1)) / (q - 1.0)
+        s_first, s_second = ((1.0 - trace(bare)) / (q - 1.0)).T
+    return s_joint, s_first, s_second, s_first + s_second - s_joint

@@ -28,7 +28,7 @@ from oracles import (
 )
 from qubit_entropy.cli import CSV_COLUMNS, main, parse_config, run_sweep
 from qubit_entropy.entropy import bipartite_entropies, spectrum_entropies
-from qubit_entropy.model import CircuitParams, FrequencyMethod, normal_modes
+from qubit_entropy.model import FrequencyMethod, normal_modes
 from qubit_entropy.state import thermal_spectra, thermal_weights
 from qubit_entropy.transform import build_transform
 
@@ -51,12 +51,9 @@ def test_criterion_1_dual_oracle_transform():
     rng = np.random.default_rng(2024)
     odd_cells = [(0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2)]
     for _ in range(50):
-        params = CircuitParams(
-            lam=float(rng.uniform(1.2, 2.0)), g=float(rng.uniform(0.0, 0.1))
-        )
-        modes = normal_modes(params)
-        closed = closed_form_matrix(params, modes)
-        quad = build_transform(params, modes, d=2)
+        modes = normal_modes(float(rng.uniform(1.2, 2.0)), float(rng.uniform(0.0, 0.1)))
+        closed = closed_form_matrix(modes)
+        quad = build_transform(modes, d=2)
         assert np.max(np.abs(closed - quad)) <= 1e-8
         for i, j in odd_cells:
             assert closed[i, j] == 0.0
@@ -71,20 +68,18 @@ def test_criterion_1_dual_oracle_transform():
     "just over the stated 1e-4; see the companion test for the pinned value",
 )
 def test_criterion_2_frequency_agreement_literal():
-    params = CircuitParams(lam=1.5, g=0.01)
-    small = normal_modes(params)
-    exact = normal_modes(params, method=FrequencyMethod.EXACT)
+    small = normal_modes(1.5, 0.01)
+    exact = normal_modes(1.5, 0.01, method=FrequencyMethod.EXACT)
     assert abs(small.omega1 - exact.omega1) <= 1e-4
     assert abs(small.omega2 - exact.omega2) <= 1e-4
 
 
 def test_criterion_2_frequency_agreement_measured():
-    params = CircuitParams(lam=1.5, g=0.01)
-    small = normal_modes(params)
-    exact = normal_modes(params, method=FrequencyMethod.EXACT)
+    small = normal_modes(1.5, 0.01)
+    exact = normal_modes(1.5, 0.01, method=FrequencyMethod.EXACT)
     # determinant identity, exact method
     assert abs(
-        exact.omega1**2 * exact.omega2**2 - params.lam**2 * (1 - params.g**2)
+        exact.omega1**2 * exact.omega2**2 - exact.lam**2 * (1 - exact.g**2)
     ) <= 1e-12
     # lower mode meets the absolute tolerance; the upper mode misses it
     # by 8 percent and is pinned here so any drift surfaces
@@ -140,9 +135,8 @@ def test_criterion_6_block_purity_validity(default_rows):
 
 
 def test_criterion_7_bipartite_plumbing(default_rows):
-    params = CircuitParams(lam=1.5, g=0.1)
-    modes = normal_modes(params)
-    u = build_transform(params, modes, d=2)
+    modes = normal_modes(1.5, 0.1)
+    u = build_transform(modes, d=2)
     states = dense_states(thermal_weights(modes, [0.01, 0.1, 0.3, 0.5], 2), u)
     reduced = partial_traces(states)
     assert np.all(np.abs(np.trace(reduced, axis1=-2, axis2=-1) - 1.0) <= 1e-12)
@@ -226,9 +220,8 @@ def test_criterion_9_json_schema(tmp_path):
 
 def test_full_pipeline_spot_check():
     # one hand-checkable point: cold, weakly coupled, q = 1
-    params = CircuitParams(lam=1.5, g=0.1)
-    modes = normal_modes(params)
-    u = build_transform(params, modes, d=2)
+    modes = normal_modes(1.5, 0.1)
+    u = build_transform(modes, d=2)
     joint, marginals = thermal_spectra(thermal_weights(modes, [0.01], 2), u)
     s_joint, _, _, mutual_info = bipartite_entropies(joint, marginals, 1.0)
     assert_allclose(mutual_info, [0.009833147], atol=1e-8)

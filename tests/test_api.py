@@ -1,7 +1,12 @@
-"""The public API: every name a module exports resolves."""
+"""The public API: every name a module exports resolves, and README's
+examples run."""
 import importlib
+import re
+from pathlib import Path
 
 import pytest
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 MODULES = ["", ".cli", ".entropy", ".hermite", ".model", ".state", ".transform"]
 
@@ -28,7 +33,6 @@ def test_public_names_are_pinned():
     # widening either surface has to be an edit here
     package = importlib.import_module("qubit_entropy")
     assert sorted(package.__all__) == [
-        "CircuitParams",
         "FrequencyMethod",
         "NormalModes",
         "SMALL_ANGLE_LIMIT",
@@ -46,3 +50,12 @@ def test_public_names_are_pinned():
     assert sorted(cli.__all__) == [
         "Sweep", "SweepConfig", "SweepError", "emit", "main", "parse_config", "run_sweep",
     ]
+
+
+def test_readme_python_blocks_run(capsys):
+    # the documented calls are the real ones: a changed signature fails here
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert len(blocks) == 2
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
+    assert capsys.readouterr().out.startswith("# qubit-entropy")

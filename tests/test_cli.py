@@ -27,7 +27,7 @@ from qubit_entropy.cli import (
     run_sweep,
 )
 from qubit_entropy.entropy import bipartite_entropies
-from qubit_entropy.model import CircuitParams, normal_modes
+from qubit_entropy.model import normal_modes
 from qubit_entropy.state import thermal_spectra, thermal_weights, validity_diagnostics
 from qubit_entropy.transform import build_transform
 
@@ -43,9 +43,8 @@ def per_temperature_rows(config):
     call on a batch of one: the reference for the chunked sweep.  The
     levels-small tensor is the leading block of the levels-big one, as the
     sweep takes it."""
-    params = CircuitParams(lam=config.lam, g=config.g)
-    modes = normal_modes(params)
-    u_big = build_transform(params, modes, d=config.levels_big)
+    modes = normal_modes(config.lam, config.g)
+    u_big = build_transform(modes, d=config.levels_big)
     d_small, d_big = config.levels_small, config.levels_big
     kept = [n * d_big + m for n in range(d_small) for m in range(d_small)]
     u_small = u_big[np.ix_(kept, kept)]
@@ -239,6 +238,23 @@ class TestParseConfig:
             parse_config(["--g", "1.5"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--lambda", "0"], "frequency ratio must be positive, got 0.0"),
+            (["--lambda", "-1", "--g", "0"], "frequency ratio must be positive, got -1.0"),
+            (["--g", "1"], "|g| < 1 required for stable modes, got g=1.0"),
+            # lam**2 overflows above about 1.34e154
+            (["--lambda", "1e200"], "frequency ratio 1e+200 is too large"),
+        ],
+    )
+    def test_circuit_without_modes_exits_with_its_message(self, argv, message, capsys):
+        # normal_modes checks the circuit while the config is parsed
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_unknown_method_exits(self, tmp_path):
         # --method is ignored, but its value is still checked
         with pytest.raises(SystemExit) as err:
@@ -357,9 +373,9 @@ class TestRunSweep:
         # the levels-small tensor is the leading block of the levels-big one
         calls = []
 
-        def counting_build(params, modes, d):
+        def counting_build(modes, d):
             calls.append(d)
-            return build_transform(params, modes, d)
+            return build_transform(modes, d)
 
         monkeypatch.setattr(cli_mod, "build_transform", counting_build)
         config = parse_config(FAST + ["--levels-small", "3", "--levels-big", "7"])
@@ -392,6 +408,28 @@ class TestRunSweep:
         for a, b in [(plus.entropies, minus.entropies),
                      (plus.diagnostics, minus.diagnostics)]:
             assert np.all(np.abs(a - b) <= allow * np.maximum(1.0, np.abs(a)))
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_entropies_and_margins_non_negative(self, seed):
+        # every entropy of a state is >= 0.  The margin S_1 + S_2 - S_joint
+        # is the mutual information at q = 1 and, for q > 1, >= 0 by Tsallis
+        # subadditivity (Audenaert, J. Math. Phys. 48, 083507 (2007)); at
+        # q = 0.5 it can be negative and is left unchecked.
+        rng = np.random.default_rng(100 + seed)
+        lam = float(rng.choice([rng.uniform(0.3, 0.8), rng.uniform(1.3, 3.0)]))
+        # a small-angle rotation phi = g*lam / (lam^2 - 1) of either sign
+        phi = float(rng.uniform(-0.25, 0.25))
+        g = phi * (lam**2 - 1) / lam
+        d_small, d_big = [(2, 6), (3, 8), (4, 8), (2, 12)][seed % 4]
+        argv = [
+            "--lambda", repr(lam), "--g", repr(g),
+            "--t-min", "1e-9", "--t-max", "3", "--t-scale", "log", "--t-steps", "30",
+            "--q", "0.5,1,1.2,1.5,2,3",
+            "--levels-small", str(d_small), "--levels-big", str(d_big),
+        ]
+        entropies = run_sweep(parse_config(argv)).entropies
+        assert np.all(entropies[:, :3] >= 0.0)
+        assert np.all(entropies[1:, 3] >= 0.0)
 
     def test_diagnostics_repeat_across_q(self):
         rows = sweep_rows(run_sweep(parse_config(FAST)))

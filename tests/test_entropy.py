@@ -7,13 +7,12 @@ from numpy.testing import assert_allclose
 
 from oracles import dense_states, partial_traces, spectra, unit_trace
 from qubit_entropy.entropy import bipartite_entropies, spectrum_entropies
-from qubit_entropy.model import CircuitParams, normal_modes
+from qubit_entropy.model import normal_modes
 from qubit_entropy.state import thermal_spectra, thermal_weights
 from qubit_entropy.transform import build_transform
 
-REF = CircuitParams(lam=1.5, g=0.1)
-REF_MODES = normal_modes(REF)
-U_SMALL = build_transform(REF, REF_MODES, d=2)
+REF_MODES = normal_modes(1.5, 0.1)
+U_SMALL = build_transform(REF_MODES, d=2)
 
 
 def random_state(rng, dim=4):

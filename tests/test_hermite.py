@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from oracles import gauss2d_integral, gauss2d_moment, quad2d
 from qubit_entropy.hermite import ho_eigenfunctions
-from qubit_entropy.model import CircuitParams, FrequencyMethod, NormalModes
+from qubit_entropy.model import FrequencyMethod, NormalModes
 from qubit_entropy.transform import build_transform
 
 
@@ -154,20 +154,28 @@ class TestGauss2dIntegral:
     def test_indefinite_form_rejected(self):
         # the check build_transform makes before it integrates: a negative
         # mode frequency makes a11 negative, a NaN one makes the form NaN
-        params = CircuitParams(lam=1.5, g=0.1)
         for omega1, omega2 in [(-5.0, 1.5), (0.1, float("nan"))]:
-            modes = NormalModes(0.1, omega1, omega2, FrequencyMethod.SMALL_ANGLE)
+            modes = NormalModes(1.5, 0.1, 0.1, omega1, omega2, FrequencyMethod.SMALL_ANGLE)
             with pytest.raises(ValueError, match="not positive definite"):
-                build_transform(params, modes, 2)
+                build_transform(modes, 2)
 
     def test_nonpositive_frequency_rejected(self):
         # a negative frequency whose form is still positive definite: rejected
         # by name before any square root of it is taken
-        params = CircuitParams(lam=1.5, g=0.1)
         for omega1, omega2, name in [(-0.1, 1.5, "omega1"), (0.1, -0.1, "omega2")]:
-            modes = NormalModes(0.1, omega1, omega2, FrequencyMethod.SMALL_ANGLE)
+            modes = NormalModes(1.5, 0.1, 0.1, omega1, omega2, FrequencyMethod.SMALL_ANGLE)
             with pytest.raises(ValueError, match=f"{name}=-0.1 is not positive"):
-                build_transform(params, modes, 2)
+                build_transform(modes, 2)
+
+    @pytest.mark.parametrize("lam", [0.0, -0.5, float("nan")])
+    @pytest.mark.parametrize("g, phi", [(0.1, 0.1), (0.0, 0.0)])
+    def test_nonpositive_ratio_rejected(self, lam, g, phi):
+        # modes built directly, past the checks of normal_modes: rejected
+        # also at g = 0, where the tensor would be the identity; a NaN lam
+        # makes the form NaN
+        modes = NormalModes(lam, g, phi, 1.0, 1.5, FrequencyMethod.SMALL_ANGLE)
+        with pytest.raises(ValueError, match="not positive"):
+            build_transform(modes, 2)
 
 
 class TestGauss2dMoment:

@@ -12,7 +12,6 @@ import mpmath
 import pytest
 
 from qubit_entropy.cli import parse_config, run_sweep
-from qubit_entropy.model import CircuitParams
 from qubit_entropy.transform import build_transform
 
 DIGITS = 60
@@ -64,8 +63,7 @@ def misses(argv, columns=("S_joint", "S_1", "S_2", "I"), rel=REL, abs=ABS):
     """Cells of the sweep for ``argv`` outside the gate around the oracle."""
     config = parse_config(argv)
     sweep = run_sweep(config)
-    params = CircuitParams(lam=config.lam, g=config.g)
-    u = build_transform(params, config.modes, d=config.levels_small)
+    u = build_transform(config.modes, d=config.levels_small)
     bad = []
     for k, temperature in enumerate(sweep.temperatures.tolist()):
         oracle = oracle_cells(

@@ -10,19 +10,19 @@ from numpy.testing import assert_allclose
 
 from oracles import dense_states, partial_traces, spectra, unit_trace
 from qubit_entropy.entropy import spectrum_entropies
-from qubit_entropy.model import CircuitParams, NormalModes, FrequencyMethod, normal_modes
+from qubit_entropy.model import NormalModes, FrequencyMethod, normal_modes
 from qubit_entropy.state import thermal_spectra, thermal_weights, validity_diagnostics
 from qubit_entropy.transform import build_transform
 
-REF = CircuitParams(lam=1.5, g=0.1)
-REF_MODES = normal_modes(REF)
-U_SMALL = build_transform(REF, REF_MODES, d=2)
-U_BIG = build_transform(REF, REF_MODES, d=6)
+REF_MODES = normal_modes(1.5, 0.1)
+U_SMALL = build_transform(REF_MODES, d=2)
+U_BIG = build_transform(REF_MODES, d=6)
 
 
 def modes_with(omega1, omega2):
     return NormalModes(
-        phi=0.0, omega1=omega1, omega2=omega2, method=FrequencyMethod.SMALL_ANGLE
+        lam=1.5, g=0.0, phi=0.0, omega1=omega1, omega2=omega2,
+        method=FrequencyMethod.SMALL_ANGLE,
     )
 
 
@@ -53,7 +53,7 @@ class TestThermalDensity:
         # omega1 = 1.49e-8 here, so at T = 5e-9 the first excited level of
         # mode 1 keeps about 5 % of the weight: a cold row is a ground
         # projector only where every gap is many times T
-        modes = normal_modes(CircuitParams(1.0, 1 - 2**-53), FrequencyMethod.EXACT)
+        modes = normal_modes(1.0, 1 - 2**-53, FrequencyMethod.EXACT)
         gaps = np.array([0.0, modes.omega2, modes.omega1, modes.omega1 + modes.omega2])
         boltzmann = np.exp(-gaps / 5e-9)
         w = thermal_weights(modes, [5e-9], d=2)[0]
@@ -103,7 +103,7 @@ class TestDensityFromArray:
         # B^T B is symmetric by construction; weights that do not sum to
         # one give the spectra of the unit-trace state, each entry to the
         # relative accuracy of the SVD
-        u = build_transform(REF, REF_MODES, d=3)
+        u = build_transform(REF_MODES, d=3)
         weights = thermal_weights(REF_MODES, [0.1, 0.4], 3)
         for got, want in zip(thermal_spectra(3.0 * weights, u), thermal_spectra(weights, u)):
             assert_allclose(got, want, rtol=1e-12, atol=0)
@@ -112,7 +112,7 @@ class TestDensityFromArray:
     def test_tiny_negative_eigenvalue_clamped(self):
         # eigvalsh of the formed states leaves rounding negatives; squared
         # singular values cannot be negative
-        u = build_transform(REF, REF_MODES, d=4)
+        u = build_transform(REF_MODES, d=4)
         weights = thermal_weights(REF_MODES, [5e-9, 0.01, 0.05], 4)
         assert np.linalg.eigvalsh(dense_states(weights, u)).min() < 0
         joint, marginals = thermal_spectra(weights, u)
@@ -150,9 +150,8 @@ class TestDensityFromArray:
 class TestTransformDensity:
     # the reference state U^T diag(w) U / tr, formed
     def test_identity_transform_keeps_state(self):
-        params = CircuitParams(lam=1.5, g=0.0)
-        modes = normal_modes(params)
-        u = build_transform(params, modes, d=2)
+        modes = normal_modes(1.5, 0.0)
+        u = build_transform(modes, d=2)
         weights = thermal_weights(modes, [0.2], 2)
         assert_allclose(dense_states(weights, u)[0], np.diag(weights[0]), atol=1e-14)
 
@@ -168,7 +167,7 @@ class TestTransformDensity:
         assert np.max(np.abs(before - after)) < 1e-3
 
     def test_dimension_mismatch_rejected(self):
-        u = build_transform(REF, REF_MODES, d=3)
+        u = build_transform(REF_MODES, d=3)
         with pytest.raises(ValueError, match="do not match"):
             thermal_spectra(thermal_weights(REF_MODES, [0.1], 2), u)
 
@@ -203,10 +202,9 @@ class TestThermalSpectra:
         # at g = 0 the spectra are the Boltzmann weights themselves, down to
         # 1e-33 here, each to rounding; an eigendecomposition would leave
         # them at about 1e-17 of noise
-        params = CircuitParams(lam=1.5, g=0.0)
-        modes = normal_modes(params)
+        modes = normal_modes(1.5, 0.0)
         weights = thermal_weights(modes, [0.02, 0.2], 2)
-        u = build_transform(params, modes, d=2)
+        u = build_transform(modes, d=2)
         joint, (first, second) = thermal_spectra(weights, u)
         assert_allclose(joint, np.sort(weights, axis=1), rtol=1e-15, atol=0)
         for omega, marginal in ((1.0, first), (1.5, second)):
@@ -226,7 +224,7 @@ class TestThermalSpectra:
 
     def test_stack_matches_single_states(self):
         temps = np.concatenate([[5e-9], np.linspace(0.02, 0.6, 12)])
-        u = build_transform(REF, REF_MODES, d=3)
+        u = build_transform(REF_MODES, d=3)
         joint, marginals = thermal_spectra(thermal_weights(REF_MODES, temps, 3), u)
         for k, t in enumerate(temps):
             one = thermal_weights(REF_MODES, [t], 3)
@@ -236,7 +234,7 @@ class TestThermalSpectra:
 
     def test_ground_state_marginals_share_a_spectrum(self):
         # a pure state's two marginals have the same Schmidt spectrum
-        u = build_transform(REF, REF_MODES, d=4)
+        u = build_transform(REF_MODES, d=4)
         joint, (first, second) = thermal_spectra(
             thermal_weights(REF_MODES, [5e-9], 4), u
         )
@@ -289,9 +287,8 @@ class TestPartialTrace:
                 assert np.linalg.eigvalsh(reduced).min() >= -1e-10
 
     def test_zero_coupling_marginals_are_single_mode_thermal(self):
-        params = CircuitParams(lam=1.5, g=0.0)
-        modes = normal_modes(params)
-        u = build_transform(params, modes, d=2)
+        modes = normal_modes(1.5, 0.0)
+        u = build_transform(modes, d=2)
         rho = dense_states(thermal_weights(modes, [0.2], 2), u)[0]
         first, second = partial_traces(rho)
         z1 = 1.0 + math.exp(-1.0 / 0.2)
@@ -363,7 +360,7 @@ class TestSubspaceValidity:
             assert b <= a + 1e-12
 
     def test_prebuilt_transform_must_match_truncation(self):
-        u_small = build_transform(REF, REF_MODES, d=2)
+        u_small = build_transform(REF_MODES, d=2)
         with pytest.raises(ValueError, match="do not match"):
             validity_diagnostics(thermal_weights(REF_MODES, [0.2], 6), u_small, 2)
 
@@ -414,9 +411,8 @@ class TestValidityDiagnostics:
         # ||B|| <= 1, and |d offdiag_sum| <= d_small^2 ||dB||_F over the
         # d_small^4 entries.  The two routes' errors add.  An odd d_small
         # keeps unequal numbers of even and odd levels.
-        params = CircuitParams(lam=lam, g=g)
-        modes = normal_modes(params, FrequencyMethod.EXACT)
-        u = build_transform(params, modes, d=d_big)
+        modes = normal_modes(lam, g, FrequencyMethod.EXACT)
+        u = build_transform(modes, d=d_big)
         weights = thermal_weights(modes, self.ORACLE_TEMPS, d_big)
         states = dense_states(weights, u)
         n_eps = d_big**2 * np.finfo(float).eps
@@ -434,9 +430,8 @@ class TestValidityDiagnostics:
     @pytest.mark.parametrize("d_small, d_big", [(2, 6), (3, 8), (2, 20)])
     def test_ground_state_is_rank_one_projector(self, d_small, d_big):
         # every excited weight underflows: the state is U_0^T U_0 / |U_0|^2 (row 0 of U)
-        params = CircuitParams(lam=1.5, g=0.3)
-        modes = normal_modes(params, FrequencyMethod.EXACT)
-        u = build_transform(params, modes, d=d_big)
+        modes = normal_modes(1.5, 0.3, FrequencyMethod.EXACT)
+        u = build_transform(modes, d=d_big)
         weights = thermal_weights(modes, [1e-9], d_big)
         mu_block, mu_complement, _ = validity_diagnostics(weights, u, d_small)
         row = u[0] ** 2
@@ -458,7 +453,7 @@ class TestValidityDiagnostics:
          (float("inf"), "non-negative")],
     )
     def test_bad_weight_rejected(self, bad, message):
-        u = build_transform(REF, REF_MODES, d=6)
+        u = build_transform(REF_MODES, d=6)
         weights = thermal_weights(REF_MODES, [0.1, 0.2], 6)
         weights[1, 3] = bad
         with pytest.raises(ValueError, match=message):
@@ -488,9 +483,8 @@ class TestValidityDiagnostics:
         # the block is formed per state as (U_K^T w) @ U_K, k d_small^2 d_big^2
         # values: 0.5 MB here, where a (d_big^2, d_small^4) table of the kept
         # column pairs would take 66 MB
-        params = CircuitParams(lam=1.5, g=0.1)
-        modes = normal_modes(params)
-        u = build_transform(params, modes, d=20)
+        modes = normal_modes(1.5, 0.1)
+        u = build_transform(modes, d=20)
         weights = thermal_weights(modes, [0.3], 20)
         tracemalloc.start()
         try:
@@ -501,12 +495,12 @@ class TestValidityDiagnostics:
         assert peak < 16 * 2**20
 
     def test_zero_trace_rejected(self):
-        u = build_transform(REF, REF_MODES, d=6)
+        u = build_transform(REF_MODES, d=6)
         with pytest.raises(ValueError, match="trace must be positive"):
             validity_diagnostics(np.zeros((1, 36)), u, 2)
 
     def test_shape_and_truncation_checked(self):
-        u = build_transform(REF, REF_MODES, d=6)
+        u = build_transform(REF_MODES, d=6)
         with pytest.raises(ValueError, match="do not match"):
             validity_diagnostics(thermal_weights(REF_MODES, [0.1], 5), u, 2)
         with pytest.raises(ValueError):
@@ -520,7 +514,7 @@ class TestMemoryLayout:
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_thermal_spectra_ignore_layout(self, d):
-        u = build_transform(REF, REF_MODES, d=d)
+        u = build_transform(REF_MODES, d=d)
         weights = thermal_weights(REF_MODES, self.TEMPS, d)
         for c_ordered, f_ordered in zip(
             thermal_spectra(weights, u),
@@ -530,7 +524,7 @@ class TestMemoryLayout:
 
     @pytest.mark.parametrize("d_big", [6, 8])
     def test_validity_diagnostics_ignore_layout(self, d_big):
-        u = build_transform(REF, REF_MODES, d=d_big)
+        u = build_transform(REF_MODES, d=d_big)
         weights = thermal_weights(REF_MODES, self.TEMPS, d_big)
         for c_ordered, f_ordered in zip(
             validity_diagnostics(weights, u, 2),

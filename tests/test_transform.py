@@ -14,16 +14,15 @@ from oracles import (
     rotation,
 )
 from qubit_entropy.hermite import ho_eigenfunctions
-from qubit_entropy.model import CircuitParams, FrequencyMethod, normal_modes
+from qubit_entropy.model import FrequencyMethod, normal_modes
 from qubit_entropy.transform import build_transform
 
-REF = CircuitParams(lam=1.5, g=0.1)
-REF_MODES = normal_modes(REF)
+REF_MODES = normal_modes(1.5, 0.1)
 
 ODD_CELLS = [(0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2)]
 
 
-def grid_tables(params, modes, d, order=None, triangular=False):
+def grid_tables(modes, d, order=None, triangular=False):
     """The four eigenfunction tables on the full grid, its rule's weights
     v and ``sqrt(det)``, whose inverse is the Jacobian of the node map.
 
@@ -34,9 +33,9 @@ def grid_tables(params, modes, d, order=None, triangular=False):
     ``triangular``, through the triangular factor of the Gaussian, as
     build_transform maps them, where the bare x2 depends on k2 alone.
     """
-    lam, w1, w2 = params.lam, modes.omega1, modes.omega2
+    lam, w1, w2 = modes.lam, modes.omega1, modes.omega2
     c, s = rotation(modes)
-    a = gaussian_form(params, modes)
+    a = gaussian_form(modes)
     det = a[0, 0] * a[1, 1] - a[0, 1] * a[0, 1]
     t, w = np.polynomial.hermite.hermgauss(order or 2 * d - 1)
     v = np.exp(np.log(w) + t * t)
@@ -60,14 +59,14 @@ def grid_tables(params, modes, d, order=None, triangular=False):
     return tables, v, sqrt(det)
 
 
-def per_entry_tables(params, modes, d, order=None, triangular=False):
+def per_entry_tables(modes, d, order=None, triangular=False):
     """Bare and normal-mode eigenfunction products and the weights on the full grid.
 
     One row per (n, m), filled one eigenfunction product at a time, over
     every node of :func:`grid_tables`; columns run over the flat node
     index k1 * N + k2.
     """
-    (f1, f2, f1p, f2p), v, root_det = grid_tables(params, modes, d, order, triangular)
+    (f1, f2, f1p, f2p), v, root_det = grid_tables(modes, d, order, triangular)
     weights = (np.outer(v, v) / root_det).ravel()
     bare = np.empty((d * d, v.size * v.size))
     rotated = np.empty((d * d, v.size * v.size))
@@ -84,11 +83,11 @@ def odd_level_sum(d):
     return np.add.outer(level_sum, level_sum) % 2 == 1
 
 
-def per_entry_quadrature_build(params, modes, d, order=None, triangular=False):
+def per_entry_quadrature_build(modes, d, order=None, triangular=False):
     """The quadrature tensor from :func:`per_entry_tables`, summed over the
     full grid in one matrix product, and its absolute sum
     ``S = sum |W B R|``, which bounds its rounding error."""
-    bare, rotated, weights = per_entry_tables(params, modes, d, order, triangular)
+    bare, rotated, weights = per_entry_tables(modes, d, order, triangular)
     magnitude = (np.abs(bare) * weights) @ np.abs(rotated).T
     return (bare * weights) @ rotated.T, magnitude
 
@@ -99,7 +98,7 @@ def gamma(k):
     return k * unit / (1 - k * unit)
 
 
-def build_rounding_bound(params, modes, d):
+def build_rounding_bound(modes, d):
     """``gamma_k * S`` for build_transform at order 2d - 1.
 
     Its sum of an entry runs over the N = 2d - 1 nodes k1 in one matrix
@@ -110,7 +109,7 @@ def build_rounding_bound(params, modes, d):
     alone, so S factorizes as the build does, into a sum over k1 and then
     one over k2 of absolute tables: O(d^5), every term non-negative.
     """
-    (f1, f2, f1p, f2p), v, root_det = grid_tables(params, modes, d, triangular=True)
+    (f1, f2, f1p, f2p), v, root_det = grid_tables(modes, d, triangular=True)
     nodes = v.size
     # sum over k1 for each k2: (k2, n n', k1) @ (k2, k1, m')
     pairs = (np.abs(f1) * v[:, None])[:, None] * np.abs(f1p)[None]
@@ -121,9 +120,9 @@ def build_rounding_bound(params, modes, d):
     return gamma((2 * d - 1) + d) * magnitude
 
 
-def probe_block_deviation(params, modes, d):
+def probe_block_deviation(modes, d):
     """Max-norm gap of the lowest 2x2-level block of U^T U from identity."""
-    u = build_transform(params, modes, d=d)
+    u = build_transform(modes, d=d)
     gram = u.T @ u
     idx = [n * d + m for n in range(2) for m in range(2)]
     return np.max(np.abs(gram[np.ix_(idx, idx)] - np.eye(4)))
@@ -132,63 +131,61 @@ def probe_block_deviation(params, modes, d):
 class TestGaussianCoefficients:
     # the Gaussian of tests/oracles.py, derived there from the rotation
     def test_zero_coupling_is_separable(self):
-        params = CircuitParams(lam=1.0, g=0.0)
-        form = gaussian_form(params, normal_modes(params))
+        form = gaussian_form(normal_modes(1.0, 0.0))
         assert form[0, 1] == form[1, 0] == 0.0
         assert np.linalg.det(form) > 0
 
     def test_positive_definite_at_reference(self):
-        form = gaussian_form(REF, REF_MODES)
+        form = gaussian_form(REF_MODES)
         assert form[0, 0] > 0
         assert np.linalg.det(form) > 0
 
     def test_legacy_table_fails_zero_coupling_identity(self):
         # at g=0 the transform must be the identity, which needs
         # 1/(K sqrt(det A)) = 1; the current derivation satisfies it
-        params = CircuitParams(lam=1.5, g=0.0)
-        modes = normal_modes(params)
-        kappa = (params.lam * modes.omega1 * modes.omega2) ** -0.25
-        good = gaussian_form(params, modes)
+        modes = normal_modes(1.5, 0.0)
+        kappa = (modes.lam * modes.omega1 * modes.omega2) ** -0.25
+        good = gaussian_form(modes)
         assert_allclose(1.0 / (kappa * np.sqrt(np.linalg.det(good))), 1.0, rtol=1e-14)
 
     def test_quadrature_arbitrates_between_tables(self):
         # the ground-state element follows 1/(K sqrt(det A)); the
         # current coefficients reproduce the directly integrated value
-        kappa = (REF.lam * REF_MODES.omega1 * REF_MODES.omega2) ** -0.25
-        oracle = overlap_element_quadrature(0, 0, 0, 0, REF, REF_MODES)
-        good = gaussian_form(REF, REF_MODES)
+        kappa = (REF_MODES.lam * REF_MODES.omega1 * REF_MODES.omega2) ** -0.25
+        oracle = overlap_element_quadrature(0, 0, 0, 0, REF_MODES)
+        good = gaussian_form(REF_MODES)
         assert_allclose(1.0 / (kappa * np.sqrt(np.linalg.det(good))), oracle, rtol=1e-10)
 
 
 class TestClosedElements:
     def test_ground_element_formula(self):
-        det = np.linalg.det(gaussian_form(REF, REF_MODES))
-        kappa = (REF.lam * REF_MODES.omega1 * REF_MODES.omega2) ** -0.25
+        det = np.linalg.det(gaussian_form(REF_MODES))
+        kappa = (REF_MODES.lam * REF_MODES.omega1 * REF_MODES.omega2) ** -0.25
         expected = 1.0 / (kappa * np.sqrt(det))
         assert_allclose(
-            overlap_element_closed(0, 0, 0, 0, REF, REF_MODES), expected, rtol=1e-13
+            overlap_element_closed(0, 0, 0, 0, REF_MODES), expected, rtol=1e-13
         )
 
     def test_both_excited_element_formula(self):
-        form = gaussian_form(REF, REF_MODES)
-        kappa = (REF.lam * REF_MODES.omega1 * REF_MODES.omega2) ** -0.25
-        expected = -form[0, 1] * np.sqrt(REF.lam) / (kappa * np.linalg.det(form) ** 1.5)
+        form = gaussian_form(REF_MODES)
+        kappa = (REF_MODES.lam * REF_MODES.omega1 * REF_MODES.omega2) ** -0.25
+        expected = -form[0, 1] * np.sqrt(REF_MODES.lam) / (kappa * np.linalg.det(form) ** 1.5)
         assert_allclose(
-            overlap_element_closed(1, 1, 0, 0, REF, REF_MODES), expected, rtol=1e-13
+            overlap_element_closed(1, 1, 0, 0, REF_MODES), expected, rtol=1e-13
         )
 
     def test_top_corner_element_rejects_legacy_groupings(self):
         # two prefactor groupings from the superseded derivation, both
         # well off the integrated value; the moment expansion matches it
         phi = REF_MODES.phi
-        form = gaussian_form(REF, REF_MODES)
+        form = gaussian_form(REF_MODES)
         det = np.linalg.det(form)
-        kappa = (REF.lam * REF_MODES.omega1 * REF_MODES.omega2) ** -0.25
+        kappa = (REF_MODES.lam * REF_MODES.omega1 * REF_MODES.omega2) ** -0.25
         shared = (1 - phi**2) * (1 + 3 * form[0, 1] ** 2 / det)
         grouping_a = shared / (kappa * det) ** 1.5
         grouping_b = shared / (kappa * det**1.5)
-        oracle = overlap_element_quadrature(1, 1, 1, 1, REF, REF_MODES)
-        closed = overlap_element_closed(1, 1, 1, 1, REF, REF_MODES)
+        oracle = overlap_element_quadrature(1, 1, 1, 1, REF_MODES)
+        closed = overlap_element_closed(1, 1, 1, 1, REF_MODES)
         assert_allclose(closed, oracle, atol=1e-10)
         assert abs(grouping_a - oracle) > 0.1
         assert abs(grouping_b - oracle) > 0.1
@@ -200,62 +197,56 @@ class TestClosedElements:
                     for m2 in range(2):
                         if (n + m + n2 + m2) % 2 == 1:
                             value = overlap_element_closed(
-                                n, m, n2, m2, REF, REF_MODES
+                                n, m, n2, m2, REF_MODES
                             )
                             assert value == 0.0
 
     def test_zero_coupling_is_exact_delta(self):
-        params = CircuitParams(lam=1.5, g=0.0)
-        modes = normal_modes(params)
+        modes = normal_modes(1.5, 0.0)
         for n in range(2):
             for m in range(2):
                 for n2 in range(2):
                     for m2 in range(2):
-                        value = overlap_element_closed(n, m, n2, m2, params, modes)
+                        value = overlap_element_closed(n, m, n2, m2, modes)
                         assert value == (1.0 if (n, m) == (n2, m2) else 0.0)
 
 
 class TestQuadratureElements:
     def test_ground_element_at_zero_coupling(self):
-        params = CircuitParams(lam=1.5, g=0.0)
-        modes = normal_modes(params)
-        value = overlap_element_quadrature(0, 0, 0, 0, params, modes)
+        modes = normal_modes(1.5, 0.0)
+        value = overlap_element_quadrature(0, 0, 0, 0, modes)
         assert_allclose(value, 1.0, atol=1e-12)
 
     def test_orthogonality_at_zero_coupling(self):
-        params = CircuitParams(lam=1.5, g=0.0)
-        modes = normal_modes(params)
-        value = overlap_element_quadrature(0, 0, 1, 1, params, modes)
+        modes = normal_modes(1.5, 0.0)
+        value = overlap_element_quadrature(0, 0, 1, 1, modes)
         assert_allclose(value, 0.0, atol=1e-12)
 
     def test_high_levels_accepted(self):
-        value = overlap_element_quadrature(3, 2, 3, 2, REF, REF_MODES)
+        value = overlap_element_quadrature(3, 2, 3, 2, REF_MODES)
         assert abs(value) < 1.5
 
     def test_negative_level_rejected(self):
         # the eigenfunction table has no row -1
         with pytest.raises(ValueError):
-            overlap_element_quadrature(-1, 0, 0, 0, REF, REF_MODES)
+            overlap_element_quadrature(-1, 0, 0, 0, REF_MODES)
 
 
 class TestDualOracle:
     def test_closed_matches_quadrature_on_random_params(self):
         rng = np.random.default_rng(91823)
         for _ in range(50):
-            params = CircuitParams(
-                lam=float(rng.uniform(1.2, 2.0)), g=float(rng.uniform(0.0, 0.1))
-            )
-            modes = normal_modes(params)
-            closed = closed_form_matrix(params, modes)
-            quad = build_transform(params, modes, d=2)
+            modes = normal_modes(float(rng.uniform(1.2, 2.0)), float(rng.uniform(0.0, 0.1)))
+            closed = closed_form_matrix(modes)
+            quad = build_transform(modes, d=2)
             assert np.max(np.abs(closed - quad)) < 1e-8
 
     def test_quadrature_parity_cells_tiny(self):
         # the fold sets every entry of odd level sum to an exact zero
         for method in FrequencyMethod:
-            modes = normal_modes(REF, method)
+            modes = normal_modes(1.5, 0.1, method)
             for d in (2, 3, 8, 20):
-                entries = build_transform(REF, modes, d=d)
+                entries = build_transform(modes, d=d)
                 odd = odd_level_sum(d)
                 assert np.all(entries[odd] == 0.0)
                 assert not np.any(np.signbit(entries[odd]))
@@ -263,11 +254,8 @@ class TestDualOracle:
                     assert [tuple(ij) for ij in np.argwhere(odd).tolist()] == ODD_CELLS
 
     def test_continuity_in_coupling(self):
-        base = build_transform(REF, REF_MODES, d=2)
-        shifted_params = CircuitParams(lam=1.5, g=0.1 + 1e-6)
-        shifted = build_transform(
-            shifted_params, normal_modes(shifted_params), d=2
-        )
+        base = build_transform(REF_MODES, d=2)
+        shifted = build_transform(normal_modes(1.5, 0.1 + 1e-6), d=2)
         assert np.max(np.abs(base - shifted)) < 1e-4
 
 
@@ -275,18 +263,18 @@ class TestBuildTransform:
     def test_closed_build_equals_elementwise_values(self):
         # the d = 2 build against the closed forms: the rule is exact, so
         # they differ by rounding only
-        built = build_transform(REF, REF_MODES, d=2)
-        closed = closed_form_matrix(REF, REF_MODES)
+        built = build_transform(REF_MODES, d=2)
+        closed = closed_form_matrix(REF_MODES)
         assert_allclose(built, closed, rtol=0, atol=1e-14)
 
     def test_quadrature_build_equals_elementwise_values(self):
-        built = build_transform(REF, REF_MODES, d=3)
+        built = build_transform(REF_MODES, d=3)
         for n in range(3):
             for m in range(3):
                 for n2 in range(3):
                     for m2 in range(3):
                         element = overlap_element_quadrature(
-                            n, m, n2, m2, REF, REF_MODES
+                            n, m, n2, m2, REF_MODES
                         )
                         assert_allclose(
                             built[n * 3 + m, n2 * 3 + m2], element, atol=1e-13
@@ -310,15 +298,14 @@ class TestBuildTransform:
         # within gamma_k * S of the same integral, S its own absolute sum:
         # the build on the triangular grid, the reference on the eigen-mapped
         # grid, its k the N^2 terms plus one for the second product.
-        params = CircuitParams(lam=lam, g=g)
-        modes = normal_modes(params, method)
-        built = build_transform(params, modes, d=d)
+        modes = normal_modes(lam, g, method)
+        built = build_transform(modes, d=d)
         # at g = 0 the bases coincide and the build is the exact identity
         if g == 0:
             np.testing.assert_array_equal(built, np.eye(d * d))
             return
-        reference, magnitude = per_entry_quadrature_build(params, modes, d)
-        bound = build_rounding_bound(params, modes, d)
+        reference, magnitude = per_entry_quadrature_build(modes, d)
+        bound = build_rounding_bound(modes, d)
         bound += gamma((2 * d - 1) ** 2 + 1) * magnitude
         assert np.all(np.abs(built - reference) <= bound)
 
@@ -328,8 +315,8 @@ class TestBuildTransform:
         # why the fold is exact: on the triangular grid, flat node N^2 - 1 - k
         # is node k negated, the weights are symmetric and each product of
         # levels (n, m) takes the factor (-1)^(n+m) there, all bit for bit
-        modes = normal_modes(REF, method)
-        bare, rotated, weights = per_entry_tables(REF, modes, d, triangular=True)
+        modes = normal_modes(1.5, 0.1, method)
+        bare, rotated, weights = per_entry_tables(modes, d, triangular=True)
         sign = np.where(np.add.outer(np.arange(d), np.arange(d)).ravel() % 2, -1.0, 1.0)
         np.testing.assert_array_equal(weights[::-1], weights)
         np.testing.assert_array_equal(bare[:, ::-1], sign[:, None] * bare)
@@ -343,10 +330,10 @@ class TestBuildTransform:
         # bounded on its own: within gamma_k * S of the integral, S the
         # absolute sum over the full grid, k the N^2 terms plus one for the
         # full-grid sum.  Entries of odd level sum have an exact sum of zero.
-        modes = normal_modes(REF, method)
-        built = build_transform(REF, modes, d=d)
-        full, magnitude = per_entry_quadrature_build(REF, modes, d, triangular=True)
-        bound = build_rounding_bound(REF, modes, d)
+        modes = normal_modes(1.5, 0.1, method)
+        built = build_transform(modes, d=d)
+        full, magnitude = per_entry_quadrature_build(modes, d, triangular=True)
+        bound = build_rounding_bound(modes, d)
         bound += gamma((2 * d - 1) ** 2 + 1) * magnitude
         assert np.all(np.abs(built - full) <= bound)
 
@@ -359,39 +346,36 @@ class TestBuildTransform:
             (0.6, -0.2, 9, FrequencyMethod.EXACT),
             (2.2, 0.25, 9, FrequencyMethod.EXACT),
         ]:
-            params = CircuitParams(lam=lam, g=g)
-            modes = normal_modes(params, method)
-            built = build_transform(params, modes, d)
-            high = per_entry_quadrature_build(params, modes, d, order=64)[0]
+            modes = normal_modes(lam, g, method)
+            built = build_transform(modes, d)
+            high = per_entry_quadrature_build(modes, d, order=64)[0]
             assert np.max(np.abs(built - high)) <= 1e-14
 
     def test_zero_coupling_closed_build_is_exact_identity(self):
-        params = CircuitParams(lam=1.5, g=0.0)
-        assert np.array_equal(closed_form_matrix(params, normal_modes(params)), np.eye(4))
+        assert np.array_equal(closed_form_matrix(normal_modes(1.5, 0.0)), np.eye(4))
 
     def test_zero_coupling_quadrature_build_near_identity(self):
-        params = CircuitParams(lam=1.5, g=0.0)
-        built = build_transform(params, normal_modes(params), d=2)
+        built = build_transform(normal_modes(1.5, 0.0), d=2)
         assert np.array_equal(built, np.eye(4))
 
     def test_metadata_recorded(self):
         # a plain matrix: the levels per mode are the square root of its size
-        built = build_transform(REF, REF_MODES, d=3)
+        built = build_transform(REF_MODES, d=3)
         assert type(built) is np.ndarray
         assert built.shape == (9, 9) and built.dtype == np.float64
 
     def test_dimension_floor(self):
         with pytest.raises(ValueError):
-            build_transform(REF, REF_MODES, d=1)
+            build_transform(REF_MODES, d=1)
 
     def test_closed_form_limited_to_two_levels(self):
         # the closed forms cover levels 0 and 1 in every slot; the build
         # has no such limit, and its d = 3 tensor (order 5) agrees with them
         # on the levels they cover
-        built = build_transform(REF, REF_MODES, d=3)
+        built = build_transform(REF_MODES, d=3)
         assert built.shape == (9, 9)
         low = [0, 1, 3, 4]  # (n, m) in {0, 1}^2 at d = 3
-        closed = closed_form_matrix(REF, REF_MODES)
+        closed = closed_form_matrix(REF_MODES)
         assert_allclose(built[np.ix_(low, low)], closed, rtol=0, atol=1e-14)
 
 
@@ -410,11 +394,10 @@ class TestRecurrenceOracle:
     # no eigenfunctions, no grid, no parity fold
     @pytest.mark.parametrize("lam, g, method", CIRCUITS)
     def test_build_matches_recurrence(self, lam, g, method):
-        params = CircuitParams(lam=lam, g=g)
-        modes = normal_modes(params, method)
+        modes = normal_modes(lam, g, method)
         for d in (2, 6, 9, 12):
-            expected = overlap_recurrence(params, modes, d)
-            assert_allclose(build_transform(params, modes, d), expected, rtol=0, atol=1e-13)
+            expected = overlap_recurrence(modes, d)
+            assert_allclose(build_transform(modes, d), expected, rtol=0, atol=1e-13)
 
 
 class TestLeadingBlock:
@@ -424,12 +407,11 @@ class TestLeadingBlock:
     # gamma_k * S of the same integrals.
     @pytest.mark.parametrize("lam, g, method", CIRCUITS)
     def test_leading_block_equals_smaller_build(self, lam, g, method):
-        params = CircuitParams(lam=lam, g=g)
-        modes = normal_modes(params, method)
+        modes = normal_modes(lam, g, method)
         builds, bounds = {}, {}
         for d in (2, 3, 4, 6, 8, 12, 20, 31, 32):
-            builds[d] = build_transform(params, modes, d)
-            bounds[d] = build_rounding_bound(params, modes, d)
+            builds[d] = build_transform(modes, d)
+            bounds[d] = build_rounding_bound(modes, d)
         for d_small, d_big in [(2, 3), (2, 6), (4, 8), (2, 20), (12, 20), (31, 32)]:
             kept = [n * d_big + m for n in range(d_small) for m in range(d_small)]
             block = np.ix_(kept, kept)
@@ -439,12 +421,12 @@ class TestLeadingBlock:
 
 class TestTruncationLeakage:
     def test_probe_block_shrinks_with_truncation_small_angle(self):
-        devs = [probe_block_deviation(REF, REF_MODES, d) for d in (2, 4, 6)]
+        devs = [probe_block_deviation(REF_MODES, d) for d in (2, 4, 6)]
         assert devs[0] > devs[1] > devs[2]
 
     def test_probe_block_shrinks_with_truncation_exact_angle(self):
-        modes = normal_modes(REF, method=FrequencyMethod.EXACT)
-        devs = [probe_block_deviation(REF, modes, d) for d in (2, 4, 6)]
+        modes = normal_modes(1.5, 0.1, method=FrequencyMethod.EXACT)
+        devs = [probe_block_deviation(modes, d) for d in (2, 4, 6)]
         assert devs[0] > devs[1] > devs[2]
         # the exact-angle substitution is orthogonal, so the block
         # converges all the way to identity
@@ -455,7 +437,7 @@ class TestTruncationLeakage:
         # the small-angle substitution scales areas by 1 + phi^2, so
         # the converged block sits at phi^2/(1+phi^2) from identity
         phi = REF_MODES.phi
-        dev = probe_block_deviation(REF, REF_MODES, 6)
+        dev = probe_block_deviation(REF_MODES, 6)
         assert_allclose(dev, phi**2 / (1 + phi**2), rtol=1e-5)
 
     def test_leakage_magnitudes_frozen(self):
@@ -466,8 +448,7 @@ class TestTruncationLeakage:
             (1.5, 0.01, 1e-3),
         ]
         for lam, g, bound in cases:
-            params = CircuitParams(lam=lam, g=g)
-            u = build_transform(params, normal_modes(params), d=2)
+            u = build_transform(normal_modes(lam, g), d=2)
             gram = u.T @ u
             assert np.max(np.abs(gram - np.eye(4))) <= bound
 
@@ -476,7 +457,6 @@ class TestTruncationLeakage:
         # g <= 0.01; at lam = 1.4 it already overshoots (1.1e-3)
         for lam in (1.5, 1.6, 1.8, 2.0):
             for g in (0.002, 0.005, 0.01):
-                params = CircuitParams(lam=lam, g=g)
-                u = build_transform(params, normal_modes(params), d=2)
+                u = build_transform(normal_modes(lam, g), d=2)
                 gram = u.T @ u
                 assert np.max(np.abs(gram - np.eye(4))) <= 1e-3
