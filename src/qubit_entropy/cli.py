@@ -203,8 +203,9 @@ def parse_config(argv: list[str] | None = None) -> SweepConfig:
     Each config-file line is parsed as its flag, placed before the
     command line, so flags override file values, which override
     defaults.  Configuration problems, including a circuit whose
-    small-angle normal modes cannot be built and an output path that is
-    a directory or lies in a missing one, terminate with exit code 2.
+    small-angle normal modes cannot be built, a small-angle warning that
+    a warnings filter turns into an error, and an output path that is a
+    directory or lies in a missing one, terminate with exit code 2.
     """
     parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -222,7 +223,7 @@ def parse_config(argv: list[str] | None = None) -> SweepConfig:
             raise ValueError(f"the directory of --output {config.output} does not exist")
         if config.output is not None and os.path.isdir(config.output):
             raise ValueError(f"--output {config.output} is a directory")
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, Warning) as exc:
         parser.error(str(exc))
     return config
 

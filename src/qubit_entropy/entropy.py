@@ -11,28 +11,6 @@ __all__ = ["bipartite_entropies", "spectrum_entropies"]
 VON_NEUMANN_WINDOW = 1e-6
 
 
-def _von_neumann(p: np.ndarray) -> np.ndarray:
-    """-sum(p * ln p) over the positive entries of each ascending spectrum.
-
-    The largest entry is taken as ``1 - rest``, ``rest`` being the sum
-    of the others, and its term as ``-(1 - rest) * log1p(-rest)``.  The
-    zeros of an ascending non-negative spectrum lead it; rows are grouped by
-    how many, so each sum runs over exactly the positive entries, in
-    order, as a one-spectrum sum would.
-    """
-    rows = p.reshape(-1, p.shape[-1])
-    out = np.empty(len(rows))
-    zeros = np.count_nonzero(rows == 0.0, axis=1)
-    for k in set(zeros.tolist()):
-        group = zeros == k
-        others = rows[group, k:-1]
-        rest = others.sum(axis=1)
-        terms = (others * np.log(others)).sum(axis=1) + (1.0 - rest) * np.log1p(-rest)
-        # 0.0 - x, not -x: a pure state's entropy is 0.0, never -0.0
-        out[group] = 0.0 - terms
-    return out.reshape(p.shape[:-1])
-
-
 def spectrum_entropies(p: np.ndarray, q: float) -> np.ndarray:
     """Tsallis entropy S_q = (1 - sum(p^q)) / (q - 1) of each spectrum.
 
@@ -49,10 +27,14 @@ def spectrum_entropies(p: np.ndarray, q: float) -> np.ndarray:
     """
     if q <= 0:
         raise ValueError(f"entropic index must be positive, got q={q}")
-    if abs(q - 1.0) < VON_NEUMANN_WINDOW:
-        return _von_neumann(p)
     others = p[..., :-1]
-    top = -np.expm1(q * np.log1p(-others.sum(axis=-1)))
+    rest = others.sum(axis=-1)
+    if abs(q - 1.0) < VON_NEUMANN_WINDOW:
+        # a zero entry's term is 0 * log(1) = 0; 0.0 - x, not -x: a pure
+        # state's entropy is 0.0, never -0.0
+        logs = np.log(np.where(others > 0, others, 1.0))
+        return 0.0 - ((others * logs).sum(axis=-1) + (1.0 - rest) * np.log1p(-rest))
+    top = -np.expm1(q * np.log1p(-rest))
     # adding 0.0 turns the -0.0 that 0.0 / (q - 1) gives at q < 1 into 0.0
     return (top - (others**q).sum(axis=-1)) / (q - 1.0) + 0.0
 

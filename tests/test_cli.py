@@ -238,6 +238,16 @@ class TestParseConfig:
             parse_config(["--g", "1.5"])
         assert err.value.code == 2
 
+    def test_small_angle_warning_as_error_exits(self, capsys):
+        # phi = -0.371 at lam = 3, g = -0.99; under -W error the warning is
+        # a bad configuration, not a traceback
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SystemExit) as err:
+                parse_config(["--lambda", "3", "--g", "-0.99"])
+        assert err.value.code == 2
+        assert "outside the small-angle regime" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv, message",
         [

