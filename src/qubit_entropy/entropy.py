@@ -51,15 +51,22 @@ def bipartite_entropies(
     ``(s_joint, s_first, s_second, margin)``, each of shape ``(k,)``, with
     the margin ``s_first + s_second - s_joint``, which is both the mutual
     information and the subadditivity margin.  For q = 1 it is
-    non-negative for every state, and a difference that rounds below zero
-    is returned as 0; away from q = 1 it can be legitimately negative
-    (Tsallis entropy is not additive over products).
+    non-negative for every state, and a difference within the rounding of
+    the three entropies is returned as 0; away from q = 1 it can be
+    legitimately negative (Tsallis entropy is not additive over products).
     """
     s_joint = spectrum_entropies(joint, q)
     s_first, s_second = spectrum_entropies(marginals, q)
     margin = s_first + s_second - s_joint
     if abs(q - 1.0) < VON_NEUMANN_WINDOW:
         # I >= 0 for every state, but for a product state, where I is 0,
-        # the three rounded entropies can leave it at -eps
-        margin = np.maximum(margin, 0.0)
+        # the three rounded entropies can leave it at +-eps.  Each entropy
+        # sums at most n = d*d terms -p ln p of one sign, each to a few
+        # eps, the largest entry being 1 - rest so that the spectrum's own
+        # rounding does not shift the sum: S errs by at most about n eps S.
+        # The margin adds the three errors and two roundings of its own, so
+        # a margin within n eps (S_1 + S_2 + S_joint) is rounding, and 0
+        # (eps = 2**-52)
+        noise = (s_first + s_second + s_joint) * (joint.shape[-1] * 2.0**-52)
+        margin = np.where(margin <= noise, 0.0, margin)
     return s_joint, s_first, s_second, margin

@@ -6,8 +6,9 @@ underflows to the exact ground-state projector); in the bare basis it is
 ``U^T diag(w) U / tr``, U the overlap tensor.
 Its spectra and diagnostics are computed from ``w`` and U without forming
 that matrix.  The coupling ``x1 x2`` preserves total parity, so
-``U[nm, n'm']`` is zero whenever ``n + m + n' + m'`` is odd; the
-diagnostics rely on it and split their Gram matrix by parity.  Every
+``U[nm, n'm']`` is zero whenever ``n + m + n' + m'`` is odd.  Both
+stages rely on it: the spectra take one SVD per parity block, and the
+diagnostics split their Gram matrix by parity.  Every
 function works on a stack: the leading axis indexes states (one per
 temperature in the sweep), the last axis holds one state's
 populations.  A single state is a stack of one.
@@ -15,6 +16,7 @@ populations.  A single state is a stack of one.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,22 +89,95 @@ def thermal_spectra(
     errs by about eps absolutely, which ``p**q`` with q < 1 magnifies; the
     SVD of B, rows sorted by weight, keeps small singular values to high
     relative accuracy (Demmel and Veselic, SIAM J. Matrix Anal. Appl. 13,
-    1204 (1992)).  A non-finite spectrum raises ValueError.
+    1204 (1992)).
+
+    Every spectrum is the union of two parity blocks.  U couples only
+    levels of like parity of ``n + m``, so B splits into its even-even
+    and odd-odd blocks, whose rows are sorted by weight on their own;
+    and a marginal commutes with its own parity, so C splits into its
+    columns of even and of odd level.  Blocks of one shape take one SVD
+    call, and a block one column wide takes none: its one singular value
+    is the column's norm.  A ``u`` with a nonzero entry between levels of
+    unlike parity, and a non-finite spectrum, raise ValueError.
     """
     w, traces, d = _weights_and_traces(weights, u)
-    k, dim = len(w), len(u)
-    # the SVD keeps relative accuracy on rows graded from large to small
-    order = np.argsort(-w, axis=1, kind="stable")
+    unlike, joint_gathers, marginal_gathers = _parity_blocks(d)
+    if u[unlike].any():
+        raise ValueError("u couples levels of unlike parity")
+    # rows by parity, then by descending weight: each block's rows graded
+    order = np.lexsort((-w, np.broadcast_to(_parity(d), w.shape)))
     b = np.sqrt(np.take_along_axis(w, order, axis=1))[:, :, None] * u[order]
-    blocks = b.reshape(k, dim, d, d)
-    split = np.stack([blocks.transpose(0, 1, 3, 2), blocks]).reshape(2, k, dim * d, d)
-    joint, marginals = (
-        np.linalg.svd(x, compute_uv=False)[..., ::-1] ** 2 / traces[:, None]
-        for x in (b, split)
+    b = b.reshape(len(w), -1)
+    (joint,), marginals = (
+        _block_spectra(b, gathers) / traces[:, None]
+        for gathers in (joint_gathers, marginal_gathers)
     )
     if not (np.isfinite(joint).all() and np.isfinite(marginals).all()):
         raise ValueError("thermal spectra are not finite")
     return joint, marginals
+
+
+def _block_spectra(b: np.ndarray, gathers: tuple) -> np.ndarray:
+    """The ascending spectra, shape ``(s, k, n)``, whose blocks ``gathers``
+    take from each of the k rows of ``b``: their squared singular values,
+    side by side.  A gather is a pair of row and column offsets into a row
+    of ``b``, shapes ``(s, [2,] rows, 1)`` and ``(s, [2,] 1, cols)``, whose
+    sum indexes a block of each of s spectra, or two stacked when they
+    share a shape.  A block one column wide needs no SVD: its one singular
+    value is the column's norm.
+    """
+    values = []
+    for rows, cols in gathers:
+        x = b.take(rows + cols, axis=1)
+        if cols.shape[-1] == 1:
+            # summed along the contiguous last axis: each row rounds alike
+            x = x[..., 0]
+            squares = (x * x).sum(axis=-1)
+        else:
+            squares = np.linalg.svd(x, compute_uv=False) ** 2
+        values.append(squares.reshape(len(b), len(rows), -1).swapaxes(0, 1))
+    return np.sort(np.concatenate(values, axis=-1))
+
+
+@lru_cache(maxsize=None)
+def _parity(d: int) -> np.ndarray:
+    """The parity of ``n + m`` of each of the d*d levels ``n*d + m``."""
+    return np.add.outer(np.arange(d), np.arange(d)).ravel() % 2
+
+
+@lru_cache(maxsize=None)
+def _parity_blocks(d: int) -> tuple:
+    """``(unlike, joint, marginals)`` at d levels per mode: the mask of the
+    ``(d*d, d*d)`` entries between levels of unlike parity, and the gathers
+    :func:`_block_spectra` takes from a flattened B whose rows are sorted
+    by parity, even first: its even-even and odd-odd blocks, and the
+    columns of even and of odd level of each marginal's C, without the
+    rows that are zero in them.  A gather keeps its row and column offsets
+    apart, and its index, as large as its blocks, is formed per call: at
+    d = 31 the indices would hold 12 MB for as long as the cache lives."""
+    dim, parity = d * d, _parity(d)
+    row_parity = np.sort(parity)
+    row, other = np.divmod(np.arange(dim * d), d)
+    joint, marginals = [], []
+    for p in (0, 1):
+        rows = np.flatnonzero(row_parity == p) * dim
+        joint.append((rows[None, :, None], np.flatnonzero(parity == p)[None, None]))
+        # a row (r, other) of C meets the columns of level parity p only
+        # if r has the parity of p + other
+        keep = row_parity[row] == (p + other) % 2
+        r, o = row[keep] * dim, other[keep]
+        levels = np.arange(p, d, 2)
+        marginals.append((
+            np.stack([r + o, r + o * d])[..., None],
+            np.stack([levels * d, levels])[:, None],
+        ))
+    pairs = []
+    for first, second in (joint, marginals):
+        if all(x.shape == y.shape for x, y in zip(first, second)):
+            pairs.append((tuple(np.stack(xy, axis=1) for xy in zip(first, second)),))
+        else:
+            pairs.append((first, second))
+    return (parity[:, None] != parity, *pairs)
 
 
 def validity_diagnostics(
@@ -136,7 +211,7 @@ def validity_diagnostics(
     if not 2 <= d_small < d_big:
         raise ValueError(f"need 2 <= d_small < d_big, got {d_small}, {d_big}")
     kept = [n * d_big + m for n in range(d_small) for m in range(d_small)]
-    parity = np.add.outer(np.arange(d_big), np.arange(d_big)).ravel() % 2
+    parity = _parity(d_big)
     rest = np.ones(len(u), dtype=bool)
     rest[kept] = False
     u_kept = u[:, kept]

@@ -331,6 +331,26 @@ class TestRunSweep:
         assert np.all(mutual_info >= 0.0)
         assert not np.any(np.signbit(mutual_info))
 
+    @pytest.mark.parametrize("d_small, d_big", [(2, 6), (4, 8), (5, 9)])
+    def test_uncoupled_mutual_info_prints_zero(self, d_small, d_big):
+        # at g = 0, I is exactly 0; the three rounded entropies left it at
+        # +2.2e-16 (levels 2/6, T = 0.5), which is rounding, printed as 0
+        argv = ["--g", "0", "--q", "1", "--t-steps", "50",
+                "--levels-small", str(d_small), "--levels-big", str(d_big)]
+        config = parse_config(argv)
+        _, rows = parse_csv(emitted(run_sweep(config), config))
+        assert len(rows) == 50
+        assert all(row["I"] == row["margin"] == 0.0 for row in rows)
+
+    def test_weak_coupling_mutual_info_stays_positive(self):
+        # I of about 3.6e-7 at g = 1e-3 lies far above the rounding of its
+        # three entropies, and is kept
+        config = parse_config(["--g", "1e-3", "--lambda", "1.5", "--q", "1",
+                               "--t-min", "0.4", "--t-max", "0.5", "--t-steps", "2"])
+        _, rows = parse_csv(emitted(run_sweep(config), config))
+        assert rows[-1]["T"] == 0.5
+        assert rows[-1]["I"] > 0.0
+
     def test_ground_state_joint_entropy_is_zero(self):
         # every excited weight underflows: the joint state is the ground projector
         config = parse_config(

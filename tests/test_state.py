@@ -35,6 +35,18 @@ def diagnostics_at(temperature, d_small=2):
     return tuple(float(x[0]) for x in validity_diagnostics(weights, U_BIG, d_small))
 
 
+def parity_orthogonal(a):
+    """A random orthogonal (9, 9) matrix that, like U, couples only levels
+    of like parity of n + m (d = 3, level n*3 + m): the Q factors of the
+    5 x 5 even and 4 x 4 odd blocks of the square normal matrix ``a``."""
+    parity = np.add.outer(np.arange(3), np.arange(3)).ravel() % 2
+    q = np.zeros((9, 9))
+    for p in (0, 1):
+        levels = np.ix_(parity == p, parity == p)
+        q[levels] = np.linalg.qr(a[levels])[0]
+    return q
+
+
 class TestThermalDensity:
     def test_boltzmann_ratio(self):
         # adjacent second-mode levels differ by omega2 in energy
@@ -130,9 +142,10 @@ class TestDensityFromArray:
             thermal_spectra(np.full(4, 0.25), U_SMALL)
 
     def test_stack_matches_single_matrices(self):
-        # arbitrary weights, zeros included, under an arbitrary orthogonal U
+        # arbitrary weights, zeros included, under a random orthogonal U
+        # that conserves parity
         rng = np.random.default_rng(99)
-        q, _ = np.linalg.qr(rng.normal(size=(9, 9)))
+        q = parity_orthogonal(rng.normal(size=(9, 9)))
         weights = rng.uniform(0.0, 1.0, size=(3, 9))
         weights[1, [0, 4, 8]] = 0.0
         joint, marginals = thermal_spectra(weights, q)
@@ -186,7 +199,11 @@ class TestTransformDensity:
 class TestThermalSpectra:
     TEMPS = [0.05, 0.1, 0.3, 1.0, 3.0]
 
-    @pytest.mark.parametrize("u", [U_SMALL, U_BIG], ids=["d2", "d6"])
+    @pytest.mark.parametrize(
+        "u",
+        [U_SMALL, build_transform(REF_MODES, d=3), build_transform(REF_MODES, d=5), U_BIG],
+        ids=["d2", "d3", "d5", "d6"],
+    )
     def test_match_eigenvalues_of_formed_states(self, u):
         weights = thermal_weights(REF_MODES, self.TEMPS, math.isqrt(len(u)))
         joint, marginals = thermal_spectra(weights, u)
@@ -216,21 +233,51 @@ class TestThermalSpectra:
         # 40 decades in no particular order must come back to relative
         # accuracy, which the SVD gives only with rows sorted by weight
         rng = np.random.default_rng(31)
-        q, _ = np.linalg.qr(rng.normal(size=(9, 9)))
+        q = parity_orthogonal(rng.normal(size=(9, 9)))
         weights = 10.0 ** rng.uniform(-40, 0, size=(20, 9))
         joint, _ = thermal_spectra(weights, q)
         expected = np.sort(weights, axis=1) / weights.sum(axis=1, keepdims=True)
         assert_allclose(joint, expected, rtol=1e-12, atol=0)
 
-    def test_stack_matches_single_states(self):
+    # at d = 5 the parity blocks have 13 and 12 levels and the marginal
+    # blocks 3 and 2, each taking its own SVD call
+    @pytest.mark.parametrize("d", [3, 5], ids=["d3", "d5"])
+    def test_stack_matches_single_states(self, d):
         temps = np.concatenate([[5e-9], np.linspace(0.02, 0.6, 12)])
-        u = build_transform(REF_MODES, d=3)
-        joint, marginals = thermal_spectra(thermal_weights(REF_MODES, temps, 3), u)
+        u = build_transform(REF_MODES, d=d)
+        joint, marginals = thermal_spectra(thermal_weights(REF_MODES, temps, d), u)
         for k, t in enumerate(temps):
-            one = thermal_weights(REF_MODES, [t], 3)
+            one = thermal_weights(REF_MODES, [t], d)
             one_joint, one_marginals = thermal_spectra(one, u)
             assert np.array_equal(joint[k], one_joint[0])
             assert np.array_equal(marginals[:, k], one_marginals[:, 0])
+
+    def test_one_level_marginal_blocks_match_formed_partial_traces(self):
+        # at d = 2 each marginal is diagonal, its blocks one level wide, and
+        # its spectrum two column sums of squares with no SVD: they meet the
+        # eigenvalues of the formed partial traces within 4 d^2 eps, on 24
+        # seeded circuits, T from 1e-9 to 3, in both orientations
+        temps = np.geomspace(1e-9, 3.0, 30)
+        allow = 4 * 2**2 * np.finfo(float).eps
+        for seed in range(24):
+            rng = np.random.default_rng(300 + seed)
+            lam = float(rng.choice([rng.uniform(0.3, 0.8), rng.uniform(1.3, 3.0)]))
+            phi = float(rng.uniform(-0.25, 0.25))
+            modes = normal_modes(lam, phi * (lam**2 - 1) / lam)
+            u = build_transform(modes, 2)
+            weights = thermal_weights(modes, temps, 2)
+            for oriented in (u, u.T):
+                _, marginals = thermal_spectra(weights, oriented)
+                formed = partial_traces(dense_states(weights, oriented))
+                assert_allclose(marginals, spectra(formed), rtol=0, atol=allow)
+
+    def test_unlike_parity_coupling_rejected(self):
+        # the blocks would drop the entry, however small, and with it the
+        # spectra of the u given
+        u = U_SMALL.copy()
+        u[0, 1] = 1e-300
+        with pytest.raises(ValueError, match="unlike parity"):
+            thermal_spectra(thermal_weights(REF_MODES, [0.1, 0.2], 2), u)
 
     def test_spectra_have_unit_trace(self):
         # 24 seeded small-angle circuits, d = 2 to 4, T from 1e-9 to 3, in
