@@ -61,12 +61,15 @@ def bipartite_entropies(
     if abs(q - 1.0) < VON_NEUMANN_WINDOW:
         # I >= 0 for every state, but for a product state, where I is 0,
         # the three rounded entropies can leave it at +-eps.  Each entropy
-        # sums at most n = d*d terms -p ln p of one sign, each to a few
-        # eps, the largest entry being 1 - rest so that the spectrum's own
-        # rounding does not shift the sum: S errs by at most about n eps S.
-        # The margin adds the three errors and two roundings of its own, so
-        # a margin within n eps (S_1 + S_2 + S_joint) is rounding, and 0
-        # (eps = 2**-52)
-        noise = (s_first + s_second + s_joint) * (joint.shape[-1] * 2.0**-52)
+        # sums terms -p ln p of one sign, each to a few eps relative; the
+        # largest entry is 1 - rest, so the entries' errors sum to zero and
+        # the unit trace adds none: S errs by a few eps S, whatever the
+        # number of terms.  At g = 0 the margin measures at most
+        # 1.2 eps (S_1 + S_2 + S_joint) for 2 to 31 levels per mode (six
+        # lam, 400 T each), so a margin within 4 eps times that sum is
+        # rounding, and 0 (eps = 2**-52).  The worst-case n eps per sum of
+        # n = d*d terms would, at d = 31, also zero the I ~ 1e-13 of a
+        # coupling g ~ 5e-7.
+        noise = (s_first + s_second + s_joint) * (4 * 2.0**-52)
         margin = np.where(margin <= noise, 0.0, margin)
     return s_joint, s_first, s_second, margin

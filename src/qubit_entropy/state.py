@@ -95,48 +95,36 @@ def thermal_spectra(
     levels of like parity of ``n + m``, so B splits into its even-even
     and odd-odd blocks, whose rows are sorted by weight on their own;
     and a marginal commutes with its own parity, so C splits into its
-    columns of even and of odd level.  Blocks of one shape take one SVD
-    call, and a block one column wide takes none: its one singular value
-    is the column's norm.  A ``u`` with a nonzero entry between levels of
-    unlike parity, and a non-finite spectrum, raise ValueError.
+    columns of even and of odd level.  Each block takes one SVD call,
+    both marginals' blocks of one parity together, and a block one
+    column wide takes none: its one singular value is the column's norm.
+    A ``u`` with a nonzero entry between levels of unlike parity, and a
+    non-finite spectrum, raise ValueError.
     """
     w, traces, d = _weights_and_traces(weights, u)
-    unlike, joint_gathers, marginal_gathers = _parity_blocks(d)
+    unlike, blocks = _parity_blocks(d)
     if u[unlike].any():
         raise ValueError("u couples levels of unlike parity")
     # rows by parity, then by descending weight: each block's rows graded
     order = np.lexsort((-w, np.broadcast_to(_parity(d), w.shape)))
     b = np.sqrt(np.take_along_axis(w, order, axis=1))[:, :, None] * u[order]
     b = b.reshape(len(w), -1)
-    (joint,), marginals = (
-        _block_spectra(b, gathers) / traces[:, None]
-        for gathers in (joint_gathers, marginal_gathers)
-    )
+    joint, marginals = [], []
+    for (rows, cols), (m_rows, m_cols) in blocks:
+        joint.append(np.linalg.svd(b.take(rows + cols, axis=1), compute_uv=False) ** 2)
+        c = b.take(m_rows + m_cols, axis=1)
+        if c.shape[-1] == 1:
+            # one singular value, the column's norm, summed along the
+            # contiguous last axis so that each state rounds as it would alone
+            c = c[..., 0]
+            marginals.append((c * c).sum(axis=-1, keepdims=True))
+        else:
+            marginals.append(np.linalg.svd(c, compute_uv=False) ** 2)
+    joint = np.sort(np.concatenate(joint, axis=-1)) / traces[:, None]
+    marginals = np.sort(np.concatenate(marginals, axis=-1).swapaxes(0, 1)) / traces[:, None]
     if not (np.isfinite(joint).all() and np.isfinite(marginals).all()):
         raise ValueError("thermal spectra are not finite")
     return joint, marginals
-
-
-def _block_spectra(b: np.ndarray, gathers: tuple) -> np.ndarray:
-    """The ascending spectra, shape ``(s, k, n)``, whose blocks ``gathers``
-    take from each of the k rows of ``b``: their squared singular values,
-    side by side.  A gather is a pair of row and column offsets into a row
-    of ``b``, shapes ``(s, [2,] rows, 1)`` and ``(s, [2,] 1, cols)``, whose
-    sum indexes a block of each of s spectra, or two stacked when they
-    share a shape.  A block one column wide needs no SVD: its one singular
-    value is the column's norm.
-    """
-    values = []
-    for rows, cols in gathers:
-        x = b.take(rows + cols, axis=1)
-        if cols.shape[-1] == 1:
-            # summed along the contiguous last axis: each row rounds alike
-            x = x[..., 0]
-            squares = (x * x).sum(axis=-1)
-        else:
-            squares = np.linalg.svd(x, compute_uv=False) ** 2
-        values.append(squares.reshape(len(b), len(rows), -1).swapaxes(0, 1))
-    return np.sort(np.concatenate(values, axis=-1))
 
 
 @lru_cache(maxsize=None)
@@ -147,37 +135,29 @@ def _parity(d: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _parity_blocks(d: int) -> tuple:
-    """``(unlike, joint, marginals)`` at d levels per mode: the mask of the
-    ``(d*d, d*d)`` entries between levels of unlike parity, and the gathers
-    :func:`_block_spectra` takes from a flattened B whose rows are sorted
-    by parity, even first: its even-even and odd-odd blocks, and the
-    columns of even and of odd level of each marginal's C, without the
-    rows that are zero in them.  A gather keeps its row and column offsets
-    apart, and its index, as large as its blocks, is formed per call: at
-    d = 31 the indices would hold 12 MB for as long as the cache lives."""
+    """``(unlike, blocks)`` at d levels per mode: the mask of the
+    ``(d*d, d*d)`` entries between levels of unlike parity, and for each
+    parity p, even first, two gathers from a row of the flattened B, rows
+    sorted by parity: its p-p block, and both marginals' columns of level
+    parity p without the rows that are zero in them, the first
+    marginal's then the second's.  A gather is a row and a column offset,
+    shapes ``(rows, 1)`` and ``(cols,)`` for the block and ``(2, rows, 1)``
+    and ``(2, 1, cols)`` for the marginals; their sum, formed per call, is
+    the index (cached, the indices would hold 12 MB at d = 31)."""
     dim, parity = d * d, _parity(d)
     row_parity = np.sort(parity)
     row, other = np.divmod(np.arange(dim * d), d)
-    joint, marginals = [], []
+    blocks = []
     for p in (0, 1):
-        rows = np.flatnonzero(row_parity == p) * dim
-        joint.append((rows[None, :, None], np.flatnonzero(parity == p)[None, None]))
+        joint = (np.flatnonzero(row_parity == p)[:, None] * dim, np.flatnonzero(parity == p))
         # a row (r, other) of C meets the columns of level parity p only
         # if r has the parity of p + other
         keep = row_parity[row] == (p + other) % 2
         r, o = row[keep] * dim, other[keep]
         levels = np.arange(p, d, 2)
-        marginals.append((
-            np.stack([r + o, r + o * d])[..., None],
-            np.stack([levels * d, levels])[:, None],
-        ))
-    pairs = []
-    for first, second in (joint, marginals):
-        if all(x.shape == y.shape for x, y in zip(first, second)):
-            pairs.append((tuple(np.stack(xy, axis=1) for xy in zip(first, second)),))
-        else:
-            pairs.append((first, second))
-    return (parity[:, None] != parity, *pairs)
+        marginal = (np.stack([r + o, r + o * d])[..., None], np.stack([levels * d, levels])[:, None])
+        blocks.append((joint, marginal))
+    return parity[:, None] != parity, tuple(blocks)
 
 
 def validity_diagnostics(

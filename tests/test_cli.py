@@ -342,10 +342,14 @@ class TestRunSweep:
         assert len(rows) == 50
         assert all(row["I"] == row["margin"] == 0.0 for row in rows)
 
-    def test_weak_coupling_mutual_info_stays_positive(self):
-        # I of about 3.6e-7 at g = 1e-3 lies far above the rounding of its
-        # three entropies, and is kept
-        config = parse_config(["--g", "1e-3", "--lambda", "1.5", "--q", "1",
+    @pytest.mark.parametrize("g, d_small, d_big", [(1e-3, 2, 6), (5e-7, 31, 32)])
+    def test_weak_coupling_mutual_info_stays_positive(self, g, d_small, d_big):
+        # I of about 3.6e-7 at g = 1e-3, and 1.3e-13 at g = 5e-7 with 31
+        # levels, lies above the rounding of its three entropies (a few
+        # eps times their sum, 1.3 here), and is kept; a bound of d*d eps
+        # times their sum zeroed the second
+        config = parse_config(["--g", str(g), "--lambda", "1.5", "--q", "1",
+                               "--levels-small", str(d_small), "--levels-big", str(d_big),
                                "--t-min", "0.4", "--t-max", "0.5", "--t-steps", "2"])
         _, rows = parse_csv(emitted(run_sweep(config), config))
         assert rows[-1]["T"] == 0.5

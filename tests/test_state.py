@@ -239,8 +239,8 @@ class TestThermalSpectra:
         expected = np.sort(weights, axis=1) / weights.sum(axis=1, keepdims=True)
         assert_allclose(joint, expected, rtol=1e-12, atol=0)
 
-    # at d = 5 the parity blocks have 13 and 12 levels and the marginal
-    # blocks 3 and 2, each taking its own SVD call
+    # at d = 5 the parity blocks are unequal: 13 and 12 levels, and the
+    # marginal blocks 3 and 2 levels wide
     @pytest.mark.parametrize("d", [3, 5], ids=["d3", "d5"])
     def test_stack_matches_single_states(self, d):
         temps = np.concatenate([[5e-9], np.linspace(0.02, 0.6, 12)])
