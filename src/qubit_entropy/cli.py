@@ -143,15 +143,9 @@ def _parse_q_list(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(message) from None
 
 
-# the keys a config file may set, each read as the flag of the same name
-CONFIG_KEYS = (
-    "lambda", "g", "t-min", "t-max", "t-steps", "t-scale", "q",
-    "levels-small", "levels-big", "method", "format", "output",
-)
-
-
 def _config_file_flags(path: str) -> list[str]:
-    """The ``--key=value`` token of each ``key = value`` line of a config file."""
+    """The ``--key=value`` token of each ``key = value`` line of a config file;
+    a key is any flag the parser recognizes but ``--config`` and ``--help``."""
     tokens = []
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -164,9 +158,10 @@ def _config_file_flags(path: str) -> list[str]:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
             key = key.replace("_", "-")
-            if key not in CONFIG_KEYS:
+            token = f"--{key}={value}"
+            if key in ("config", "help") or _parser().parse_known_args([token])[1]:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            tokens.append(f"--{key}={value}")
+            tokens.append(token)
     return tokens
 
 
@@ -176,6 +171,7 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qubit-entropy",
         description="Temperature sweep of two-mode thermal entropies.",
+        allow_abbrev=False,
     )
     parser.add_argument("--lambda", dest="lam", type=float, help="bare frequency ratio")
     parser.add_argument("--g", type=float, help="coupling strength")

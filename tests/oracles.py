@@ -23,7 +23,6 @@ import math
 import numpy as np
 
 from qubit_entropy.cli import CSV_COLUMNS
-from qubit_entropy.hermite import ho_eigenfunctions
 from qubit_entropy.model import FrequencyMethod
 
 
@@ -146,12 +145,17 @@ def overlap_element_quadrature(n, m, n2, m2, modes):
     """``<n m | n' m'>`` for any levels, by quadrature of its integrand.
 
     The four eigenfunctions are evaluated on the 64-node :func:`quad2d`
-    grid and summed: no parity fold and no shared tables.
+    grid and summed: no parity fold and no shared tables.  Each is
+    ``(2^n n! sqrt(pi) l)^(-1/2) exp(-y^2/2) H_n(y)`` at ``y = x / l``, with
+    H_n from numpy's Hermite series, not the package's recurrence.
     """
     c, s = rotation(modes)
 
     def psi(level, x, length_scale):
-        return ho_eigenfunctions(level + 1, x, length_scale)[level]
+        norm = (2.0**level * math.factorial(level) * math.sqrt(math.pi) * length_scale) ** -0.5
+        y = x / length_scale
+        hermite = np.polynomial.hermite.hermval(y, [0.0] * level + [1.0])
+        return norm * np.exp(-0.5 * y * y) * hermite
 
     def integrand(x1, x2):
         return (

@@ -193,6 +193,23 @@ class TestParseConfig:
                 parse_config(argv)
             assert err.value.code == 2
 
+    @pytest.mark.parametrize("key", ["config", "help", "bogus"])
+    def test_rejected_config_key_names_its_line(self, key, tmp_path, capsys):
+        path = tmp_path / "sweep.conf"
+        path.write_text(f"# header\nlambda = 1.8\n{key} = 1\n")
+        with pytest.raises(SystemExit) as err:
+            parse_config(["--config", str(path)])
+        assert err.value.code == 2
+        assert f"{path}:3: unknown key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--lam", "2"], ["--fo", "json"], ["--t-st", "3"]])
+    def test_abbreviated_flag_exits(self, argv, capsys):
+        # a flag has one spelling, as a config key does
+        with pytest.raises(SystemExit) as err:
+            parse_config(argv)
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
+
     def test_config_key_in_config_file_exits(self, tmp_path):
         other = tmp_path / "other.conf"
         other.write_text("lambda = 1.8\n")
@@ -341,6 +358,24 @@ class TestRunSweep:
         _, rows = parse_csv(emitted(run_sweep(config), config))
         assert len(rows) == 50
         assert all(row["I"] == row["margin"] == 0.0 for row in rows)
+
+    @pytest.mark.parametrize("d_small, d_big", [(2, 6), (4, 8), (5, 9)])
+    def test_uncoupled_deformed_margin_prints_no_negative(self, d_small, d_big):
+        # at g = 0 and q > 1 the margin is (q - 1) S_1 S_2 >= 0; the three
+        # rounded entropies left it at -1e-22 or so (one to three cells of
+        # this grid at each truncation), which is rounding, printed as 0
+        argv = ["--lambda", "2.5", "--g", "0", "--q", "1.5,2,3",
+                "--t-min", "0.02", "--t-max", "1", "--t-steps", "50", "--t-scale", "log",
+                "--levels-small", str(d_small), "--levels-big", str(d_big)]
+        config = parse_config(argv)
+        sweep = run_sweep(config)
+        _, rows = parse_csv(emitted(sweep, config))
+        assert len(rows) == 150
+        assert all(row["margin"] >= 0.0 for row in rows)
+        s_joint, s_first, s_second, margin = sweep.entropies.transpose(1, 0, 2)
+        product = (np.array(config.q_values)[:, None] - 1.0) * s_first * s_second
+        bound = 4 * np.finfo(float).eps * (s_first + s_second + s_joint)
+        assert np.all((margin == 0.0) | (np.abs(margin - product) <= bound))
 
     @pytest.mark.parametrize("g, d_small, d_big", [(1e-3, 2, 6), (5e-7, 31, 32)])
     def test_weak_coupling_mutual_info_stays_positive(self, g, d_small, d_big):

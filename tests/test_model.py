@@ -165,6 +165,27 @@ class TestNormalModes:
                 assert abs(small.omega1 - exact.omega1) <= 5.0 * g**2
                 assert abs(small.omega2 - exact.omega2) <= 5.0 * g**2
 
+    def test_small_angle_frequency_error_is_second_order(self):
+        # the small-angle formulas keep the phi^2 terms of s^2 = phi^2 but
+        # take c^2 = 1, dropping the -phi^2 of c^2 = 1 - phi^2: their gap
+        # to the exact frequencies is O(g^2) and falls 4x as g halves;
+        # the consistent second-order formulas omega1^2 = 1 - g lam phi
+        # and omega2^2 = lam^2 + g lam phi are O(g^4) and fall 16x
+        for lam in (0.6, 1.5, 2.5):
+            gaps = []
+            for g in (0.04, 0.02, 0.01, 0.005):
+                small = normal_modes(lam, g)
+                exact = normal_modes(lam, g, method=FrequencyMethod.EXACT)
+                shift = g * lam * small.phi
+                consistent = (math.sqrt(1.0 - shift), math.sqrt(lam**2 + shift))
+                gaps.append((
+                    max(abs(small.omega1 - exact.omega1), abs(small.omega2 - exact.omega2)),
+                    max(abs(consistent[0] - exact.omega1), abs(consistent[1] - exact.omega2)),
+                ))
+            ratios = np.array(gaps[:-1]) / np.array(gaps[1:])
+            assert_allclose(ratios[:, 0], 4.0, rtol=1e-3)
+            assert_allclose(ratios[:, 1], 16.0, rtol=5e-3)
+
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_frequencies_positive_across_grid(self):
         for lam in np.linspace(1.1, 2.5, 8):

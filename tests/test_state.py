@@ -199,10 +199,12 @@ class TestTransformDensity:
 class TestThermalSpectra:
     TEMPS = [0.05, 0.1, 0.3, 1.0, 3.0]
 
+    # d = 4 is the circuit-scan shape, both marginal blocks two levels wide
     @pytest.mark.parametrize(
         "u",
-        [U_SMALL, build_transform(REF_MODES, d=3), build_transform(REF_MODES, d=5), U_BIG],
-        ids=["d2", "d3", "d5", "d6"],
+        [U_SMALL, build_transform(REF_MODES, d=3), build_transform(REF_MODES, d=4),
+         build_transform(REF_MODES, d=5), U_BIG, build_transform(REF_MODES, d=7)],
+        ids=["d2", "d3", "d4", "d5", "d6", "d7"],
     )
     def test_match_eigenvalues_of_formed_states(self, u):
         weights = thermal_weights(REF_MODES, self.TEMPS, math.isqrt(len(u)))
@@ -240,8 +242,9 @@ class TestThermalSpectra:
         assert_allclose(joint, expected, rtol=1e-12, atol=0)
 
     # at d = 5 the parity blocks are unequal: 13 and 12 levels, and the
-    # marginal blocks 3 and 2 levels wide
-    @pytest.mark.parametrize("d", [3, 5], ids=["d3", "d5"])
+    # marginal blocks 3 and 2 levels wide; at d = 7, 25 and 24 levels, and
+    # 4 and 3; d = 4 is the circuit-scan shape
+    @pytest.mark.parametrize("d", [3, 4, 5, 7], ids=["d3", "d4", "d5", "d7"])
     def test_stack_matches_single_states(self, d):
         temps = np.concatenate([[5e-9], np.linspace(0.02, 0.6, 12)])
         u = build_transform(REF_MODES, d=d)
