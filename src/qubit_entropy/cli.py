@@ -159,7 +159,11 @@ def _config_file_flags(path: str) -> list[str]:
             key, value = (part.strip() for part in line.split("=", 1))
             key = key.replace("_", "-")
             token = f"--{key}={value}"
-            if key in ("config", "help") or _parser().parse_known_args([token])[1]:
+            try:
+                unknown = key in ("config", "help") or _parser().parse_known_args([token])[1]
+            except argparse.ArgumentError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if unknown:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             tokens.append(token)
     return tokens
@@ -172,6 +176,7 @@ def _parser() -> argparse.ArgumentParser:
         prog="qubit-entropy",
         description="Temperature sweep of two-mode thermal entropies.",
         allow_abbrev=False,
+        exit_on_error=False,
     )
     parser.add_argument("--lambda", dest="lam", type=float, help="bare frequency ratio")
     parser.add_argument("--g", type=float, help="coupling strength")
@@ -205,9 +210,8 @@ def parse_config(argv: list[str] | None = None) -> SweepConfig:
     """
     parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(argv)
-
     try:
+        args = parser.parse_args(argv)
         if args.config is not None:
             args = parser.parse_args(_config_file_flags(args.config) + argv)
         config = SweepConfig(**{f.name: getattr(args, f.name) for f in fields(SweepConfig)})
@@ -219,7 +223,7 @@ def parse_config(argv: list[str] | None = None) -> SweepConfig:
             raise ValueError(f"the directory of --output {config.output} does not exist")
         if config.output is not None and os.path.isdir(config.output):
             raise ValueError(f"--output {config.output} is a directory")
-    except (OSError, ValueError, Warning) as exc:
+    except (argparse.ArgumentError, OSError, ValueError, Warning) as exc:
         parser.error(str(exc))
     return config
 

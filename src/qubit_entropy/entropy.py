@@ -52,27 +52,23 @@ def bipartite_entropies(
     the margin ``s_first + s_second - s_joint``, which is both the mutual
     information and the subadditivity margin.  For q >= 1 it is
     non-negative for every state (for q > 1: Audenaert, J. Math. Phys. 48,
-    083507 (2007)), and a difference within the rounding of the three
-    entropies is returned as 0; for q < 1 it can be legitimately negative:
-    a product state has margin (q - 1) S_1 S_2.
+    083507 (2007)): a difference within the rounding of the three
+    entropies is returned as 0, a larger one unchanged.  For q < 1 a
+    product state has the negative margin (q - 1) S_1 S_2.
     """
     s_joint = spectrum_entropies(joint, q)
     s_first, s_second = spectrum_entropies(marginals, q)
     margin = s_first + s_second - s_joint
     if q > 1.0 - VON_NEUMANN_WINDOW:
-        # The margin is >= 0 for every state, but for a product state,
-        # where it is (q - 1) S_1 S_2 (0 at q = 1), the three rounded
-        # entropies can leave it at +-eps.  Each entropy errs by a few
-        # eps S, whatever the number of terms: the largest entry is
-        # 1 - rest, so the entries' errors sum to zero and the unit trace
-        # adds none.  At g = 0 |margin - (q - 1) S_1 S_2| measures at most
-        # 1.2 eps (S_1 + S_2 + S_joint) at q = 1 for 2 to 31 levels per
-        # mode (six lam, 400 T each), and 3.2 eps that sum at q = 1.2, 1.5,
-        # 2 and 3 (13 lam and 400 T at d = 2 to 12, five or more lam and
-        # 60 T at d = 13 to 31), so a margin within 4 eps times that sum is
-        # rounding, and 0 (eps = 2**-52).  The worst-case n eps per sum of
-        # n = d*d terms would, at d = 31, also zero the I ~ 1e-13 of a
-        # coupling g ~ 5e-7.
+        # A product state's margin, (q - 1) S_1 S_2 (0 at q = 1), is the
+        # difference of three entropies that each err by a few eps S,
+        # whatever the number of terms: the largest entry is 1 - rest, so
+        # the entries' errors sum to zero.  At g = 0 the error measures at
+        # most 1.2 eps (S_1 + S_2 + S_joint) at q = 1 and 3.2 eps that sum
+        # at q = 1.2, 1.5, 2 and 3 (2 to 31 levels per mode, 5 to 13 lam,
+        # 60 to 400 T), so a margin within 4 eps times that sum is rounding
+        # (eps = 2**-52).  The worst-case n eps per sum of n = d*d terms
+        # would, at d = 31, also zero the I ~ 1e-13 of g ~ 5e-7.
         noise = (s_first + s_second + s_joint) * (4 * 2.0**-52)
-        margin = np.where(margin <= noise, 0.0, margin)
+        margin = np.where(np.abs(margin) <= noise, 0.0, margin)
     return s_joint, s_first, s_second, margin

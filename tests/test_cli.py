@@ -202,6 +202,29 @@ class TestParseConfig:
         assert err.value.code == 2
         assert f"{path}:3: unknown key '{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, message", [
+        ("t-steps = x", "argument --t-steps: invalid int value: 'x'"),
+        ("q = 1,a", "argument --q: could not parse q list from '1,a'"),
+        ("t-scale = cubic", "argument --t-scale: invalid choice: 'cubic'"),
+    ])
+    def test_bad_config_value_names_its_line(self, line, message, tmp_path, capsys):
+        path = tmp_path / "sweep.conf"
+        path.write_text(f"# header\nlambda = 1.8\n{line}\n")
+        with pytest.raises(SystemExit) as err:
+            parse_config(["--config", str(path)])
+        assert err.value.code == 2
+        assert f"{path}:3: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--t-steps", "x"], "argument --t-steps: invalid int value: 'x'"),
+        (["--t-steps"], "argument --t-steps: expected one argument"),
+    ])
+    def test_bad_flag_value_exits(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as err:
+            parse_config(argv)
+        assert err.value.code == 2
+        assert f"qubit-entropy: error: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [["--lam", "2"], ["--fo", "json"], ["--t-st", "3"]])
     def test_abbreviated_flag_exits(self, argv, capsys):
         # a flag has one spelling, as a config key does

@@ -157,6 +157,16 @@ class TestAnalyzeBipartite:
         margin = bipartite(unit_trace(np.stack(products)), 1.0)[3]
         assert np.all(np.abs(margin) < 1e-10)
 
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0])
+    def test_negative_margin_beyond_rounding_kept(self, q):
+        # pure marginals under a mixed joint spectrum: no state has them,
+        # and the margin -S_joint is returned as it is, not rounded to 0
+        joint = np.array([[0.0, 0.0, 0.5, 0.5]])
+        marginals = np.array([[[0.0, 1.0]], [[0.0, 1.0]]])
+        s_joint, s_first, s_second, margin = bipartite_entropies(joint, marginals, q)
+        assert s_first == s_second == 0.0
+        assert margin[0] == -s_joint[0] < -0.3
+
     def test_mutual_info_positive_in_validity_window(self):
         margin = thermal_bipartite(np.linspace(0.01, 0.2, 8), 1.0)[3]
         assert np.all(margin >= 0.0)

@@ -227,7 +227,7 @@ class TestQuadratureElements:
         assert abs(value) < 1.5
 
     def test_negative_level_rejected(self):
-        # the eigenfunction table has no row -1
+        # a negative level has no eigenfunction: math.factorial rejects it
         with pytest.raises(ValueError):
             overlap_element_quadrature(-1, 0, 0, 0, REF_MODES)
 
