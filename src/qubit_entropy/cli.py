@@ -86,6 +86,8 @@ class Sweep:
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """Sweep settings, checked whenever built: a bad value raises ValueError."""
+
     lam: float = 1.5
     g: float = 0.1
     t_min: float = 0.01
@@ -103,7 +105,7 @@ class SweepConfig:
         """Small-angle normal modes of the circuit, built once per config."""
         return normal_modes(self.lam, self.g, FrequencyMethod.SMALL_ANGLE)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name, value in (
             ("lambda", self.lam), ("g", self.g),
             ("t-min", self.t_min), ("t-max", self.t_max),
@@ -132,10 +134,17 @@ class SweepConfig:
             raise ValueError(f"levels-big must be at most {MAX_LEVELS_BIG}")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.output_format!r}")
+        self.modes  # a circuit without small-angle modes: bad configuration
+        if self.output == "":
+            raise ValueError("--output must name a file")
+        if not os.path.isdir(os.path.dirname(self.output or "") or "."):
+            raise ValueError(f"the directory of --output {self.output} does not exist")
+        if self.output is not None and os.path.isdir(self.output):
+            raise ValueError(f"--output {self.output} is a directory")
 
 
 def _parse_q_list(text: str) -> tuple[float, ...]:
-    # an empty list parses; SweepConfig.validate rejects it
+    # an empty list parses; building the SweepConfig rejects it
     try:
         return tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
@@ -147,7 +156,7 @@ def _config_file_flags(path: str) -> list[str]:
     """The ``--key=value`` token of each ``key = value`` line of a config file;
     a key is any flag the parser recognizes but ``--config`` and ``--help``."""
     tokens = []
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for lineno, raw in enumerate(handle, start=1):
             # a comment starts at a "#" that opens the line or follows
             # whitespace, so a value such as run#1.csv is kept whole
@@ -203,10 +212,9 @@ def parse_config(argv: list[str] | None = None) -> SweepConfig:
 
     Each config-file line is parsed as its flag, placed before the
     command line, so flags override file values, which override
-    defaults.  Configuration problems, including a circuit whose
-    small-angle normal modes cannot be built, a small-angle warning that
-    a warnings filter turns into an error, and an output path that is a
-    directory or lies in a missing one, terminate with exit code 2.
+    defaults.  A bad flag or file, and any check of SweepConfig that
+    fails, a small-angle warning made an error included, terminate with
+    exit code 2.
     """
     parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -215,14 +223,6 @@ def parse_config(argv: list[str] | None = None) -> SweepConfig:
         if args.config is not None:
             args = parser.parse_args(_config_file_flags(args.config) + argv)
         config = SweepConfig(**{f.name: getattr(args, f.name) for f in fields(SweepConfig)})
-        config.validate()
-        config.modes  # a circuit without small-angle modes: bad configuration
-        if config.output == "":
-            raise ValueError("--output must name a file")
-        if not os.path.isdir(os.path.dirname(config.output or "") or "."):
-            raise ValueError(f"the directory of --output {config.output} does not exist")
-        if config.output is not None and os.path.isdir(config.output):
-            raise ValueError(f"--output {config.output} is a directory")
     except (argparse.ArgumentError, OSError, ValueError, Warning) as exc:
         parser.error(str(exc))
     return config

@@ -65,19 +65,19 @@ def normal_modes(
     stable; ValueError otherwise.
 
     The small-angle method takes the leading-order rotation angle
-    ``phi = g*lam / (lam**2 - 1)`` and evaluates the linearized frequency
-    formulas ``omega1**2 = 1 - 2*g*lam*phi + lam**2*phi**2`` and
-    ``omega2**2 = phi**2 + lam**2 + 2*g*lam*phi`` at it.  It raises
-    ValueError at ``lam == 1``, where the angle blows up, and warns when
-    ``|phi| >= SMALL_ANGLE_LIMIT``.
+    ``phi = g*lam / (lam**2 - 1)`` and the linearized rotation
+    ``(c, s) = (1, phi)``.  It raises ValueError at ``lam == 1``, where
+    the angle blows up, and warns when ``|phi| >= SMALL_ANGLE_LIMIT``.
 
     The exact method solves ``tan(2*phi) = 2*g*lam / (lam**2 - 1)`` on the
     branch that is continuous in g with ``phi(g=0) = 0``, so mode labels
     follow the bare oscillators rather than frequency ordering; at
     ``lam == 1`` it takes the limit from above, ``pi/4`` for positive g.
-    It evaluates the full rotated quadratic form at that angle, which
-    reproduces the eigenvalues of the potential matrix
-    ``[[1, g*lam], [g*lam, lam**2]]``.
+    Its ``(c, s) = (cos phi, sin phi)`` diagonalizes ``[[1, g*lam], [g*lam, lam**2]]``.
+
+    Both evaluate one rotated quadratic form at their ``(c, s)``:
+    ``omega1**2 = c**2 - 2*g*lam*s*c + lam**2*s**2`` and
+    ``omega2**2 = s**2 + lam**2*c**2 + 2*g*lam*s*c``.
 
     At ``g == 0`` both methods return ``phi = 0`` and the bare frequencies
     ``(1, lam)``.
@@ -106,8 +106,7 @@ def normal_modes(
                 f"rotation angle {phi:.3f} is outside the small-angle regime",
                 stacklevel=2,
             )
-        w1_sq = 1 - 2 * g * lam * phi + lam_sq * phi**2
-        w2_sq = phi**2 + lam_sq + 2 * g * lam * phi
+        c, s = 1.0, phi
     else:
         if lam >= 1:
             phi = 0.5 * math.atan2(2 * g * lam, lam_sq - 1)
@@ -115,8 +114,8 @@ def normal_modes(
             # atan2 lands near +-pi/2; fold back to the branch through zero
             phi = 0.5 * math.atan(2 * g * lam / (lam_sq - 1))
         c, s = math.cos(phi), math.sin(phi)
-        w1_sq = lam_sq * s**2 + c**2 - 2 * g * lam * s * c
-        w2_sq = s**2 + lam_sq * c**2 + 2 * g * lam * s * c
+    w1_sq = c**2 - 2 * g * lam * s * c + lam_sq * s**2
+    w2_sq = s**2 + lam_sq * c**2 + 2 * g * lam * s * c
     if w1_sq <= 0 or w2_sq <= 0:
         raise ValueError(
             f"non-positive squared frequency (omega1^2={w1_sq}, omega2^2={w2_sq})"

@@ -1,6 +1,7 @@
 """Sweep configuration, output formats, and the command-line contract."""
 import builtins
 import contextlib
+import dataclasses
 import errno
 import io
 import json
@@ -151,6 +152,17 @@ class TestParseConfig:
         assert config.output == f"{tmp_path}/run#1.csv"
         assert config.t_steps == 2
         assert config.q_values == (1.0,)
+
+    def test_byte_order_mark_ignored(self, tmp_path):
+        # Windows editors may save a config file with a leading BOM
+        text = "lambda = 1.8\nt-steps = 7\n"
+        plain, marked = tmp_path / "plain.conf", tmp_path / "marked.conf"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbflambda")
+        config = parse_config(["--config", str(marked)])
+        assert config == parse_config(["--config", str(plain)])
+        assert (config.lam, config.t_steps) == (1.8, 7)
 
     def test_unknown_config_key_exits(self, tmp_path):
         path = tmp_path / "sweep.conf"
@@ -399,6 +411,25 @@ class TestRunSweep:
         product = (np.array(config.q_values)[:, None] - 1.0) * s_first * s_second
         bound = 4 * np.finfo(float).eps * (s_first + s_second + s_joint)
         assert np.all((margin == 0.0) | (np.abs(margin - product) <= bound))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("d_small, d_big", [(2, 6), (4, 8), (5, 9)])
+    def test_uncoupled_deformed_margin_below_one(self, seed, d_small, d_big):
+        # at g = 0 the state is a product and the margin is the non-additive
+        # part (q - 1) S_1 S_2, negative for q < 1, up to the rounding of
+        # the three entropies (at most 2.9 eps times their sum over 30 lam
+        # and T from 1e-3 to 50); q near 1 is left out, where 1/(q - 1)
+        # amplifies it (8.8 eps at q = 0.95)
+        lam = np.random.default_rng(seed).uniform(0.2, 4.0)
+        config = parse_config(["--lambda", repr(lam), "--g", "0", "--q", "0.5,0.8",
+                               "--t-min", "0.02", "--t-max", "1", "--t-steps", "50",
+                               "--t-scale", "log", "--levels-small", str(d_small),
+                               "--levels-big", str(d_big)])
+        s_joint, s_first, s_second, margin = run_sweep(config).entropies.transpose(1, 0, 2)
+        product = (np.array(config.q_values)[:, None] - 1.0) * s_first * s_second
+        bound = 4 * np.finfo(float).eps * (s_first + s_second + s_joint)
+        assert np.all(np.abs(margin - product) <= bound)
+        assert np.any(margin < -bound)  # not rounding alone
 
     @pytest.mark.parametrize("g, d_small, d_big", [(1e-3, 2, 6), (5e-7, 31, 32)])
     def test_weak_coupling_mutual_info_stays_positive(self, g, d_small, d_big):
@@ -971,14 +1002,34 @@ class TestReportFile:
 
 class TestSweepConfigValidation:
     def test_direct_construction_validates(self):
-        config = SweepConfig(t_min=0.2, t_max=0.1)
         with pytest.raises(ValueError):
-            config.validate()
+            SweepConfig(t_min=0.2, t_max=0.1)
 
     def test_empty_q_rejected(self):
         with pytest.raises(ValueError):
-            SweepConfig(q_values=()).validate()
+            SweepConfig(q_values=())
 
     def test_levels_must_nest(self):
         with pytest.raises(ValueError):
-            SweepConfig(levels_small=6, levels_big=6).validate()
+            SweepConfig(levels_small=6, levels_big=6)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda tmp: SweepConfig(t_scale="Log"),
+            lambda tmp: SweepConfig(t_min=0.5, t_max=0.1),
+            lambda tmp: SweepConfig(t_steps=1),
+            lambda tmp: SweepConfig(levels_big=33),
+            lambda tmp: SweepConfig(output_format="xml"),
+            lambda tmp: SweepConfig(lam=1.0, g=0.1),
+            lambda tmp: SweepConfig(output=str(tmp / "missing" / "sweep.csv")),
+            lambda tmp: dataclasses.replace(SweepConfig(), t_steps=1),
+        ],
+        ids=["t-scale", "descending", "one-step", "levels-big", "format",
+             "no-modes", "output-directory", "replace"],
+    )
+    def test_construction_checks_as_the_command_line(self, build, tmp_path):
+        # the library path, run_sweep(SweepConfig(...)), gets every check
+        # parse_config makes, when the config is built
+        with pytest.raises(ValueError):
+            build(tmp_path)
