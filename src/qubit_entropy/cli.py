@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import re
 import stat
@@ -114,6 +115,9 @@ class SweepConfig:
                 raise ValueError(f"{name} must be finite, got {value}")
         if not all(math.isfinite(q) for q in self.q_values):
             raise ValueError("q values must be finite")
+        for name in ("t_steps", "levels_small", "levels_big"):
+            if not isinstance(value := getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name.replace('_', '-')} must be an integer, got {value}")
         if self.t_min <= 0:
             raise ValueError("t-min must be positive")
         if self.t_max <= self.t_min:
@@ -213,8 +217,8 @@ def parse_config(argv: list[str] | None = None) -> SweepConfig:
     Each config-file line is parsed as its flag, placed before the
     command line, so flags override file values, which override
     defaults.  A bad flag or file, and any check of SweepConfig that
-    fails, a small-angle warning made an error included, terminate with
-    exit code 2.
+    fails, a circuit outside the small-angle regime included, terminate
+    with exit code 2.
     """
     parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -223,7 +227,7 @@ def parse_config(argv: list[str] | None = None) -> SweepConfig:
         if args.config is not None:
             args = parser.parse_args(_config_file_flags(args.config) + argv)
         config = SweepConfig(**{f.name: getattr(args, f.name) for f in fields(SweepConfig)})
-    except (argparse.ArgumentError, OSError, ValueError, Warning) as exc:
+    except (argparse.ArgumentError, OSError, ValueError) as exc:
         parser.error(str(exc))
     return config
 

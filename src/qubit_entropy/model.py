@@ -11,7 +11,6 @@ frequencies ``omega1`` and ``omega2``.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -23,7 +22,7 @@ __all__ = [
 ]
 
 # |phi| at or above this is outside the regime the linearized rotation
-# was derived for; callers get a warning rather than an error.
+# was derived for: the small-angle method raises ValueError there.
 SMALL_ANGLE_LIMIT = 0.3
 
 
@@ -66,8 +65,8 @@ def normal_modes(
 
     The small-angle method takes the leading-order rotation angle
     ``phi = g*lam / (lam**2 - 1)`` and the linearized rotation
-    ``(c, s) = (1, phi)``.  It raises ValueError at ``lam == 1``, where
-    the angle blows up, and warns when ``|phi| >= SMALL_ANGLE_LIMIT``.
+    ``(c, s) = (1, phi)``; outside its regime, ``|phi| >= SMALL_ANGLE_LIMIT``
+    with ``lam == 1`` included, it raises ValueError.
 
     The exact method solves ``tan(2*phi) = 2*g*lam / (lam**2 - 1)`` on the
     branch that is continuous in g with ``phi(g=0) = 0``, so mode labels
@@ -90,22 +89,18 @@ def normal_modes(
         # no rotation needed; keep (1, lam) free of rounding
         return NormalModes(lam, g, 0.0, 1.0, lam, method)
     try:
-        lam_sq = lam**2
-    except OverflowError:  # a float raises; a NumPy scalar gives inf
+        lam_sq = float(lam) ** 2
+    except OverflowError:  # a finite float raises; inf squares to inf
         lam_sq = math.inf
     if lam_sq == math.inf:
         raise ValueError(f"frequency ratio {lam} is too large: lam**2 overflows")
     if method is FrequencyMethod.SMALL_ANGLE:
-        if lam == 1:
+        if abs(g * lam) >= SMALL_ANGLE_LIMIT * abs(lam_sq - 1):
             raise ValueError(
-                "small-angle rotation is singular at lam = 1; use the exact method"
+                f"lambda={lam}, g={g} is outside the small-angle regime"
+                f" |phi| < {SMALL_ANGLE_LIMIT}; use the exact method"
             )
         phi = g * lam / (lam_sq - 1)
-        if abs(phi) >= SMALL_ANGLE_LIMIT:
-            warnings.warn(
-                f"rotation angle {phi:.3f} is outside the small-angle regime",
-                stacklevel=2,
-            )
         c, s = 1.0, phi
     else:
         if lam >= 1:

@@ -290,13 +290,10 @@ class TestParseConfig:
             parse_config(["--g", "1.5"])
         assert err.value.code == 2
 
-    def test_small_angle_warning_as_error_exits(self, capsys):
-        # phi = -0.371 at lam = 3, g = -0.99; under -W error the warning is
-        # a bad configuration, not a traceback
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(SystemExit) as err:
-                parse_config(["--lambda", "3", "--g", "-0.99"])
+    def test_large_angle_circuit_exits(self, capsys):
+        # phi = -0.371 at lam = 3, g = -0.99: a bad configuration, not a traceback
+        with pytest.raises(SystemExit) as err:
+            parse_config(["--lambda", "3", "--g", "-0.99"])
         assert err.value.code == 2
         assert "outside the small-angle regime" in capsys.readouterr().err
 
@@ -765,13 +762,53 @@ class TestMain:
         assert parse_config(FAST + ["--output", "sweep.csv"]).output == "sweep.csv"
         assert list(tmp_path.iterdir()) == []
 
-    def test_small_angle_warning_printed_once(self, capsys):
+    def test_out_of_regime_message_printed_once(self, capsys):
         # phi = 1.02 at lam = 1.05, g = 0.1: outside the small-angle regime
+        with pytest.raises(SystemExit) as err:
+            main(FAST + ["--lambda", "1.05"])
+        assert err.value.code == 2
+        out, err_text = capsys.readouterr()
+        assert out == ""
+        assert err_text.count("outside the small-angle regime") == 1
+        assert "lambda=1.05, g=0.1" in err_text
+        assert "exact method" in err_text
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            ([], 0),
+            (["--lambda", "1.05", "--g", "0.1"], 2),
+            (["--lambda", "3", "--g", "-0.99"], 2),
+            (["--lambda", "1"], 2),
+            (["--t-min", "1e-9", "--t-max", "1e-3", "--t-scale", "log"], 0),
+            (["--g", "0"], 0),
+        ],
+        ids=["default", "large-angle", "large-angle-negative-g", "degenerate",
+             "cold-log", "uncoupled"],
+    )
+    def test_warnings_filter_changes_no_report(self, argv, code):
+        # the exit code and the report are the same under every filter,
+        # and no run emits a warning for the filter to act on
+        def run():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    result = main(argv)
+                except SystemExit as exc:
+                    result = exc.code
+            return result, out.getvalue().encode()
+
+        results = []
+        for action in ("ignore", "default", "error"):
+            with warnings.catch_warnings():
+                warnings.simplefilter(action)
+                results.append(run())
+        assert results == [results[0]] * 3
+        assert results[0][0] == code
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main(FAST + ["--lambda", "1.05"]) == 0
-        assert len(caught) == 1
-        assert "small-angle" in str(caught[0].message)
+            run()
+        assert caught == []
 
     @pytest.mark.parametrize(
         "argv",
@@ -1033,3 +1070,20 @@ class TestSweepConfigValidation:
         # parse_config makes, when the config is built
         with pytest.raises(ValueError):
             build(tmp_path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("t_steps", 2.5), ("levels_small", 2.5), ("levels_big", 6.0), ("t_steps", "5")],
+    )
+    def test_counts_must_be_integers(self, field, value):
+        # a non-integer count would fail only inside run_sweep, with TypeError
+        name = field.replace("_", "-")
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SweepConfig(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        config = SweepConfig(
+            t_steps=np.int64(3), levels_small=np.int32(2), levels_big=np.int64(4),
+            q_values=(1.0,),
+        )
+        assert run_sweep(config).entropies.shape == (1, 4, 3)

@@ -1,5 +1,6 @@
 """Circuit parameters, mixing angle, and normal-mode frequencies."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,15 @@ class TestCircuitChecks:
         # no square is taken at g = 0
         assert normal_modes(1e200, 0.0, method).omega2 == 1e200
 
+    @pytest.mark.parametrize("action", ["ignore", "default", "error"])
+    def test_numpy_ratio_overflow_rejected_under_any_filter(self, action):
+        # the square of a NumPy scalar overflows as a float's does: no
+        # RuntimeWarning, whatever the warnings filter makes of one
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            with pytest.raises(ValueError, match="too large"):
+                normal_modes(np.float64(1e200), 0.1)
+
 
 class TestRotationAngle:
     def test_small_angle_reference_value(self):
@@ -74,8 +84,10 @@ class TestRotationAngle:
             assert gap < 1.5 * abs(phi) ** 3
 
     def test_degenerate_ratio_small_angle_raises(self):
-        with pytest.raises(ValueError, match="singular at lam = 1"):
-            normal_modes(1.0, 0.1)
+        # lam = 1 is outside the regime, however weak the coupling
+        message = r"lambda=1\.0, g=0\.001 is outside the small-angle regime .*exact method"
+        with pytest.raises(ValueError, match=message):
+            normal_modes(1.0, 0.001)
 
     def test_degenerate_ratio_exact_is_quarter_pi(self):
         angle = normal_modes(1.0, 0.1, FrequencyMethod.EXACT).phi
@@ -90,12 +102,27 @@ class TestRotationAngle:
             angle = normal_modes(0.7, g, FrequencyMethod.EXACT).phi
             assert abs(angle) < 2.0 * g
 
-    def test_large_angle_warns(self):
-        with pytest.warns(UserWarning) as record:
-            phi = normal_modes(1.05, 0.5).phi
-        assert abs(phi) >= SMALL_ANGLE_LIMIT
-        # the warning points at the caller of normal_modes
-        assert record[0].filename == __file__
+    def test_large_angle_raises(self):
+        # phi = g*lam/(lam^2 - 1) = 5.12 at lam = 1.05, g = 0.5
+        message = r"lambda=1\.05, g=0\.5 is outside the small-angle regime .*exact method"
+        with pytest.raises(ValueError, match=message):
+            normal_modes(1.05, 0.5)
+        # the exact method has no such regime, and warns of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert normal_modes(1.05, 0.5, FrequencyMethod.EXACT).omega1 > 0
+
+    @pytest.mark.parametrize("lam", [0.6, 1.5])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_regime_boundary(self, lam, sign):
+        def coupling(phi):
+            # the g whose small-angle rotation angle at lam is sign * phi
+            return sign * phi * abs(lam**2 - 1) / lam
+
+        inside = normal_modes(lam, coupling(SMALL_ANGLE_LIMIT * (1 - 1e-9)))
+        assert SMALL_ANGLE_LIMIT * (1 - 2e-9) < abs(inside.phi) < SMALL_ANGLE_LIMIT
+        with pytest.raises(ValueError, match="outside the small-angle regime"):
+            normal_modes(lam, coupling(SMALL_ANGLE_LIMIT * (1 + 1e-9)))
 
 
 class TestNormalModes:
@@ -186,10 +213,17 @@ class TestNormalModes:
             assert_allclose(ratios[:, 0], 4.0, rtol=1e-3)
             assert_allclose(ratios[:, 1], 16.0, rtol=5e-3)
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_frequencies_positive_across_grid(self):
-        for lam in np.linspace(1.1, 2.5, 8):
-            for g in np.linspace(-0.6, 0.6, 7):
-                modes = normal_modes(float(lam), float(g))
-                assert modes.omega1 > 0
-                assert modes.omega2 > 0
+        # exact modes everywhere; small-angle modes where |phi| is in regime
+        in_regime = 0
+        for lam in np.linspace(1.1, 2.5, 8).tolist():
+            for g in np.linspace(-0.6, 0.6, 7).tolist():
+                methods = [FrequencyMethod.EXACT]
+                if abs(g * lam / (lam**2 - 1)) < SMALL_ANGLE_LIMIT:
+                    methods.append(FrequencyMethod.SMALL_ANGLE)
+                    in_regime += 1
+                for method in methods:
+                    modes = normal_modes(lam, g, method)
+                    assert modes.omega1 > 0
+                    assert modes.omega2 > 0
+        assert in_regime == 30
