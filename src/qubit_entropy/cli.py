@@ -100,11 +100,12 @@ class SweepConfig:
     levels_big: int = 6
     output_format: str = "csv"
     output: str | None = None
+    frequencies: str = "small-angle"
 
     @cached_property
     def modes(self) -> NormalModes:
-        """Small-angle normal modes of the circuit, built once per config."""
-        return normal_modes(self.lam, self.g, FrequencyMethod.SMALL_ANGLE)
+        """Normal modes of the circuit by the frequency method, built once per config."""
+        return normal_modes(self.lam, self.g, FrequencyMethod(self.frequencies))
 
     def __post_init__(self) -> None:
         for name, value in (
@@ -138,7 +139,7 @@ class SweepConfig:
             raise ValueError(f"levels-big must be at most {MAX_LEVELS_BIG}")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.output_format!r}")
-        self.modes  # a circuit without small-angle modes: bad configuration
+        self.modes  # a circuit without modes by the method: bad configuration
         if self.output == "":
             raise ValueError("--output must name a file")
         if not os.path.isdir(os.path.dirname(self.output or "") or "."):
@@ -204,6 +205,10 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--levels-small", type=int, help="levels per mode for entropies")
     parser.add_argument("--levels-big", type=int, help="levels per mode for diagnostics")
     parser.add_argument("--method", choices=METHODS, help="accepted and ignored")
+    parser.add_argument(
+        "--frequencies", choices=[method.value for method in FrequencyMethod],
+        help="normal-mode frequency method",
+    )
     parser.add_argument("--format", dest="output_format", choices=("csv", "json"))
     parser.add_argument("--output", type=str, help="output path (default stdout)")
     parser.add_argument("--config", type=str, help="flat key = value config file")
@@ -371,51 +376,61 @@ def emit(sweep: Sweep, config: SweepConfig) -> None:
                         os.ftruncate(fd, end)
 
 
-def _csv_cells(values: np.ndarray) -> np.ndarray:
-    """``_fmt`` of every value, as an object array of the same shape."""
-    flat = values.ravel().tolist()
+def _cells(values: np.ndarray, as_json: bool) -> list[str]:
+    """``_fmt`` of every value of a flat array or, for JSON, the JSON text of
+    each value rounded as ``_fmt`` rounds it, in one formatting call."""
+    flat = values.tolist()
     text = ("%.12g," * len(flat) % tuple(flat)).split(",")[:-1]
-    return np.array(text, dtype=object).reshape(values.shape)
+    if as_json:
+        # json.dumps spells a float as json.dumps(..., indent=2) does: its
+        # repr, or NaN, Infinity and -Infinity
+        text = json.dumps(list(map(float, text)))[1:-1].split(", ")
+    return text
 
 
-def _json_cells(values: np.ndarray) -> np.ndarray:
-    """The JSON text of every value rounded as ``_fmt`` rounds it."""
-    # json.dumps spells a float as json.dumps(..., indent=2) does: its
-    # repr, or NaN, Infinity and -Infinity
-    rounded = list(map(float, _csv_cells(values).ravel().tolist()))
-    text = json.dumps(rounded)[1:-1].split(", ")
-    return np.array(text, dtype=object).reshape(values.shape)
-
-
-_CSV_ROW = ",".join(["%s"] * len(CSV_COLUMNS)) + "\n"
-_JSON_ROW = ",\n  {" + ",".join(f'\n    "{key}": %s' for key in CSV_COLUMNS) + "\n  }"
+# The text around the cells of a row, one more than CSV_COLUMNS: a row is
+# separator 0, cell 0, separator 1, ..., the last cell, the last separator.
+# A JSON row opens with the comma that follows the previous one.
+_CSV_SEPARATORS = ("",) + (",",) * (len(CSV_COLUMNS) - 1) + ("\n",)
+_JSON_SEPARATORS = tuple(
+    ("," if i else ",\n  {") + f'\n    "{key}": ' for i, key in enumerate(CSV_COLUMNS)
+) + ("\n  }",)
 
 
 def _write(sweep: Sweep, config: SweepConfig, stream) -> None:
-    # Each distinct number is formatted once: T and the diagnostics per
-    # temperature, q per value, the entropies per (T, q); margin reuses I.
-    # The table holds one block of rows, its cells in CSV_COLUMNS order.
+    # Each distinct number is formatted once: q per value, and per block
+    # of temperatures T, the entropies per (T, q) and the diagnostics per T
+    # together; margin reuses I.  The table holds one block of rows, its
+    # separators in the even columns and its cells, in CSV_COLUMNS order,
+    # in the odd ones, and is written with one join.
     as_json = config.output_format == "json"
     if as_json:
-        cells, row_format = _json_cells, _JSON_ROW
+        separators = _JSON_SEPARATORS
         stream.write("[")
     else:
-        cells, row_format = _csv_cells, _CSV_ROW
+        separators = _CSV_SEPARATORS
         for line in _header_lines(config):
             stream.write(line + "\n")
         stream.write(",".join(CSV_COLUMNS) + "\n")
     n_q = len(sweep.q_values)
-    table = np.empty((WRITE_TEMPERATURES, n_q, len(CSV_COLUMNS)), dtype=object)
-    table[:, :, 1] = cells(np.asarray(sweep.q_values, dtype=float))
+    table = np.empty((WRITE_TEMPERATURES, n_q, len(separators) * 2 - 1), dtype=object)
+    table[:, :, ::2] = separators
+    table[:, :, 3] = _cells(np.asarray(sweep.q_values, dtype=float), as_json)
     for start in range(0, len(sweep.temperatures), WRITE_TEMPERATURES):
         stop = min(start + WRITE_TEMPERATURES, len(sweep.temperatures))
-        block = table[: stop - start]
-        block[:, :, 0] = cells(sweep.temperatures[start:stop])[:, None]
-        entropies = cells(sweep.entropies[:, :, start:stop]).transpose(2, 0, 1)
-        block[:, :, 2:6] = entropies
-        block[:, :, 6] = entropies[:, :, 3]
-        block[:, :, 7:] = cells(sweep.diagnostics[:, start:stop]).T[:, None, :]
-        text = row_format * (block.shape[0] * n_q) % tuple(block.ravel().tolist())
+        k = stop - start
+        cells = np.array(_cells(np.concatenate([
+            sweep.temperatures[start:stop],
+            sweep.entropies[:, :, start:stop].ravel(),
+            sweep.diagnostics[:, start:stop].ravel(),
+        ]), as_json), dtype=object)
+        block = table[:k]
+        block[:, :, 1] = cells[:k, None]
+        entropies = cells[k:-3 * k].reshape(n_q, 4, k).transpose(2, 0, 1)
+        block[:, :, 5:13:2] = entropies
+        block[:, :, 13] = entropies[:, :, 3]
+        block[:, :, 15::2] = cells[-3 * k:].reshape(3, k).T[:, None, :]
+        text = "".join(block.ravel().tolist())
         # the first JSON row follows "[" with no comma
         stream.write(text[1:] if as_json and start == 0 else text)
     if as_json:

@@ -98,7 +98,7 @@ def normal_modes(
         if abs(g * lam) >= SMALL_ANGLE_LIMIT * abs(lam_sq - 1):
             raise ValueError(
                 f"lambda={lam}, g={g} is outside the small-angle regime"
-                f" |phi| < {SMALL_ANGLE_LIMIT}; use the exact method"
+                f" |phi| < {SMALL_ANGLE_LIMIT}; use the exact method (--frequencies exact)"
             )
         phi = g * lam / (lam_sq - 1)
         c, s = 1.0, phi

@@ -7,8 +7,10 @@ underflows to the exact ground-state projector); in the bare basis it is
 Its spectra and diagnostics are computed from ``w`` and U without forming
 that matrix.  The coupling ``x1 x2`` preserves total parity, so
 ``U[nm, n'm']`` is zero whenever ``n + m + n' + m'`` is odd.  Both
-stages rely on it: the spectra take one SVD per parity block, and the
-diagnostics split their Gram matrix by parity.  Every
+stages rely on it: the spectra take the singular values of each parity
+block, by one SVD call or, for a block one column wide or 2 x 2 (every
+block at two levels per mode), in closed form, and the diagnostics split
+their Gram matrix by parity.  Every
 function works on a stack: the leading axis indexes states (one per
 temperature in the sweep), the last axis holds one state's
 populations.  A single state is a stack of one.
@@ -96,8 +98,11 @@ def thermal_spectra(
     and odd-odd blocks, whose rows are sorted by weight on their own;
     and a marginal commutes with its own parity, so C splits into its
     columns of even and of odd level.  Each block takes one SVD call,
-    both marginals' blocks of one parity together, and a block one
-    column wide takes none: its one singular value is the column's norm.
+    both marginals' blocks of one parity together, but two shapes take
+    none: a block one column wide has one singular value, the column's
+    norm, and a 2 x 2 block, each joint block at d = 2, has a closed form
+    (LAPACK's ``dlas2`` after one Givens rotation), as accurate and
+    without the per-call cost of LAPACK, which dominates at that size.
     A ``u`` with a nonzero entry between levels of unlike parity, and a
     non-finite spectrum, raise ValueError.
     """
@@ -111,20 +116,59 @@ def thermal_spectra(
     b = b.reshape(len(w), -1)
     joint, marginals = [], []
     for (rows, cols), (m_rows, m_cols) in blocks:
-        joint.append(np.linalg.svd(b.take(rows + cols, axis=1), compute_uv=False) ** 2)
-        c = b.take(m_rows + m_cols, axis=1)
-        if c.shape[-1] == 1:
-            # one singular value, the column's norm, summed along the
-            # contiguous last axis so that each state rounds as it would alone
-            c = c[..., 0]
-            marginals.append((c * c).sum(axis=-1, keepdims=True))
-        else:
-            marginals.append(np.linalg.svd(c, compute_uv=False) ** 2)
+        joint.append(_squared_singular_values(b.take(rows + cols, axis=1)))
+        marginals.append(_squared_singular_values(b.take(m_rows + m_cols, axis=1)))
     joint = np.sort(np.concatenate(joint, axis=-1)) / traces[:, None]
     marginals = np.sort(np.concatenate(marginals, axis=-1).swapaxes(0, 1)) / traces[:, None]
     if not (np.isfinite(joint).all() and np.isfinite(marginals).all()):
         raise ValueError("thermal spectra are not finite")
     return joint, marginals
+
+
+def _squared_singular_values(x: np.ndarray) -> np.ndarray:
+    """Squared singular values of each matrix of a stack of blocks of B,
+    their rows sorted by descending weight as :func:`thermal_spectra`
+    gathers them.
+
+    A block one column wide has one, its column's sum of squares, summed
+    along the contiguous last axis so that each state rounds as it would
+    alone; a 2 x 2 block takes the closed form of :func:`_singular_values_2x2`,
+    which makes no LAPACK call; any other block takes one SVD call.
+    """
+    if x.shape[-1] == 1:
+        x = x[..., 0]
+        return (x * x).sum(axis=-1, keepdims=True)
+    if x.shape[-2:] == (2, 2):
+        return _singular_values_2x2(x) ** 2
+    return np.linalg.svd(x, compute_uv=False) ** 2
+
+
+def _singular_values_2x2(x: np.ndarray) -> np.ndarray:
+    """Singular values, descending, of a stack of 2 x 2 matrices, each to
+    high relative accuracy, elementwise over the stack.
+
+    One Givens rotation of the two rows takes ``[[a, b], [c, d]]`` to the
+    upper triangular ``[[f, g], [0, h]]``, ``f = hypot(a, c)``; a row that
+    is small next to the other stays small in h.  The triangle's two
+    values then come as in LAPACK's ``dlas2``, with no Gram matrix, whose
+    rounding would lose the smaller one: the larger
+    ``(hypot(f + h, g) + hypot(f - h, g)) / 2`` and the smaller
+    ``min(f, h) * (max(f, h) / larger)``, both to a few ulps.  ``np.hypot``
+    scales the squares that ``dlas2`` scales by branching on ``g`` against
+    ``max(f, h)``, so every matrix takes one path.
+    """
+    a, b, c, d = x[..., 0, 0], x[..., 0, 1], x[..., 1, 0], x[..., 1, 1]
+    f = np.hypot(a, c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a zero first column needs no rotation, and an all-zero
+        # triangle has no ratio: the unselected lanes divide 0 by 0
+        rotate = f > 0
+        cos, sin = np.where(rotate, a / f, 1.0), np.where(rotate, c / f, 0.0)
+        g, h = np.abs(cos * b + sin * d), np.abs(cos * d - sin * b)
+        low, high = np.minimum(f, h), np.maximum(f, h)
+        large = (np.hypot(high + low, g) + np.hypot(high - low, g)) / 2
+        small = np.where(high > 0, low * (high / large), 0.0)
+    return np.stack([large, small], axis=-1)
 
 
 @lru_cache(maxsize=None)

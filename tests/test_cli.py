@@ -28,7 +28,7 @@ from qubit_entropy.cli import (
     run_sweep,
 )
 from qubit_entropy.entropy import bipartite_entropies
-from qubit_entropy.model import normal_modes
+from qubit_entropy.model import FrequencyMethod, normal_modes
 from qubit_entropy.state import thermal_spectra, thermal_weights, validity_diagnostics
 from qubit_entropy.transform import build_transform
 
@@ -177,7 +177,7 @@ class TestParseConfig:
             ("lambda", "1.8"), ("g", "0.02"), ("t-min", "0.02"), ("t-max", "0.4"),
             ("t-steps", "7"), ("t-scale", "log"), ("q", "1.0,2.0"),
             ("levels-small", "3"), ("levels-big", "8"), ("method", "quadrature"),
-            ("format", "json"), ("output", "{tmp}/sweep.json"),
+            ("format", "json"), ("output", "{tmp}/sweep.json"), ("frequencies", "exact"),
         ],
     )
     def test_config_key_reads_as_its_flag(self, key, value, tmp_path):
@@ -194,7 +194,7 @@ class TestParseConfig:
             ("lambda", "x"), ("g", "x"), ("t-min", "x"), ("t-max", "x"),
             ("t-steps", "2.5"), ("t-scale", "cubic"), ("q", ","),
             ("levels-small", "2.5"), ("levels-big", "x"), ("method", "foo"),
-            ("format", "xml"),
+            ("format", "xml"), ("frequencies", "Exact"),
         ],
     )
     def test_bad_config_value_exits_as_its_flag(self, key, value, tmp_path):
@@ -678,6 +678,10 @@ class TestEmit:
              "--t-steps", "4", "--t-scale", "log"],
             # duplicate and integer-valued q
             ["--q", "1,1,2"],
+            # a single q
+            ["--q", "1.5", "--t-steps", "7"],
+            # one temperature past a full write block
+            ["--t-steps", "33"],
         ],
     )
     def test_byte_identical_to_per_cell_writer(self, argv, output_format):
@@ -690,6 +694,15 @@ class TestEmit:
         # blocks of 7 temperatures: the 50-point grid ends with a block of 1
         monkeypatch.setattr(cli_mod, "WRITE_TEMPERATURES", 7)
         config = parse_config(["--format", output_format])
+        sweep = run_sweep(config)
+        assert emitted(sweep, config) == reference_report(sweep, config)
+
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    def test_one_temperature_per_block(self, output_format, monkeypatch):
+        # every block is also the first or the last; JSON drops the comma
+        # of the first row only
+        monkeypatch.setattr(cli_mod, "WRITE_TEMPERATURES", 1)
+        config = parse_config(["--t-steps", "4", "--format", output_format])
         sweep = run_sweep(config)
         assert emitted(sweep, config) == reference_report(sweep, config)
 
@@ -771,7 +784,25 @@ class TestMain:
         assert out == ""
         assert err_text.count("outside the small-angle regime") == 1
         assert "lambda=1.05, g=0.1" in err_text
-        assert "exact method" in err_text
+        assert "exact method (--frequencies exact)" in err_text
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--lambda", "1"], ["--lambda", "1.05", "--g", "0.1"], ["--lambda", "3", "--g", "-0.99"]],
+        ids=["degenerate", "large-angle", "large-angle-negative-g"],
+    )
+    def test_exact_frequencies_sweep_outside_the_small_angle_regime(self, argv, capsys):
+        assert main(FAST + argv + ["--frequencies", "exact"]) == 0
+        header, rows = parse_csv(capsys.readouterr().out)
+        assert len(rows) == 6
+        assert all(math.isfinite(value) for row in rows for value in row.values())
+
+    def test_frequencies_select_the_modes(self):
+        # small-angle is the default, so a default report is unchanged
+        assert parse_config([]) == parse_config(["--frequencies", "small-angle"])
+        assert parse_config([]).modes.method is FrequencyMethod.SMALL_ANGLE
+        exact = parse_config(["--frequencies", "exact"]).modes
+        assert exact == normal_modes(1.5, 0.1, FrequencyMethod.EXACT)
 
     @pytest.mark.parametrize(
         "argv, code",
@@ -1061,9 +1092,10 @@ class TestSweepConfigValidation:
             lambda tmp: SweepConfig(lam=1.0, g=0.1),
             lambda tmp: SweepConfig(output=str(tmp / "missing" / "sweep.csv")),
             lambda tmp: dataclasses.replace(SweepConfig(), t_steps=1),
+            lambda tmp: SweepConfig(frequencies="Exact"),
         ],
         ids=["t-scale", "descending", "one-step", "levels-big", "format",
-             "no-modes", "output-directory", "replace"],
+             "no-modes", "output-directory", "replace", "frequencies"],
     )
     def test_construction_checks_as_the_command_line(self, build, tmp_path):
         # the library path, run_sweep(SweepConfig(...)), gets every check

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,7 +12,12 @@ from numpy.testing import assert_allclose
 from oracles import dense_states, partial_traces, spectra, unit_trace
 from qubit_entropy.entropy import spectrum_entropies
 from qubit_entropy.model import NormalModes, FrequencyMethod, normal_modes
-from qubit_entropy.state import thermal_spectra, thermal_weights, validity_diagnostics
+from qubit_entropy.state import (
+    _singular_values_2x2,
+    thermal_spectra,
+    thermal_weights,
+    validity_diagnostics,
+)
 from qubit_entropy.transform import build_transform
 
 REF_MODES = normal_modes(1.5, 0.1)
@@ -244,7 +250,7 @@ class TestThermalSpectra:
     # at d = 5 the parity blocks are unequal: 13 and 12 levels, and the
     # marginal blocks 3 and 2 levels wide; at d = 7, 25 and 24 levels, and
     # 4 and 3; d = 4 is the circuit-scan shape
-    @pytest.mark.parametrize("d", [3, 4, 5, 7], ids=["d3", "d4", "d5", "d7"])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 7], ids=["d2", "d3", "d4", "d5", "d7"])
     def test_stack_matches_single_states(self, d):
         temps = np.concatenate([[5e-9], np.linspace(0.02, 0.6, 12)])
         u = build_transform(REF_MODES, d=d)
@@ -325,6 +331,123 @@ class TestThermalSpectra:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="not finite"):
                 thermal_spectra(thermal_weights(REF_MODES, [0.3], 2), huge)
+
+
+class TestSingularValues2x2:
+    """The closed form that gives every 2 x 2 parity block its singular
+    values, against ``np.linalg.svd`` and a 60-digit evaluation."""
+
+    SUBNORMAL = 5e-324
+
+    @staticmethod
+    def closed_form(x):
+        # every case runs with warnings as errors: no lane may divide by
+        # zero, overflow or take an invalid operation where numpy can see it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = _singular_values_2x2(np.asarray(x, dtype=float))
+        assert np.all(values[..., 0] >= values[..., 1])
+        return values
+
+    @staticmethod
+    def exact(x):
+        """``(larger, smaller)`` of each matrix at 60 digits, the smaller as
+        ``|det| / larger`` so that it keeps its own relative accuracy."""
+        values = []
+        with mpmath.workdps(60):
+            for a, b, c, d in np.reshape(x, (-1, 4)).tolist():
+                a, b, c, d = map(mpmath.mpf, (a, b, c, d))
+                det, frob = abs(a * d - b * c), a * a + b * b + c * c + d * d
+                large = mpmath.sqrt((frob + mpmath.sqrt(frob * frob - 4 * det * det)) / 2)
+                values.append((float(large), float(det / large) if large else 0.0))
+        return np.reshape(values, np.shape(x)[:-1])
+
+    def test_graded_rows_keep_the_smaller_value(self):
+        # the second row scaled by 1e-150 to 1, as the thermal weights
+        # grade B; a Gram matrix would leave the smaller value at about
+        # 1e-8 of the larger, then at 0
+        rng = np.random.default_rng(41)
+        x = rng.normal(size=(300, 2, 2))
+        x[:, 1] *= 10.0 ** -rng.uniform(0, 150, size=(300, 1))
+        values = self.closed_form(x)
+        assert_allclose(values, self.exact(x), rtol=1e-13, atol=0)
+        assert_allclose(values, np.linalg.svd(x, compute_uv=False), rtol=1e-12, atol=0)
+
+    def test_mixed_signs(self):
+        # some of these are nearly singular: the SVD then errs by about eps
+        # of the larger value in the smaller one, the closed form much less
+        rng = np.random.default_rng(42)
+        x = rng.uniform(0.5, 2.0, size=(200, 2, 2)) * rng.choice([-1.0, 1.0], size=(200, 2, 2))
+        values = self.closed_form(x)
+        assert_allclose(values, self.exact(x), rtol=1e-13, atol=0)
+        allow = 4 * np.finfo(float).eps * values[:, :1]
+        assert np.all(np.abs(values - np.linalg.svd(x, compute_uv=False)) <= allow)
+
+    def test_exact_rank_one(self):
+        # rows a power of two apart rotate to an exact zero; any other
+        # ratio leaves at most rounding of the larger value
+        rng = np.random.default_rng(43)
+        row = rng.normal(size=(50, 1, 2))
+        twice = self.closed_form(np.concatenate([row, row * 2.0**-40], axis=1))
+        assert np.all(twice[:, 1] == 0)
+        assert_allclose(twice[:, 0], np.hypot(row[:, 0, 0], row[:, 0, 1]), rtol=1e-15)
+        scaled = self.closed_form(np.concatenate([row, row * 0.3], axis=1))
+        assert np.all(scaled[:, 1] <= 4 * np.finfo(float).eps * scaled[:, 0])
+
+    @pytest.mark.parametrize(
+        "x, expected",
+        [
+            ([[3.0, -4.0], [0.0, 0.0]], [5.0, 0.0]),
+            ([[0.0, 0.0], [-3.0, 4.0]], [5.0, 0.0]),
+            ([[0.0, 3.0], [0.0, -4.0]], [5.0, 0.0]),
+            ([[3.0, 0.0], [-4.0, 0.0]], [5.0, 0.0]),
+            ([[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0]),
+            # g far above f and h: max(f, h) / g underflows to 0
+            ([[1e-320, 1e300], [0.0, 1e-320]], [1e300, 0.0]),
+        ],
+        ids=["zero-row", "zero-first-row", "zero-column", "zero-second-column",
+             "all-zero", "underflowing-ratio"],
+    )
+    def test_degenerate_blocks(self, x, expected):
+        values = self.closed_form([x])[0]
+        assert values.tolist() == expected
+        assert_allclose(values, np.linalg.svd(np.array(x), compute_uv=False), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("anti", [False, True], ids=["diagonal", "anti-diagonal"])
+    def test_uncoupled_blocks(self, anti):
+        # g = 0: U is the identity, and a block is diagonal, or
+        # anti-diagonal where the weights order its rows against its
+        # columns; its values are the entries' magnitudes, to at most
+        # 1.33 eps here
+        rng = np.random.default_rng(44)
+        entries = rng.normal(size=(400, 2)) * 10.0 ** -rng.uniform(0, 150, size=(400, 2))
+        x = np.zeros((400, 2, 2))
+        x[:, [0, 1], [1, 0] if anti else [0, 1]] = entries
+        expected = -np.sort(-np.abs(entries), axis=1)
+        assert_allclose(self.closed_form(x), expected, rtol=2 * np.finfo(float).eps, atol=0)
+
+    def test_subnormal_entries(self):
+        # near the bottom of the range a value keeps only the subnormal
+        # spacing: within 16 of it for all-subnormal blocks, and the larger
+        # value still relatively accurate beside a subnormal row
+        rng = np.random.default_rng(45)
+        tiny = rng.normal(size=(200, 2, 2)) * 1e-310
+        assert_allclose(self.closed_form(tiny), self.exact(tiny), rtol=0, atol=16 * self.SUBNORMAL)
+        graded = rng.normal(size=(200, 2, 2))
+        graded[:, 1] *= 1e-310
+        values, exact = self.closed_form(graded), self.exact(graded)
+        assert_allclose(values[:, 0], exact[:, 0], rtol=1e-15, atol=0)
+        assert_allclose(values[:, 1], exact[:, 1], rtol=0, atol=4 * self.SUBNORMAL)
+
+    def test_thermal_spectra_take_no_svd_call_at_two_levels(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        weights = thermal_weights(REF_MODES, [0.05, 0.3], 2)
+        expected = thermal_spectra(weights, U_SMALL)
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        for got, want in zip(thermal_spectra(weights, U_SMALL), expected):
+            assert np.array_equal(got, want)
 
 
 class TestPartialTrace:
@@ -580,7 +703,7 @@ class TestMemoryLayout:
     # round as the same row of a C-ordered copy
     TEMPS = np.concatenate([[5e-9], np.linspace(0.02, 0.6, 12)])
 
-    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("d", [2, 3, 4])
     def test_thermal_spectra_ignore_layout(self, d):
         u = build_transform(REF_MODES, d=d)
         weights = thermal_weights(REF_MODES, self.TEMPS, d)
