@@ -239,7 +239,13 @@ def parse_config(argv: list[str] | None = None) -> SweepConfig:
 
 def _temperature_grid(config: SweepConfig) -> np.ndarray:
     if config.t_scale == "log":
-        return np.geomspace(config.t_min, config.t_max, config.t_steps)
+        # np.geomspace's arithmetic, bit for bit, without its argument
+        # handling: powers of ten of a linear grid of logs, ends pinned
+        grid = 10.0 ** np.linspace(
+            np.log10(config.t_min), np.log10(config.t_max), config.t_steps
+        )
+        grid[0], grid[-1] = config.t_min, config.t_max
+        return grid
     return np.linspace(config.t_min, config.t_max, config.t_steps)
 
 
@@ -323,6 +329,7 @@ def _header_lines(config: SweepConfig) -> list[str]:
     return [
         f"# qubit-entropy {__version__}",
         f"# lambda={_fmt(config.lam)} g={_fmt(config.g)}",
+        f"# frequencies={config.frequencies} phi={_fmt(config.modes.phi)}",
         f"# t_min={_fmt(config.t_min)} t_max={_fmt(config.t_max)}"
         f" t_steps={config.t_steps} t_scale={config.t_scale}",
         f"# q={q_text} levels_small={config.levels_small} levels_big={config.levels_big}",
@@ -382,9 +389,18 @@ def _cells(values: np.ndarray, as_json: bool) -> list[str]:
     flat = values.tolist()
     text = ("%.12g," * len(flat) % tuple(flat)).split(",")[:-1]
     if as_json:
-        # json.dumps spells a float as json.dumps(..., indent=2) does: its
-        # repr, or NaN, Infinity and -Infinity
-        text = json.dumps(list(map(float, text)))[1:-1].split(", ")
+        # JSON spells a float as its repr.  A normal double below 1e11 is
+        # recovered from its 12 digits and repr picks the same digits and
+        # notation, so the text is kept, with ".0" on an integer.  A
+        # subnormal may not round-trip, repr is positional up to 1e16
+        # where %.12g is not, and NaN and inf are spelled NaN, Infinity
+        # and -Infinity: those few take json.dumps.
+        size = np.abs(values)
+        kept = (size == 0) | ((size >= sys.float_info.min) & (size < 1e11))
+        spelled = [s if "." in s or "e" in s else s + ".0" for s in text]
+        for i in np.flatnonzero(~kept).tolist():
+            spelled[i] = json.dumps(float(text[i]))
+        text = spelled
     return text
 
 
@@ -413,7 +429,8 @@ def _write(sweep: Sweep, config: SweepConfig, stream) -> None:
             stream.write(line + "\n")
         stream.write(",".join(CSV_COLUMNS) + "\n")
     n_q = len(sweep.q_values)
-    table = np.empty((WRITE_TEMPERATURES, n_q, len(separators) * 2 - 1), dtype=object)
+    rows = min(WRITE_TEMPERATURES, len(sweep.temperatures))
+    table = np.empty((rows, n_q, len(separators) * 2 - 1), dtype=object)
     table[:, :, ::2] = separators
     table[:, :, 3] = _cells(np.asarray(sweep.q_values, dtype=float), as_json)
     for start in range(0, len(sweep.temperatures), WRITE_TEMPERATURES):

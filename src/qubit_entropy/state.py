@@ -111,7 +111,7 @@ def thermal_spectra(
     if u[unlike].any():
         raise ValueError("u couples levels of unlike parity")
     # rows by parity, then by descending weight: each block's rows graded
-    order = np.lexsort((-w, np.broadcast_to(_parity(d), w.shape)))
+    order = np.lexsort((-w, _parity(d)[None].repeat(len(w), axis=0)))
     b = np.sqrt(np.take_along_axis(w, order, axis=1))[:, :, None] * u[order]
     b = b.reshape(len(w), -1)
     joint, marginals = [], []
@@ -234,10 +234,7 @@ def validity_diagnostics(
     w, traces, d_big = _weights_and_traces(weights, u)
     if not 2 <= d_small < d_big:
         raise ValueError(f"need 2 <= d_small < d_big, got {d_small}, {d_big}")
-    kept = [n * d_big + m for n in range(d_small) for m in range(d_small)]
-    parity = _parity(d_big)
-    rest = np.ones(len(u), dtype=bool)
-    rest[kept] = False
+    kept, off_diagonal, parity_blocks = _diagnostic_indices(d_big, d_small)
     u_kept = u[:, kept]
     # one product per state, so a row rounds as it would alone
     block = ((u_kept.T * w[:, None, :]) @ u_kept).reshape(len(w), -1)
@@ -246,19 +243,40 @@ def validity_diagnostics(
     # (G o G) w per state and parity block, scattered back to bare order so
     # that w . (G o G) w sums over the bare index as one product would
     gram_w = np.empty_like(w)
-    for p in (0, 1):
-        rows = parity == p
-        u_rows = u.compress(rows, axis=0)
-        if u_rows.compress(rest & ~rows, axis=1).any():
+    for rows, like, unlike in parity_blocks:
+        u_rows = u.take(rows, axis=0)
+        if u_rows.take(unlike, axis=1).any():
             raise ValueError("a complement column of u couples levels of unlike parity")
-        u_rest = u_rows.compress(rest & rows, axis=1)
+        u_rest = u_rows.take(like, axis=1)
         gram = u_rest @ u_rest.T
-        w_rows = w.compress(rows, axis=1)[:, None, :]
+        w_rows = w.take(rows, axis=1)[:, None, :]
         gram_w[:, rows] = (w_rows @ (gram * gram))[:, 0]
     mu_complement = (gram_w * w).sum(axis=1) / traces**2
-    off_diagonal = ~np.eye(len(kept), dtype=bool).ravel()
-    # compress keeps the rows C-ordered, so each row sums as it would alone
-    offdiag = np.abs(block.compress(off_diagonal, axis=1)).sum(axis=1)
+    # take keeps the rows C-ordered, so each row sums as it would alone
+    offdiag = np.abs(block.take(off_diagonal, axis=1)).sum(axis=1)
     if not np.isfinite(mu_block + mu_complement).all():
         raise ValueError("validity diagnostics are not finite")
     return mu_block, mu_complement, offdiag
+
+
+@lru_cache(maxsize=None)
+def _diagnostic_indices(d_big: int, d_small: int) -> tuple:
+    """``(kept, off_diagonal, parity_blocks)`` for :func:`validity_diagnostics`:
+    the bare levels ``n*d_big + m`` with ``n, m < d_small``, the positions of
+    the off-diagonal entries of their flattened block, and for each parity
+    of ``n + m``, even first, its levels with the complement levels of like
+    and of unlike parity."""
+    kept = np.array([n * d_big + m for n in range(d_small) for m in range(d_small)])
+    off_diagonal = np.flatnonzero(~np.eye(len(kept), dtype=bool))
+    parity = _parity(d_big)
+    rest = np.ones(d_big * d_big, dtype=bool)
+    rest[kept] = False
+    parity_blocks = tuple(
+        (
+            np.flatnonzero(parity == p),
+            np.flatnonzero(rest & (parity == p)),
+            np.flatnonzero(rest & (parity != p)),
+        )
+        for p in (0, 1)
+    )
+    return kept, off_diagonal, parity_blocks

@@ -107,13 +107,19 @@ def build_transform(modes: NormalModes, d: int = 2) -> np.ndarray:
 
     weights = v[:d] / sqrt(det)
     weights[:-1] *= 2.0
-    bare2 = ho_eigenfunctions(d, x2, 1.0 / sqrt(lam)) * weights
-    bare1 = ho_eigenfunctions(d, x1, 1.0) * v
-    rotated1 = ho_eigenfunctions(d, x1p, 1.0 / sqrt(w1))
-    rotated2 = ho_eigenfunctions(d, x2p, 1.0 / sqrt(w2))
+    # one table for the four coordinates: per k2, the k1 nodes of x1, x1'
+    # and x2' side by side, then x2, each column with its length scale.
+    # bare1 takes its weights in place and rotated2 is copied out, so the
+    # table is freed before inner is formed.
+    nodes = len(t)
+    scales = np.repeat([1.0, 1.0 / sqrt(w1), 1.0 / sqrt(w2), 1.0 / sqrt(lam)], [nodes] * 3 + [1])
+    table = ho_eigenfunctions(d, np.concatenate([x1, x1p, x2p, x2[:, None]], axis=1), scales)
+    bare1, rotated1 = table[:, :, :nodes], table[:, :, nodes:2 * nodes]
+    bare1 *= v
+    rotated2, bare2 = table[:, :, 2 * nodes:-1].copy(), table[:, :, -1] * weights
     # sum over k1: (k2, n n', k1) @ (k2, k1, m') for each k2
     pairs = bare1.transpose(1, 0, 2)[:, :, None] * rotated1.transpose(1, 0, 2)[:, None]
-    del bare1, rotated1
+    del bare1, rotated1, table
     inner = pairs.reshape(d, d * d, -1) @ rotated2.transpose(1, 2, 0)
     del pairs
     # sum over k2: (m, k2) @ (k2, n' m') for each n, giving (n, m, n' m')

@@ -14,7 +14,9 @@ with no input checks:
 - the rows of a sweep report as dicts, one per (T, q) grid point;
 - the entropies of the untruncated Gaussian thermal state, from the
   circuit alone, and by brute force in a Fock basis of the coupled
-  Hamiltonian.
+  Hamiltonian;
+- the ground state's bare-mode occupation and the closed-form mutual
+  information at both ends of the temperature axis.
 """
 import functools
 import itertools
@@ -291,6 +293,43 @@ def gaussian_entropies(lam, g, temperatures, q):
         s_joint = (1.0 - trace(normal).prod(axis=1)) / (q - 1.0)
         s_first, s_second = ((1.0 - trace(bare)) / (q - 1.0)).T
     return s_joint, s_first, s_second, s_first + s_second - s_joint
+
+
+def ground_state_occupation(lam, g):
+    """Occupation of either bare mode in the ground state of the coupled
+    pair, ``sqrt(1 + c^2 s^2 (omega1 - omega2)^2 / (omega1 omega2)) / 2 - 1/2``.
+
+    ``(c, s)`` is the exact rotation and ``omega_k`` are the normal-mode
+    frequencies, from the potential of :func:`gaussian_entropies`; the
+    ground state has ``<x^2> <p^2> = (c^2/omega1 + s^2/omega2)
+    (c^2 omega1 + s^2 omega2) / 4`` in either mode.  Written as
+    ``x / (2 (sqrt(1 + x) + 1))`` so a weak coupling does not cancel.  For
+    small g it is about ``g^2 lam / (4 (1 + lam)^2)``, with no singularity
+    at lam = 1.
+    """
+    omega_sq, r = np.linalg.eigh([[1.0, g * lam], [g * lam, lam * lam]])
+    w1, w2 = np.sqrt(omega_sq)
+    cs = r[0, 0] * r[0, 1]
+    x = cs * cs * (w1 - w2) ** 2 / (w1 * w2)
+    return 0.5 * x / (math.sqrt(1.0 + x) + 1.0)
+
+
+def mutual_information_cold(lam, g):
+    """The mutual information of the ground state, ``I_0 = 2 S(n0)`` with
+    ``S(n) = (n+1) ln(n+1) - n ln n`` and n0 the
+    :func:`ground_state_occupation`: the state is pure, so both marginals
+    share its entropy and the joint entropy is zero."""
+    n = ground_state_occupation(lam, g)
+    if n == 0.0:
+        return 0.0
+    return 2.0 * ((n + 1.0) * math.log1p(n) - n * math.log(n))
+
+
+def mutual_information_hot(g):
+    """The classical limit of the mutual information, ``-ln(1 - g^2) / 2``
+    for any lam: the positions have correlation -g and the momenta are
+    uncorrelated."""
+    return -0.5 * math.log1p(-g * g)
 
 
 @functools.lru_cache(maxsize=4)

@@ -365,6 +365,21 @@ class TestRunSweep:
         temps = sorted({row["T"] for row in rows})
         assert_allclose(temps[1] / temps[0], temps[2] / temps[1], rtol=1e-12)
 
+    def test_log_grid_is_geomspace(self):
+        # the grid takes np.geomspace's arithmetic without its argument
+        # handling, so it must match it bit for bit
+        rng = np.random.default_rng(20)
+        cases = [(1e-320, 1e-8, 3), (1e-320, 1e13, 40), (0.01, 0.5, 2), (5e-324, 1e308, 2)]
+        for _ in range(2000):
+            low_exp = rng.uniform(-320, 300)
+            low, high = 10.0**low_exp, 10.0 ** rng.uniform(low_exp, 307)
+            if high > low:
+                cases.append((low, high, int(rng.integers(2, 60))))
+        for t_min, t_max, steps in cases:
+            config = SweepConfig(t_min=t_min, t_max=t_max, t_steps=steps, t_scale="log")
+            grid = cli_mod._temperature_grid(config)
+            assert grid.tobytes() == np.geomspace(t_min, t_max, steps).tobytes()
+
     def test_zero_coupling_mutual_info_vanishes(self):
         config = parse_config(["--g", "0", "--t-steps", "4", "--q", "1.0"])
         rows = sweep_rows(run_sweep(config))
@@ -689,6 +704,29 @@ class TestEmit:
         sweep = run_sweep(config)
         assert emitted(sweep, config) == reference_report(sweep, config)
 
+    def test_json_cells_spell_the_rounded_value(self):
+        # a cell is json.dumps of the value _fmt prints, whether it keeps its
+        # %.12g text or takes json.dumps (subnormal, |v| >= 1e11, non-finite)
+        rng = np.random.default_rng(26)
+        values = np.concatenate([
+            rng.integers(0, 2**64, size=20000, dtype=np.uint64).view(float),
+            rng.integers(1, 2**52, size=2000, dtype=np.uint64).view(float),
+            -rng.integers(1, 2**52, size=2000, dtype=np.uint64).view(float),
+            [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308,
+             2.225073858507201e-308, 99999999999.99999, 1e11, 1e16, -1e16],
+            np.arange(-2000.0, 2001.0),
+            rng.integers(-(2**53), 2**53, size=2000).astype(float),
+            10.0 ** np.arange(-320, 301),
+            rng.uniform(1e11, 1e16, size=2000),
+            -rng.uniform(1e11, 1e16, size=2000),
+            rng.standard_normal(2000) * 10.0 ** rng.integers(-300, 300, size=2000),
+        ])
+        cells = cli_mod._cells(values, True)
+        expected = [json.dumps(float("%.12g" % value)) for value in values.tolist()]
+        mismatches = [(v, c, e) for v, c, e in zip(values.tolist(), cells, expected) if c != e]
+        assert not mismatches[:5]
+        assert len(cells) == len(values)
+
     @pytest.mark.parametrize("output_format", ["csv", "json"])
     def test_blocks_ending_mid_grid(self, output_format, monkeypatch):
         # blocks of 7 temperatures: the 50-point grid ends with a block of 1
@@ -796,6 +834,19 @@ class TestMain:
         header, rows = parse_csv(capsys.readouterr().out)
         assert len(rows) == 6
         assert all(math.isfinite(value) for row in rows for value in row.values())
+
+    def test_header_names_the_frequency_method(self, capsys):
+        # two reports of one circuit by different methods differ in every
+        # row, and their headers say why
+        headers = {}
+        for method in ("small-angle", "exact"):
+            assert main(["--t-steps", "2", "--frequencies", method]) == 0
+            text = capsys.readouterr().out
+            headers[method] = [ln for ln in text.splitlines() if ln.startswith("#")]
+        phi = parse_config(["--frequencies", "exact"]).modes.phi
+        assert "# frequencies=small-angle phi=0.12" in headers["small-angle"]
+        assert f"# frequencies=exact phi={phi:.12g}" in headers["exact"]
+        assert headers["small-angle"] != headers["exact"]
 
     def test_frequencies_select_the_modes(self):
         # small-angle is the default, so a default report is unchanged

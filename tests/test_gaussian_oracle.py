@@ -7,13 +7,20 @@ puts the Boltzmann weights on the normal-mode levels, which is
 state meets the oracle to about 1e-8.  The sweep passes ``u`` instead,
 a state of neither Hamiltonian, which the strict xfail below pins.
 ``oracles.fock_entropies`` diagonalizes the coupled Hamiltonian in a
-truncated Fock basis and shares no code with either.
+truncated Fock basis and shares no code with either.  The oracle's two
+ends of the temperature axis have closed forms of their own.
 """
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import fock_entropies, gaussian_entropies
+from oracles import (
+    fock_entropies,
+    gaussian_entropies,
+    ground_state_occupation,
+    mutual_information_cold,
+    mutual_information_hot,
+)
 from qubit_entropy.entropy import bipartite_entropies
 from qubit_entropy.model import FrequencyMethod, normal_modes
 from qubit_entropy.state import thermal_spectra, thermal_weights
@@ -40,6 +47,38 @@ def test_reproduces_reference_bare_mode_entropies():
     for (lam, g, temperature), value in zip(POINTS, expected):
         s_first = gaussian_entropies(lam, g, [temperature], 1.0)[1][0]
         assert_allclose(s_first, value, rtol=1e-9)
+
+
+# (lam, g): the circuits of POINTS, and a weak and a strong coupling
+CIRCUITS = [(1.5, 0.1), (1.5, 0.01), (0.6, -0.3), (2.5, 0.3), (1.5, 0.3)]
+
+
+@pytest.mark.parametrize("lam, g", CIRCUITS)
+def test_cold_limit_meets_the_oracle(lam, g):
+    # gaps at most 2.2e-11 relative, at g = 0.01.  Below T = 0.01 the
+    # oracle's expm1 overflows, which warns.
+    got = gaussian_entropies(lam, g, [0.01], 1.0)[3][0]
+    assert_allclose(got, mutual_information_cold(lam, g), rtol=1e-10)
+
+
+@pytest.mark.parametrize("lam, g", CIRCUITS)
+def test_hot_limit_meets_the_oracle(lam, g):
+    # gaps at most 1.2e-8 relative, at g = 0.01: the oracle's own
+    # cancellation, which grows with ln T at small g
+    got = gaussian_entropies(lam, g, [1e3], 1.0)[3][0]
+    assert_allclose(got, mutual_information_hot(g), rtol=5e-8)
+
+
+@pytest.mark.parametrize("lam", [0.6, 1.0, 1.5, 2.5])
+def test_ground_state_occupation_is_quadratic_in_g(lam):
+    # the relative gap to g^2 lam / (4 (1 + lam)^2) is O(g^2): it falls by
+    # 4.10, 4.02 and 4.01 as g halves from 0.2 to 0.025
+    gaps = [
+        ground_state_occupation(lam, g) / (g * g * lam / (4.0 * (1.0 + lam) ** 2)) - 1.0
+        for g in (0.2, 0.1, 0.05, 0.025)
+    ]
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert abs(coarse / fine / 4.0 - 1.0) < 0.03
 
 
 @pytest.mark.parametrize("lam, g, temperature", POINTS)

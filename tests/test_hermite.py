@@ -54,6 +54,21 @@ class TestHermitePoly:
         assert_allclose(table[1, 1], root / math.sqrt(2) * math.exp(-0.125), rtol=1e-14)
         assert_allclose(table[2, 2], root / math.sqrt(2) * math.exp(-0.5), rtol=1e-14)
 
+    def test_array_of_length_scales_matches_each_table(self):
+        # one call for several grids gives each grid's own table, bit for bit
+        rng = np.random.default_rng(7)
+        for d in (1, 2, 5, 8, 20, 32):
+            x = rng.standard_normal((4, 3, 9)) * 3.0
+            scales = rng.uniform(0.2, 3.0, size=4)
+            table = ho_eigenfunctions(d, x, scales[:, None, None])
+            assert table.shape == (d, 4, 3, 9)
+            for i, scale in enumerate(scales.tolist()):
+                assert table[:, i].tobytes() == ho_eigenfunctions(d, x[i], scale).tobytes()
+            # a scale broadcast against one shared grid
+            shared = ho_eigenfunctions(d, x[0], scales[:, None, None])
+            for i, scale in enumerate(scales.tolist()):
+                assert shared[:, i].tobytes() == ho_eigenfunctions(d, x[0], scale).tobytes()
+
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             ho_eigenfunctions(-1, 0.0, 1.0)
@@ -78,6 +93,8 @@ class TestEigenfunction:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             ho_eigenfunctions(1, 0.0, 0.0)
+        with pytest.raises(ValueError):
+            ho_eigenfunctions(2, np.zeros(3), np.array([1.0, -1.0, 2.0]))
         with pytest.raises(ValueError, match="length scale must be positive"):
             ho_eigenfunctions(2, 0.0, float("nan"))
 
