@@ -26,16 +26,18 @@ from . import __version__
 from .entropy import bipartite_entropies
 from .model import FrequencyMethod, NormalModes, normal_modes
 from .state import thermal_spectra, thermal_weights, validity_diagnostics
-from .transform import build_transform
+from .transform import build_transform, parity_levels
 
 __all__ = ["Sweep", "SweepConfig", "SweepError", "emit", "main", "parse_config", "run_sweep"]
 
 # The sweep evaluates temperatures in chunks of at most this many bytes:
-# 8 * (levels_small**4 + levels_big**2) per temperature, for the matrix
-# sqrt(w) U of levels_small and the levels-big weight row.  The block
-# product of validity_diagnostics stacks levels_small**2 * levels_big**2
-# more values per temperature, up to 16 times the count above (reached at
-# levels-big 32).  Larger chunks save little, cost memory.
+# 8 * (levels_small**4 + levels_big**2) per temperature, for the two
+# parity blocks of sqrt(w) U at levels_small (levels_small**4 / 2 values)
+# and their rows before sorting, and the levels-big weight row.  The
+# kept-block products of validity_diagnostics stack about
+# levels_small**2 * levels_big**2 / 2 more values per temperature, up to
+# 8 times the count above (reached at levels-big 32).  Larger chunks save
+# little, cost memory.
 CHUNK_BYTES = 256 * 1024
 
 # The largest array of the levels-big transform is the product of two
@@ -254,16 +256,20 @@ def run_sweep(config: SweepConfig) -> Sweep:
 
     One transform tensor is built, at levels_big, and reused across the
     grid, which is evaluated in chunks of temperatures (see CHUNK_BYTES);
-    the columns do not depend on the chunking.  The levels_small tensor
-    is its leading block, the rows and columns of levels below
-    levels_small: an overlap does not depend on the truncation, and the
-    order-(2*levels_big - 1) rule is exact for every lower level, so the
-    block equals a levels_small build to rounding.
+    the columns do not depend on the chunking.  Each levels_small parity
+    block is the leading block of the levels_big one, its rows and columns
+    of levels below levels_small: an overlap does not depend on the
+    truncation, and the order-(2*levels_big - 1) rule is exact for every
+    lower level, so the blocks equal a levels_small build to rounding.
     """
     modes = config.modes
     u_big = build_transform(modes, d=config.levels_big)
     d_big, d_s = config.levels_big, config.levels_small
-    u_small = u_big.reshape((d_big,) * 4)[:d_s, :d_s, :d_s, :d_s].reshape(d_s**2, d_s**2)
+    u_small = tuple(
+        block[np.ix_(kept, kept)]
+        for block, levels in zip(u_big, parity_levels(d_big))
+        for kept in [np.flatnonzero(np.maximum(*np.divmod(levels, d_big)) < d_s)]
+    )
     grid = _temperature_grid(config)
     step = max(1, CHUNK_BYTES // (8 * (d_s**4 + d_big**2)))
     diagnostics, entropies = [], []
@@ -287,13 +293,10 @@ def run_sweep(config: SweepConfig) -> Sweep:
 
 
 def _sweep_chunk(
-    config: SweepConfig,
-    modes: NormalModes,
-    u_small: np.ndarray,
-    u_big: np.ndarray,
-    temps: np.ndarray,
+    config: SweepConfig, modes: NormalModes, u_small: tuple, u_big: tuple, temps: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Columns for a chunk of temperatures, every stage stacked over the chunk.
+    """Columns for a chunk of temperatures, every stage stacked over the
+    chunk, from the parity blocks of the levels_small and levels_big U.
 
     Returns the diagnostics ``(mu_I, mu_II, offdiag_sum)`` with shape
     ``(3, k)`` and, per q, ``(S_joint, S_1, S_2, margin)`` with shape

@@ -3,17 +3,14 @@
 The thermal state is diagonal in the normal-mode basis, with Boltzmann
 populations ``w`` from one formula at every temperature (a cold row
 underflows to the exact ground-state projector); in the bare basis it is
-``U^T diag(w) U / tr``, U the overlap tensor.
-Its spectra and diagnostics are computed from ``w`` and U without forming
-that matrix.  The coupling ``x1 x2`` preserves total parity, so
-``U[nm, n'm']`` is zero whenever ``n + m + n' + m'`` is odd.  Both
-stages rely on it: the spectra take the singular values of each parity
-block, by one SVD call or, for a block one column wide or 2 x 2 (every
-block at two levels per mode), in closed form, and the diagnostics split
-their Gram matrix by parity.  Every
+``U^T diag(w) U / tr``, U the overlap tensor, which comes as its parity
+blocks ``(u_even, u_odd)``.  Its spectra and diagnostics are computed
+block by block from ``w`` and U without forming that matrix: the spectra
+take singular values, by one SVD call or, for a block one column wide or
+2 x 2 (every block at two levels per mode), in closed form.  Every
 function works on a stack: the leading axis indexes states (one per
-temperature in the sweep), the last axis holds one state's
-populations.  A single state is a stack of one.
+temperature in the sweep), the last axis holds one state's populations.
+A single state is a stack of one.
 """
 from __future__ import annotations
 
@@ -23,6 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .model import NormalModes
+from .transform import parity_levels
 
 __all__ = ["thermal_spectra", "thermal_weights", "validity_diagnostics"]
 
@@ -52,32 +50,36 @@ def thermal_weights(modes: NormalModes, temperatures, d: int) -> np.ndarray:
     return boltzmann / boltzmann.sum(axis=1, keepdims=True)
 
 
-def _weights_and_traces(
-    weights: np.ndarray, u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int]:
+def _weights_and_traces(weights: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray, int]:
     """``(w, tr, d)``, checked, with ``tr = w . sum_a U_ia^2`` the trace of
-    each ``U^T diag(w) U`` and d the levels per mode of the (d*d, d*d) U."""
+    each ``U^T diag(w) U`` and d the levels per mode of the ``blocks``."""
+    shapes = [np.shape(block) for block in blocks]
+    d = math.isqrt(sum(shape[0] for shape in shapes if shape))
+    if shapes != [(size, size) for size in ((d * d + 1) // 2, d * d // 2)]:
+        raise ValueError(f"blocks {shapes} are not the two parity blocks of any d")
     # C-ordered: the row sums below round differently on other layouts
-    w, d = np.ascontiguousarray(weights, dtype=float), math.isqrt(len(u))
-    if u.shape != (d * d, d * d) or w.ndim != 2 or w.shape[1] != len(u):
-        raise ValueError(f"weights {w.shape} do not match transform {u.shape}")
+    w = np.ascontiguousarray(weights, dtype=float)
+    if w.ndim != 2 or w.shape[1] != d * d:
+        raise ValueError(f"weights {w.shape} do not match blocks {shapes}")
     bad = ~(np.isfinite(w) & (w >= 0))
     if bad.any():
         raise ValueError(f"weights must be finite and non-negative, got {w[bad][0]}")
-    traces = (w * (u * u).sum(axis=1)).sum(axis=1)
+    # each row's sum of squares, in bare order so that tr sums over it
+    sums = np.empty(d * d)
+    for block, levels in zip(blocks, parity_levels(d)):
+        sums[levels] = (block * block).sum(axis=1)
+    traces = (w * sums).sum(axis=1)
     if not (traces > 0).all():
         raise ValueError(f"trace must be positive, got {traces.min()}")
     return w, traces, d
 
 
-def thermal_spectra(
-    weights: np.ndarray, u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def thermal_spectra(weights: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
     """Ascending spectra of a stack of k bare-basis thermal states and of
     their marginals, with no state formed.
 
     ``weights`` holds one row of normal-mode populations per state and
-    ``u`` is the ``(d*d, d*d)`` overlap matrix of
+    ``blocks`` is the pair ``(u_even, u_odd)`` of
     :func:`~qubit_entropy.transform.build_transform`.  Returns ``joint``
     of shape ``(k, d*d)`` and ``marginals`` of shape ``(2, k, d)``:
     ``marginals[0]`` is the spectrum of the first mode's marginal (the
@@ -93,31 +95,27 @@ def thermal_spectra(
     relative accuracy (Demmel and Veselic, SIAM J. Matrix Anal. Appl. 13,
     1204 (1992)).
 
-    Every spectrum is the union of two parity blocks.  U couples only
-    levels of like parity of ``n + m``, so B splits into its even-even
-    and odd-odd blocks, whose rows are sorted by weight on their own;
-    and a marginal commutes with its own parity, so C splits into its
-    columns of even and of odd level.  Each block takes one SVD call,
+    Every spectrum is the union of two parity blocks: B is the two
+    weight-scaled blocks of U, rows sorted by weight, and a marginal
+    commutes with its own parity, so C splits into its columns of even
+    and of odd level, gathered from both.  Each block takes one SVD call,
     both marginals' blocks of one parity together, but two shapes take
     none: a block one column wide has one singular value, the column's
     norm, and a 2 x 2 block, each joint block at d = 2, has a closed form
     (LAPACK's ``dlas2`` after one Givens rotation), as accurate and
-    without the per-call cost of LAPACK, which dominates at that size.
-    A ``u`` with a nonzero entry between levels of unlike parity, and a
-    non-finite spectrum, raise ValueError.
+    without the per-call cost of LAPACK, which dominates at that size.  A
+    non-finite spectrum raises ValueError.
     """
-    w, traces, d = _weights_and_traces(weights, u)
-    unlike, blocks = _parity_blocks(d)
-    if u[unlike].any():
-        raise ValueError("u couples levels of unlike parity")
-    # rows by parity, then by descending weight: each block's rows graded
-    order = np.lexsort((-w, _parity(d)[None].repeat(len(w), axis=0)))
-    b = np.sqrt(np.take_along_axis(w, order, axis=1))[:, :, None] * u[order]
-    b = b.reshape(len(w), -1)
-    joint, marginals = [], []
-    for (rows, cols), (m_rows, m_cols) in blocks:
-        joint.append(_squared_singular_values(b.take(rows + cols, axis=1)))
-        marginals.append(_squared_singular_values(b.take(m_rows + m_cols, axis=1)))
+    w, traces, d = _weights_and_traces(weights, blocks)
+    scaled = []
+    for block, levels in zip(blocks, parity_levels(d)):
+        w_block = w.take(levels, axis=1)
+        order = np.argsort(-w_block, axis=1, kind="stable")
+        scaled.append(np.sqrt(np.take_along_axis(w_block, order, axis=1))[..., None] * block[order])
+    joint = [_squared_singular_values(x) for x in scaled]
+    # both blocks of B end to end in each row, which the marginals gather from
+    b = np.concatenate([x.reshape(len(w), -1) for x in scaled], axis=1)
+    marginals = [_squared_singular_values(b.take(r + c, axis=1)) for r, c in _marginal_gathers(d)]
     joint = np.sort(np.concatenate(joint, axis=-1)) / traces[:, None]
     marginals = np.sort(np.concatenate(marginals, axis=-1).swapaxes(0, 1)) / traces[:, None]
     if not (np.isfinite(joint).all() and np.isfinite(marginals).all()):
@@ -172,88 +170,76 @@ def _singular_values_2x2(x: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _parity(d: int) -> np.ndarray:
-    """The parity of ``n + m`` of each of the d*d levels ``n*d + m``."""
-    return np.add.outer(np.arange(d), np.arange(d)).ravel() % 2
+def _marginal_gathers(d: int) -> tuple:
+    """For each level parity c, even first, the gather of both marginals'
+    columns of level c from a row of B as :func:`thermal_spectra` lays it
+    out, the first marginal's then the second's: a row offset of shape
+    ``(2, rows, 1)`` and a column offset of shape ``(2, 1, cols)``, whose
+    sum, formed per call, is the index (cached, the indices would hold
+    12 MB at d = 31).  Level L is at position L // 2 of its block (see
+    :func:`~qubit_entropy.transform.parity_levels`); row (i, o) of C is row i of block p with the other label o of parity
+    p - c, and its column c + 2t is t*d positions after level ``c*d + o``
+    (first marginal) or t after ``o*d + c`` (second)."""
+    gathers = []
+    for c in (0, 1):
+        first, second, start = [], [], 0
+        for p, levels in enumerate(parity_levels(d)):
+            size = len(levels)
+            row = start + size * np.arange(size)[:, None]
+            other = np.arange((p + c) % 2, d, 2)
+            first.append((row + (c * d + other) // 2).ravel())
+            second.append((row + (other * d + c) // 2).ravel())
+            start += size * size
+        t = np.arange(len(range(c, d, 2)))
+        rows = np.stack([np.concatenate(first), np.concatenate(second)])[..., None]
+        gathers.append((rows, np.stack([t * d, t])[:, None]))
+    return tuple(gathers)
 
 
-@lru_cache(maxsize=None)
-def _parity_blocks(d: int) -> tuple:
-    """``(unlike, blocks)`` at d levels per mode: the mask of the
-    ``(d*d, d*d)`` entries between levels of unlike parity, and for each
-    parity p, even first, two gathers from a row of the flattened B, rows
-    sorted by parity: its p-p block, and both marginals' columns of level
-    parity p without the rows that are zero in them, the first
-    marginal's then the second's.  A gather is a row and a column offset,
-    shapes ``(rows, 1)`` and ``(cols,)`` for the block and ``(2, rows, 1)``
-    and ``(2, 1, cols)`` for the marginals; their sum, formed per call, is
-    the index (cached, the indices would hold 12 MB at d = 31)."""
-    dim, parity = d * d, _parity(d)
-    row_parity = np.sort(parity)
-    row, other = np.divmod(np.arange(dim * d), d)
-    blocks = []
-    for p in (0, 1):
-        joint = (np.flatnonzero(row_parity == p)[:, None] * dim, np.flatnonzero(parity == p))
-        # a row (r, other) of C meets the columns of level parity p only
-        # if r has the parity of p + other
-        keep = row_parity[row] == (p + other) % 2
-        r, o = row[keep] * dim, other[keep]
-        levels = np.arange(p, d, 2)
-        marginal = (np.stack([r + o, r + o * d])[..., None], np.stack([levels * d, levels])[:, None])
-        blocks.append((joint, marginal))
-    return parity[:, None] != parity, tuple(blocks)
-
-
-def validity_diagnostics(
-    weights: np.ndarray, u: np.ndarray, d_small: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def validity_diagnostics(weights: np.ndarray, blocks, d_small: int) -> tuple[np.ndarray, ...]:
     """How well the d_small^2 block approximates each d_big^2 thermal state.
 
     One entry per row of thermal ``weights`` (normal-mode populations at
-    the d_big levels per mode of ``u``) in each of three arrays, for the
-    bare-basis state ``U^T diag(w) U / tr``: the purity of its
-    renormalized block of bare levels below d_small (mu_block), the
-    squared weight of the complement without renormalization
-    (mu_complement, small but not zero as T -> 0) and the absolute sum of
-    the off-diagonal elements of the renormalized block (offdiag_sum).
+    the d_big levels per mode of the parity ``blocks`` of U) in each of
+    three arrays, for the bare-basis state ``U^T diag(w) U / tr``: the
+    purity of its renormalized block of bare levels below d_small
+    (mu_block), the squared weight of the complement without
+    renormalization (mu_complement, small but not zero as T -> 0) and the
+    absolute sum of the off-diagonal elements of the renormalized block
+    (offdiag_sum).
 
     The state is never formed: ``tr = w . r`` with ``r_i = sum_a U_ia^2``,
     the kept block is ``U_K^T diag(w) U_K``, formed per state as
     ``(U_K^T w) @ U_K``, and the complement weight is
     ``w^T (G o G) w / tr^2`` with ``G = U_R U_R^T``, a sum of non-negative
-    terms.  The state is ``B^T B`` with ``B = sqrt(w) U``, so PSD for finite
-    non-negative weights, which are checked.
-
-    G is computed as two parity blocks: rows of level sum ``n + m`` of
-    one parity against the complement columns of the same parity, which
-    is all of G when no complement column of ``u`` couples rows of unlike
-    parity, as for every tensor of
-    :func:`~qubit_entropy.transform.build_transform`.  A ``u`` whose
-    complement columns do couple them raises ValueError.
+    terms, each a parity block formed from that block of U.  The state is
+    ``B^T B`` with ``B = sqrt(w) U``, so PSD for finite non-negative
+    weights, which are checked.
     """
-    w, traces, d_big = _weights_and_traces(weights, u)
+    w, traces, d_big = _weights_and_traces(weights, blocks)
     if not 2 <= d_small < d_big:
         raise ValueError(f"need 2 <= d_small < d_big, got {d_small}, {d_big}")
-    kept, off_diagonal, parity_blocks = _diagnostic_indices(d_big, d_small)
-    u_kept = u[:, kept]
-    # one product per state, so a row rounds as it would alone
-    block = ((u_kept.T * w[:, None, :]) @ u_kept).reshape(len(w), -1)
-    block /= block[:, :: len(kept) + 1].sum(axis=1, keepdims=True)
-    mu_block = (block * block).sum(axis=1)
-    # (G o G) w per state and parity block, scattered back to bare order so
-    # that w . (G o G) w sums over the bare index as one product would
-    gram_w = np.empty_like(w)
-    for rows, like, unlike in parity_blocks:
-        u_rows = u.take(rows, axis=0)
-        if u_rows.take(unlike, axis=1).any():
-            raise ValueError("a complement column of u couples levels of unlike parity")
-        u_rest = u_rows.take(like, axis=1)
+    by_parity, diagonal, off_diagonal = _diagnostic_indices(d_big, d_small)
+    # (G o G) w per state and parity block, in bare order so that
+    # w . (G o G) w sums over the bare index as one product would
+    gram_w, kept_blocks = np.empty_like(w), []
+    for block, levels, (kept, rest) in zip(blocks, parity_levels(d_big), by_parity):
+        w_block = w.take(levels, axis=1)[:, None, :]
+        u_kept = block.take(kept, axis=1)
+        # one product per state, so a row rounds as it would alone; the
+        # weights scale a C-ordered copy of U_K^T, which multiplies fastest
+        product = (np.ascontiguousarray(u_kept.T) * w_block) @ u_kept
+        kept_blocks.append(product.reshape(len(w), -1))
+        u_rest = block.take(rest, axis=1)
         gram = u_rest @ u_rest.T
-        w_rows = w.take(rows, axis=1)[:, None, :]
-        gram_w[:, rows] = (w_rows @ (gram * gram))[:, 0]
+        gram_w[:, levels] = (w_block @ (gram * gram))[:, 0]
     mu_complement = (gram_w * w).sum(axis=1) / traces**2
-    # take keeps the rows C-ordered, so each row sums as it would alone
-    offdiag = np.abs(block.take(off_diagonal, axis=1)).sum(axis=1)
+    # both kept parity blocks end to end in each row; take keeps the rows
+    # C-ordered, so each row sums as it would alone
+    kept_block = np.concatenate(kept_blocks, axis=1)
+    kept_block /= kept_block.take(diagonal, axis=1).sum(axis=1, keepdims=True)
+    mu_block = (kept_block * kept_block).sum(axis=1)
+    offdiag = np.abs(kept_block.take(off_diagonal, axis=1)).sum(axis=1)
     if not np.isfinite(mu_block + mu_complement).all():
         raise ValueError("validity diagnostics are not finite")
     return mu_block, mu_complement, offdiag
@@ -261,22 +247,14 @@ def validity_diagnostics(
 
 @lru_cache(maxsize=None)
 def _diagnostic_indices(d_big: int, d_small: int) -> tuple:
-    """``(kept, off_diagonal, parity_blocks)`` for :func:`validity_diagnostics`:
-    the bare levels ``n*d_big + m`` with ``n, m < d_small``, the positions of
-    the off-diagonal entries of their flattened block, and for each parity
-    of ``n + m``, even first, its levels with the complement levels of like
-    and of unlike parity."""
-    kept = np.array([n * d_big + m for n in range(d_small) for m in range(d_small)])
-    off_diagonal = np.flatnonzero(~np.eye(len(kept), dtype=bool))
-    parity = _parity(d_big)
-    rest = np.ones(d_big * d_big, dtype=bool)
-    rest[kept] = False
-    parity_blocks = tuple(
-        (
-            np.flatnonzero(parity == p),
-            np.flatnonzero(rest & (parity == p)),
-            np.flatnonzero(rest & (parity != p)),
-        )
-        for p in (0, 1)
-    )
-    return kept, off_diagonal, parity_blocks
+    """``(by_parity, diagonal, off_diagonal)`` for :func:`validity_diagnostics`:
+    per parity, even first, the positions in its block of the kept levels
+    ``n*d_big + m`` with ``n, m < d_small`` and of the others, and the
+    diagonal and off-diagonal positions in both kept blocks end to end."""
+    by_parity, flags = [], []
+    for levels in parity_levels(d_big):
+        kept = np.maximum(*np.divmod(levels, d_big)) < d_small
+        by_parity.append((np.flatnonzero(kept), np.flatnonzero(~kept)))
+        flags.append(np.eye(kept.sum(), dtype=bool).ravel())
+    on_diagonal = np.concatenate(flags)
+    return tuple(by_parity), np.flatnonzero(on_diagonal), np.flatnonzero(~on_diagonal)

@@ -15,15 +15,13 @@ quadrature on a grid mapped through the triangular factor of that
 Gaussian, so the bare x2 depends on one node index only and the sum
 factorizes into two matrix products, one per axis.  The sum is folded by
 parity: every integrand is even or odd under ``(x1, x2) -> (-x1, -x2)``,
-so half of the symmetric grid is evaluated and the elements whose four
-levels have an odd sum are exact zeros.  The tensor is flattened to a
-``(d*d, d*d)`` matrix, rows over bare levels and columns over
-normal-mode levels.
+so half of the symmetric grid is evaluated, and the elements whose four
+levels have an odd sum vanish: the tensor is kept as two blocks, one per
+parity of ``n + m``, rows over bare and columns over normal-mode levels.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 from math import sqrt
 
 import numpy as np
@@ -31,7 +29,21 @@ import numpy as np
 from .hermite import ho_eigenfunctions
 from .model import NormalModes
 
-__all__ = ["build_transform"]
+__all__ = ["build_transform", "parity_levels"]
+
+
+@lru_cache(maxsize=None)
+def parity_levels(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The levels ``n*d + m`` of even and of odd ``n + m``, each ascending
+    and read-only, so level L is at position L // 2: block p of
+    :func:`build_transform` holds the rows and columns
+    ``parity_levels(d)[p]`` of the dense ``(d*d, d*d)`` matrix, whose
+    other entries are zero."""
+    level_sum = np.add.outer(np.arange(d), np.arange(d)).ravel()
+    levels = tuple(np.flatnonzero(level_sum % 2 == p) for p in (0, 1))
+    for array in levels:
+        array.flags.writeable = False
+    return levels
 
 
 @lru_cache(maxsize=None)
@@ -43,11 +55,11 @@ def _hermgauss_scaled(order: int) -> tuple[np.ndarray, np.ndarray]:
     return t, v
 
 
-def build_transform(modes: NormalModes, d: int = 2) -> np.ndarray:
-    """The overlap tensor as a (d*d, d*d) matrix, by quadrature.
-
-    Row index is n*d + m over bare levels, column index is n'*d + m'
-    over normal-mode levels; the second label runs fastest.
+def build_transform(modes: NormalModes, d: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """The overlap tensor by quadrature, as its two parity blocks
+    ``(u_even, u_odd)``: block p holds the overlaps between the bare levels
+    ``n*d + m`` (rows) and the normal-mode levels ``n'*d + m'`` (columns)
+    of parity p, in the order of :func:`parity_levels`.
 
     The normal-mode coordinates are ``x1' = c*x1 + s*x2`` and
     ``x2' = c*x2 - s*x1``, with ``(c, s) = modes.rotation``.  With them
@@ -62,7 +74,7 @@ def build_transform(modes: NormalModes, d: int = 2) -> np.ndarray:
     which must be positive definite, and lam and both mode frequencies
     must be positive (ValueError otherwise, NaN included).
 
-    At g = 0 and phi = 0 the bases coincide and the tensor is the exact
+    At g = 0 and phi = 0 the bases coincide and each block is the exact
     identity.  Otherwise every entry comes from one tensor-product
     Gauss-Hermite rule of 2d - 1 nodes per axis.  The integrand of every
     entry has per-axis degree at most 4(d - 1), so this order is the
@@ -80,8 +92,9 @@ def build_transform(modes: NormalModes, d: int = 2) -> np.ndarray:
     linear, so node ``(N-1-k1, N-1-k2)`` is node ``(k1, k2)`` negated,
     bit for bit, where each integrand takes the factor (-1)^(n+m+n'+m').
     Only k2 up to the centre is evaluated, with every weight but the
-    centre's doubled; the entries whose four levels have an odd sum
-    vanish and are set to exact zeros.
+    centre's doubled.  The entries whose four levels have an odd sum
+    vanish, so each parity p forms its own second product, over its
+    columns and, for each n, the bare mode-2 rows m of parity p - n.
     """
     if d < 2:
         raise ValueError(f"need at least two levels per mode, got d={d}")
@@ -97,7 +110,7 @@ def build_transform(modes: NormalModes, d: int = 2) -> np.ndarray:
         if not value > 0:
             raise ValueError(f"frequency {name}={value} is not positive")
     if modes.g == 0.0 and modes.phi == 0.0:
-        return np.eye(d * d)
+        return tuple(np.eye(len(levels)) for levels in parity_levels(d))
     t, v = _hermgauss_scaled(2 * d - 1)
     # k2 runs through the centre node, k1 over all nodes: grids are (k2, k1)
     x2 = t[:d] / sqrt(det / a11)
@@ -122,10 +135,15 @@ def build_transform(modes: NormalModes, d: int = 2) -> np.ndarray:
     del bare1, rotated1, table
     inner = pairs.reshape(d, d * d, -1) @ rotated2.transpose(1, 2, 0)
     del pairs
-    # sum over k2: (m, k2) @ (k2, n' m') for each n, giving (n, m, n' m')
-    entries = bare2 @ inner.reshape(d, d, -1).transpose(1, 0, 2)
-    # zero the entries whose level sum n + m + n' + m' is odd
-    levels = entries.reshape(d, d, d, d)
-    for n, m, n2 in product((0, 1), repeat=3):
-        levels[n::2, m::2, n2::2, (1 + n + m + n2) % 2::2] = 0.0
-    return entries.reshape(d * d, d * d)
+    # sum over k2 per parity p: (m, k2) @ (k2, n' m') for each n, on the
+    # columns n' m' of parity p, all n of one parity in one product
+    inner = inner.reshape(d, d, d * d)
+    blocks = []
+    for p, levels in enumerate(parity_levels(d)):
+        columns, block = inner.take(levels, axis=2), np.empty((len(levels), len(levels)))
+        odd = levels // d % 2 == 1
+        for n, rows in ((0, ~odd), (1, odd)):
+            product = bare2[(p - n) % 2::2] @ columns[:, n::2].transpose(1, 0, 2)
+            block[rows] = product.reshape(-1, len(levels))
+        blocks.append(block)
+    return tuple(blocks)

@@ -9,6 +9,7 @@ with no input checks:
 - single overlap elements ``<n m | n' m'>``, from Gaussian moments
   (levels 0 and 1) and by quadrature of the integrand (any levels), and
   the whole overlap tensor from a generating-function recurrence;
+- the dense overlap matrix assembled from its two parity blocks;
 - the bare-basis thermal state formed as a dense matrix, its partial
   traces and its eigenvalues;
 - the rows of a sweep report as dicts, one per (T, q) grid point;
@@ -212,9 +213,23 @@ def overlap_recurrence(modes, d):
     return u.reshape(d * d, d * d)
 
 
-def dense_states(weights, u):
+def dense_transform(blocks):
+    """The dense ``(d*d, d*d)`` matrix of U from its parity blocks
+    ``(u_even, u_odd)``: block p at the rows and columns of the levels
+    ``n*d + m`` with ``n + m`` of parity p, ascending, and zeros elsewhere."""
+    d = math.isqrt(sum(len(block) for block in blocks))
+    u = np.zeros((d * d, d * d))
+    for p, block in enumerate(blocks):
+        levels = [n * d + m for n in range(d) for m in range(d) if (n + m) % 2 == p]
+        u[np.ix_(levels, levels)] = block
+    return u
+
+
+def dense_states(weights, blocks):
     """The bare-basis thermal states ``U^T diag(w) U / tr``, formed, one per
-    row of ``weights`` (normal-mode populations); ``u`` is the matrix of U."""
+    row of ``weights`` (normal-mode populations); ``blocks`` are the parity
+    blocks of U."""
+    u = dense_transform(blocks)
     states = (u.T * weights[:, None, :]) @ u
     return states / np.trace(states, axis1=1, axis2=2)[:, None, None]
 

@@ -41,6 +41,7 @@ def test_public_names_are_pinned():
         "build_transform",
         "ho_eigenfunctions",
         "normal_modes",
+        "parity_levels",
         "spectrum_entropies",
         "thermal_spectra",
         "thermal_weights",

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import sweep_rows
+from oracles import dense_transform, sweep_rows
 import qubit_entropy.cli as cli_mod
 from qubit_entropy.cli import (
     CSV_COLUMNS,
@@ -30,7 +30,7 @@ from qubit_entropy.cli import (
 from qubit_entropy.entropy import bipartite_entropies
 from qubit_entropy.model import FrequencyMethod, normal_modes
 from qubit_entropy.state import thermal_spectra, thermal_weights, validity_diagnostics
-from qubit_entropy.transform import build_transform
+from qubit_entropy.transform import build_transform, parity_levels
 
 FAST = ["--t-steps", "3", "--q", "1.0,2.0"]
 
@@ -48,7 +48,8 @@ def per_temperature_rows(config):
     u_big = build_transform(modes, d=config.levels_big)
     d_small, d_big = config.levels_small, config.levels_big
     kept = [n * d_big + m for n in range(d_small) for m in range(d_small)]
-    u_small = u_big[np.ix_(kept, kept)]
+    leading = dense_transform(u_big)[np.ix_(kept, kept)]
+    u_small = tuple(leading[np.ix_(levels, levels)] for levels in parity_levels(d_small))
     rows = []
     for temperature in cli_mod._temperature_grid(config).tolist():
         big = thermal_weights(modes, [temperature], config.levels_big)

@@ -3,7 +3,7 @@
 ``oracles.gaussian_entropies`` takes the circuit alone: no overlap
 tensor, no truncation and no spectrum.  The state the physics asks for
 puts the Boltzmann weights on the normal-mode levels, which is
-``thermal_spectra(w, u.T)``; at d = 12 with exact modes the truncated
+``thermal_spectra`` with each block of U transposed; at d = 12 with exact modes the truncated
 state meets the oracle to about 1e-8.  The sweep passes ``u`` instead,
 a state of neither Hamiltonian, which the strict xfail below pins.
 ``oracles.fock_entropies`` diagonalizes the coupled Hamiltonian in a
@@ -36,7 +36,7 @@ def truncated_entropies(lam, g, temperature, q, flipped):
     modes = normal_modes(lam, g, FrequencyMethod.EXACT)
     u = build_transform(modes, D)
     weights = thermal_weights(modes, [temperature], D)
-    joint, marginals = thermal_spectra(weights, u.T if flipped else u)
+    joint, marginals = thermal_spectra(weights, tuple(b.T for b in u) if flipped else u)
     return np.array(bipartite_entropies(joint, marginals, q))[:, 0]
 
 
@@ -100,7 +100,8 @@ def test_flipped_state_converges_to_the_oracle(lam, g, temperature, q):
     errors = []
     for d in (2, 3, 4, 6, 8, 12):
         weights = thermal_weights(modes, [temperature], d)
-        joint, marginals = thermal_spectra(weights, build_transform(modes, d).T)
+        u_flipped = tuple(block.T for block in build_transform(modes, d))
+        joint, marginals = thermal_spectra(weights, u_flipped)
         got = np.array(bipartite_entropies(joint, marginals, q))[:, 0]
         errors.append(np.abs(got - expected).max())
     for coarse, fine in zip(errors, errors[1:]):

@@ -11,6 +11,7 @@ ones: there ``p**q`` magnifies any absolute error in a small eigenvalue.
 import mpmath
 import pytest
 
+from oracles import dense_transform
 from qubit_entropy.cli import parse_config, run_sweep
 from qubit_entropy.transform import build_transform
 
@@ -63,7 +64,7 @@ def misses(argv, columns=("S_joint", "S_1", "S_2", "I"), rel=REL, abs=ABS):
     """Cells of the sweep for ``argv`` outside the gate around the oracle."""
     config = parse_config(argv)
     sweep = run_sweep(config)
-    u = build_transform(config.modes, d=config.levels_small)
+    u = dense_transform(build_transform(config.modes, d=config.levels_small))
     bad = []
     for k, temperature in enumerate(sweep.temperatures.tolist()):
         oracle = oracle_cells(

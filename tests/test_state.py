@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import dense_states, partial_traces, spectra, unit_trace
+from oracles import dense_states, dense_transform, partial_traces, spectra, unit_trace
 from qubit_entropy.entropy import spectrum_entropies
 from qubit_entropy.model import NormalModes, FrequencyMethod, normal_modes
 from qubit_entropy.state import (
@@ -18,7 +18,7 @@ from qubit_entropy.state import (
     thermal_weights,
     validity_diagnostics,
 )
-from qubit_entropy.transform import build_transform
+from qubit_entropy.transform import build_transform, parity_levels
 
 REF_MODES = normal_modes(1.5, 0.1)
 U_SMALL = build_transform(REF_MODES, d=2)
@@ -42,15 +42,16 @@ def diagnostics_at(temperature, d_small=2):
 
 
 def parity_orthogonal(a):
-    """A random orthogonal (9, 9) matrix that, like U, couples only levels
-    of like parity of n + m (d = 3, level n*3 + m): the Q factors of the
-    5 x 5 even and 4 x 4 odd blocks of the square normal matrix ``a``."""
-    parity = np.add.outer(np.arange(3), np.arange(3)).ravel() % 2
-    q = np.zeros((9, 9))
-    for p in (0, 1):
-        levels = np.ix_(parity == p, parity == p)
-        q[levels] = np.linalg.qr(a[levels])[0]
-    return q
+    """The parity blocks of a random orthogonal (9, 9) matrix that, like U,
+    couples only levels of like parity of n + m (d = 3, level n*3 + m): the
+    Q factors of the 5 x 5 even and 4 x 4 odd blocks of the square normal
+    matrix ``a``."""
+    return tuple(np.linalg.qr(a[np.ix_(levels, levels)])[0] for levels in parity_levels(3))
+
+
+def flipped(blocks):
+    """The parity blocks of U^T: each block transposed."""
+    return tuple(block.T for block in blocks)
 
 
 class TestThermalDensity:
@@ -195,7 +196,7 @@ class TestTransformDensity:
         temps = np.linspace(0.02, 0.6, 12)
         weights = thermal_weights(REF_MODES, temps, d=6)
         stacked = dense_states(weights, U_BIG)
-        u = U_BIG
+        u = dense_transform(U_BIG)
         for w, got in zip(weights, stacked):
             dense = u.T @ np.diag(w) @ u
             assert_allclose(got, dense / np.trace(dense), rtol=1e-13, atol=1e-16)
@@ -213,11 +214,12 @@ class TestThermalSpectra:
         ids=["d2", "d3", "d4", "d5", "d6", "d7"],
     )
     def test_match_eigenvalues_of_formed_states(self, u):
-        weights = thermal_weights(REF_MODES, self.TEMPS, math.isqrt(len(u)))
+        n = len(u[0]) + len(u[1])
+        weights = thermal_weights(REF_MODES, self.TEMPS, math.isqrt(n))
         joint, marginals = thermal_spectra(weights, u)
         states = dense_states(weights, u)
         # both routes err by about n eps in absolute terms, n = d^2
-        allow = 4 * len(u) * np.finfo(float).eps
+        allow = 4 * n * np.finfo(float).eps
         assert_allclose(joint, np.linalg.eigvalsh(states), rtol=0, atol=allow)
         assert_allclose(marginals, spectra(partial_traces(states)), rtol=0, atol=allow)
         assert_allclose(joint.sum(axis=1), 1.0, rtol=1e-14)
@@ -275,18 +277,26 @@ class TestThermalSpectra:
             modes = normal_modes(lam, phi * (lam**2 - 1) / lam)
             u = build_transform(modes, 2)
             weights = thermal_weights(modes, temps, 2)
-            for oriented in (u, u.T):
+            for oriented in (u, flipped(u)):
                 _, marginals = thermal_spectra(weights, oriented)
                 formed = partial_traces(dense_states(weights, oriented))
                 assert_allclose(marginals, spectra(formed), rtol=0, atol=allow)
 
-    def test_unlike_parity_coupling_rejected(self):
-        # the blocks would drop the entry, however small, and with it the
-        # spectra of the u given
-        u = U_SMALL.copy()
-        u[0, 1] = 1e-300
-        with pytest.raises(ValueError, match="unlike parity"):
-            thermal_spectra(thermal_weights(REF_MODES, [0.1, 0.2], 2), u)
+    def test_blocks_not_a_parity_pair_rejected(self):
+        # U enters as its two parity blocks, square, of the two parity
+        # counts of one d: a wrong block count, a non-square block, and
+        # sizes that are not the counts of any d are not a tensor of
+        # build_transform
+        weights = thermal_weights(REF_MODES, [0.1, 0.2], 2)
+        even, odd = U_SMALL
+        for blocks in [(even,), (even, odd, odd), (even, odd[:, :1]), (even, odd[:1])]:
+            with pytest.raises(ValueError, match="not the two parity blocks"):
+                thermal_spectra(weights, blocks)
+        # (4, 0) and (8, 1) sum to d^2 but do not split by parity; (3, 2)
+        # and (2, 3) sum to no d^2
+        for sizes in [(4, 0), (3, 2), (2, 3), (8, 1)]:
+            with pytest.raises(ValueError, match="not the two parity blocks"):
+                thermal_spectra(weights, tuple(np.eye(size) for size in sizes))
 
     def test_spectra_have_unit_trace(self):
         # 24 seeded small-angle circuits, d = 2 to 4, T from 1e-9 to 3, in
@@ -301,7 +311,7 @@ class TestThermalSpectra:
             d = 2 + seed % 3
             u = build_transform(modes, d)
             weights = thermal_weights(modes, temps, d)
-            for oriented in (u, u.T):
+            for oriented in (u, flipped(u)):
                 joint, marginals = thermal_spectra(weights, oriented)
                 assert np.all(np.abs(joint.sum(axis=-1) - 1.0) <= 1e-13)
                 assert np.all(np.abs(marginals.sum(axis=-1) - 1.0) <= 1e-13)
@@ -320,14 +330,14 @@ class TestThermalSpectra:
         with pytest.raises(ValueError, match="do not match"):
             thermal_spectra(weights, U_BIG)
         # 5 levels cannot be two modes of equal truncation
-        with pytest.raises(ValueError, match="do not match"):
-            thermal_spectra(np.full((1, 5), 0.2), np.eye(5))
+        with pytest.raises(ValueError, match="not the two parity blocks"):
+            thermal_spectra(np.full((1, 5), 0.2), (np.eye(3), np.eye(2)))
         weights[1, 2] = -1e-3
         with pytest.raises(ValueError, match="non-negative"):
             thermal_spectra(weights, U_SMALL)
 
     def test_non_finite_spectra_rejected(self):
-        huge = np.eye(4) * 1e200
+        huge = (np.eye(2) * 1e200, np.eye(2) * 1e200)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="not finite"):
                 thermal_spectra(thermal_weights(REF_MODES, [0.3], 2), huge)
@@ -625,7 +635,7 @@ class TestValidityDiagnostics:
         u = build_transform(modes, d=d_big)
         weights = thermal_weights(modes, [1e-9], d_big)
         mu_block, mu_complement, _ = validity_diagnostics(weights, u, d_small)
-        row = u[0] ** 2
+        row = dense_transform(u)[0] ** 2
         kept = [n * d_big + m for n in range(d_small) for m in range(d_small)]
         outside = math.fsum(np.delete(row, kept))
         assert_allclose(mu_block, 1.0, rtol=1e-13)
@@ -651,24 +661,29 @@ class TestValidityDiagnostics:
             validity_diagnostics(weights, u, 2)
 
     def test_offdiag_sum_does_not_cancel(self):
-        # a coupling of 1e-13 between kept levels 0 and 1: the off-diagonal
-        # entries are summed directly, not as sum|B| - sum|diag B|, which
-        # would lose them against the unit diagonal
-        u = np.eye(36)
-        u[0, 1] = u[1, 0] = 1e-13
+        # a coupling of 1e-13 between kept levels 1 and 6, (0, 1) and (1, 0),
+        # both of odd parity: the off-diagonal entries are summed directly,
+        # not as sum|B| - sum|diag B|, which would lose them against the
+        # unit diagonal
+        odd = list(parity_levels(6)[1])
+        u = (np.eye(18), np.eye(18))
+        u[1][odd.index(1), odd.index(6)] = u[1][odd.index(6), odd.index(1)] = 1e-13
         w = thermal_weights(REF_MODES, [0.3], 6)
-        kept = w[0, [0, 1, 6, 7]].sum() + 1e-26 * w[0, :2].sum()
-        expected = 2e-13 * w[0, :2].sum() / kept
+        kept = w[0, [0, 1, 6, 7]].sum() + 1e-26 * w[0, [1, 6]].sum()
+        expected = 2e-13 * w[0, [1, 6]].sum() / kept
         assert_allclose(validity_diagnostics(w, u, 2)[2], [expected], rtol=1e-12)
 
-    def test_complement_coupling_unlike_parity_rejected(self):
-        # a general orthogonal u couples levels of either parity in the
-        # complement, where the parity-blocked Gram would drop those terms
-        rng = np.random.default_rng(7)
-        u = np.linalg.qr(rng.standard_normal((36, 36)))[0]
+    def test_blocks_not_a_parity_pair_rejected(self):
+        # U enters as its two parity blocks, square, of the two parity
+        # counts of one d; anything else is not a tensor of build_transform
         weights = thermal_weights(REF_MODES, [0.1, 0.2], 6)
-        with pytest.raises(ValueError, match="unlike parity"):
-            validity_diagnostics(weights, u, 2)
+        even, odd = U_BIG
+        for blocks in [(even,), (even, odd, odd), (even, odd[:, :17]), (odd, odd[:17])]:
+            with pytest.raises(ValueError, match="not the two parity blocks"):
+                validity_diagnostics(weights, blocks, 2)
+        for sizes in [(36, 0), (19, 17), (17, 19)]:
+            with pytest.raises(ValueError, match="not the two parity blocks"):
+                validity_diagnostics(weights, tuple(np.eye(size) for size in sizes), 2)
 
     def test_peak_memory_within_chunk_budget(self):
         # the block is formed per state as (U_K^T w) @ U_K, k d_small^2 d_big^2

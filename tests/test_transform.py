@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from oracles import (
     closed_form_matrix,
+    dense_transform,
     gaussian_form,
     overlap_element_closed,
     overlap_element_quadrature,
@@ -15,11 +16,14 @@ from oracles import (
 )
 from qubit_entropy.hermite import ho_eigenfunctions
 from qubit_entropy.model import FrequencyMethod, normal_modes
-from qubit_entropy.transform import build_transform
+from qubit_entropy.transform import build_transform, parity_levels
 
 REF_MODES = normal_modes(1.5, 0.1)
 
-ODD_CELLS = [(0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2)]
+
+def dense_build(modes, d):
+    """build_transform's blocks assembled into the dense (d*d, d*d) matrix."""
+    return dense_transform(build_transform(modes, d))
 
 
 def grid_tables(modes, d, order=None, triangular=False):
@@ -122,7 +126,7 @@ def build_rounding_bound(modes, d):
 
 def probe_block_deviation(modes, d):
     """Max-norm gap of the lowest 2x2-level block of U^T U from identity."""
-    u = build_transform(modes, d=d)
+    u = dense_build(modes, d)
     gram = u.T @ u
     idx = [n * d + m for n in range(2) for m in range(2)]
     return np.max(np.abs(gram[np.ix_(idx, idx)] - np.eye(4)))
@@ -238,24 +242,12 @@ class TestDualOracle:
         for _ in range(50):
             modes = normal_modes(float(rng.uniform(1.2, 2.0)), float(rng.uniform(0.0, 0.1)))
             closed = closed_form_matrix(modes)
-            quad = build_transform(modes, d=2)
+            quad = dense_build(modes, 2)
             assert np.max(np.abs(closed - quad)) < 1e-8
 
-    def test_quadrature_parity_cells_tiny(self):
-        # the fold sets every entry of odd level sum to an exact zero
-        for method in FrequencyMethod:
-            modes = normal_modes(1.5, 0.1, method)
-            for d in (2, 3, 8, 20):
-                entries = build_transform(modes, d=d)
-                odd = odd_level_sum(d)
-                assert np.all(entries[odd] == 0.0)
-                assert not np.any(np.signbit(entries[odd]))
-                if d == 2:
-                    assert [tuple(ij) for ij in np.argwhere(odd).tolist()] == ODD_CELLS
-
     def test_continuity_in_coupling(self):
-        base = build_transform(REF_MODES, d=2)
-        shifted = build_transform(normal_modes(1.5, 0.1 + 1e-6), d=2)
+        base = dense_build(REF_MODES, 2)
+        shifted = dense_build(normal_modes(1.5, 0.1 + 1e-6), 2)
         assert np.max(np.abs(base - shifted)) < 1e-4
 
 
@@ -263,12 +255,12 @@ class TestBuildTransform:
     def test_closed_build_equals_elementwise_values(self):
         # the d = 2 build against the closed forms: the rule is exact, so
         # they differ by rounding only
-        built = build_transform(REF_MODES, d=2)
+        built = dense_build(REF_MODES, 2)
         closed = closed_form_matrix(REF_MODES)
         assert_allclose(built, closed, rtol=0, atol=1e-14)
 
     def test_quadrature_build_equals_elementwise_values(self):
-        built = build_transform(REF_MODES, d=3)
+        built = dense_build(REF_MODES, 3)
         for n in range(3):
             for m in range(3):
                 for n2 in range(3):
@@ -299,7 +291,7 @@ class TestBuildTransform:
         # the build on the triangular grid, the reference on the eigen-mapped
         # grid, its k the N^2 terms plus one for the second product.
         modes = normal_modes(lam, g, method)
-        built = build_transform(modes, d=d)
+        built = dense_build(modes, d)
         # at g = 0 the bases coincide and the build is the exact identity
         if g == 0:
             np.testing.assert_array_equal(built, np.eye(d * d))
@@ -331,7 +323,7 @@ class TestBuildTransform:
         # absolute sum over the full grid, k the N^2 terms plus one for the
         # full-grid sum.  Entries of odd level sum have an exact sum of zero.
         modes = normal_modes(1.5, 0.1, method)
-        built = build_transform(modes, d=d)
+        built = dense_build(modes, d)
         full, magnitude = per_entry_quadrature_build(modes, d, triangular=True)
         bound = build_rounding_bound(modes, d)
         bound += gamma((2 * d - 1) ** 2 + 1) * magnitude
@@ -347,7 +339,7 @@ class TestBuildTransform:
             (2.2, 0.25, 9, FrequencyMethod.EXACT),
         ]:
             modes = normal_modes(lam, g, method)
-            built = build_transform(modes, d)
+            built = dense_build(modes, d)
             high = per_entry_quadrature_build(modes, d, order=64)[0]
             assert np.max(np.abs(built - high)) <= 1e-14
 
@@ -356,13 +348,30 @@ class TestBuildTransform:
 
     def test_zero_coupling_quadrature_build_near_identity(self):
         built = build_transform(normal_modes(1.5, 0.0), d=2)
-        assert np.array_equal(built, np.eye(4))
+        assert np.array_equal(dense_transform(built), np.eye(4))
 
     def test_metadata_recorded(self):
-        # a plain matrix: the levels per mode are the square root of its size
-        built = build_transform(REF_MODES, d=3)
-        assert type(built) is np.ndarray
-        assert built.shape == (9, 9) and built.dtype == np.float64
+        # a pair of plain square matrices, one per parity of the level sum:
+        # the levels per mode are the square root of their summed sizes
+        for d in (2, 3, 8):
+            built = build_transform(REF_MODES, d=d)
+            assert type(built) is tuple and len(built) == 2
+            for block, levels in zip(built, parity_levels(d)):
+                assert type(block) is np.ndarray and block.dtype == np.float64
+                assert block.shape == (len(levels), len(levels))
+            assert sum(len(block) for block in built) == d * d
+
+    def test_parity_levels_split_the_levels(self):
+        # each level n*d + m once, ascending within its parity of n + m
+        for d in (2, 3, 4, 7):
+            even, odd = parity_levels(d)
+            assert sorted([*even, *odd]) == list(range(d * d))
+            for p, levels in enumerate((even, odd)):
+                assert list(levels) == sorted(levels)
+                assert all((level // d + level % d) % 2 == p for level in levels)
+                # the position thermal_spectra's gathers rely on
+                assert [level // 2 for level in levels] == list(range(len(levels)))
+            assert not even.flags.writeable and not odd.flags.writeable
 
     def test_dimension_floor(self):
         with pytest.raises(ValueError):
@@ -372,7 +381,7 @@ class TestBuildTransform:
         # the closed forms cover levels 0 and 1 in every slot; the build
         # has no such limit, and its d = 3 tensor (order 5) agrees with them
         # on the levels they cover
-        built = build_transform(REF_MODES, d=3)
+        built = dense_build(REF_MODES, 3)
         assert built.shape == (9, 9)
         low = [0, 1, 3, 4]  # (n, m) in {0, 1}^2 at d = 3
         closed = closed_form_matrix(REF_MODES)
@@ -397,7 +406,18 @@ class TestRecurrenceOracle:
         modes = normal_modes(lam, g, method)
         for d in (2, 6, 9, 12):
             expected = overlap_recurrence(modes, d)
-            assert_allclose(build_transform(modes, d), expected, rtol=0, atol=1e-13)
+            assert_allclose(dense_build(modes, d), expected, rtol=0, atol=1e-13)
+
+    def test_odd_level_sums_are_exact_zeros(self):
+        # the build forms no entry of odd level sum, and the dense matrix
+        # holds zeros there; the recurrence, which shares nothing with the
+        # build, gives exact zeros at every one of them.  An overlap does
+        # not depend on the truncation, so d = 12 covers every d <= 12.
+        odd = odd_level_sum(12)
+        for lam, g, method in CIRCUITS:
+            entries = overlap_recurrence(normal_modes(lam, g, method), 12)
+            assert np.all(entries[odd] == 0.0)
+            assert np.count_nonzero(entries[~odd]) > 0.9 * np.count_nonzero(~odd)
 
 
 class TestLeadingBlock:
@@ -410,7 +430,7 @@ class TestLeadingBlock:
         modes = normal_modes(lam, g, method)
         builds, bounds = {}, {}
         for d in (2, 3, 4, 6, 8, 12, 20, 31, 32):
-            builds[d] = build_transform(modes, d)
+            builds[d] = dense_build(modes, d)
             bounds[d] = build_rounding_bound(modes, d)
         for d_small, d_big in [(2, 3), (2, 6), (4, 8), (2, 20), (12, 20), (31, 32)]:
             kept = [n * d_big + m for n in range(d_small) for m in range(d_small)]
@@ -448,7 +468,7 @@ class TestTruncationLeakage:
             (1.5, 0.01, 1e-3),
         ]
         for lam, g, bound in cases:
-            u = build_transform(normal_modes(lam, g), d=2)
+            u = dense_build(normal_modes(lam, g), 2)
             gram = u.T @ u
             assert np.max(np.abs(gram - np.eye(4))) <= bound
 
@@ -457,6 +477,6 @@ class TestTruncationLeakage:
         # g <= 0.01; at lam = 1.4 it already overshoots (1.1e-3)
         for lam in (1.5, 1.6, 1.8, 2.0):
             for g in (0.002, 0.005, 0.01):
-                u = build_transform(normal_modes(lam, g), d=2)
+                u = dense_build(normal_modes(lam, g), 2)
                 gram = u.T @ u
                 assert np.max(np.abs(gram - np.eye(4))) <= 1e-3
