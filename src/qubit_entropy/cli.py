@@ -265,10 +265,11 @@ def run_sweep(config: SweepConfig) -> Sweep:
     modes = config.modes
     u_big = build_transform(modes, d=config.levels_big)
     d_big, d_s = config.levels_big, config.levels_small
+    # level n*d_s + m is at position (n*d_big + m) // 2 of the levels_big block
     u_small = tuple(
         block[np.ix_(kept, kept)]
-        for block, levels in zip(u_big, parity_levels(d_big))
-        for kept in [np.flatnonzero(np.maximum(*np.divmod(levels, d_big)) < d_s)]
+        for block, levels in zip(u_big, parity_levels(d_s))
+        for kept in [(levels // d_s * d_big + levels % d_s) // 2]
     )
     grid = _temperature_grid(config)
     step = max(1, CHUNK_BYTES // (8 * (d_s**4 + d_big**2)))

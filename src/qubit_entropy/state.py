@@ -7,7 +7,9 @@ underflows to the exact ground-state projector); in the bare basis it is
 blocks ``(u_even, u_odd)``.  Its spectra and diagnostics are computed
 block by block from ``w`` and U without forming that matrix: the spectra
 take singular values, by one SVD call or, for a block one column wide or
-2 x 2 (every block at two levels per mode), in closed form.  Every
+2 x 2 (every block at two levels per mode), in closed form, and a
+marginal's factor is read from both blocks by the one layout rule of
+:func:`~qubit_entropy.transform.parity_levels`.  Every
 function works on a stack: the leading axis indexes states (one per
 temperature in the sweep), the last axis holds one state's populations.
 A single state is a stack of one.
@@ -98,24 +100,39 @@ def thermal_spectra(weights: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray
     Every spectrum is the union of two parity blocks: B is the two
     weight-scaled blocks of U, rows sorted by weight, and a marginal
     commutes with its own parity, so C splits into its columns of even
-    and of odd level, gathered from both.  Each block takes one SVD call,
-    both marginals' blocks of one parity together, but two shapes take
-    none: a block one column wide has one singular value, the column's
-    norm, and a 2 x 2 block, each joint block at d = 2, has a closed form
-    (LAPACK's ``dlas2`` after one Givens rotation), as accurate and
-    without the per-call cost of LAPACK, which dominates at that size.  A
-    non-finite spectrum raises ValueError.
+    and of odd level c, read from both blocks of B by one ``take`` each on
+    the positions ``(n*d + m) // 2`` of
+    :func:`~qubit_entropy.transform.parity_levels`: block p gives the rows
+    (i, o) with o of parity p - c.  Each block takes one SVD call, both
+    marginals' blocks of one parity together, but two shapes take none: a
+    block one column wide has one singular value, the column's norm, and a
+    2 x 2 block, each joint block at d = 2, has a closed form (LAPACK's
+    ``dlas2`` after one Givens rotation), as accurate and without the
+    per-call cost of LAPACK, which dominates at that size.  A non-finite
+    spectrum raises ValueError.
     """
     w, traces, d = _weights_and_traces(weights, blocks)
+    states = np.arange(len(w))[:, None]
     scaled = []
     for block, levels in zip(blocks, parity_levels(d)):
         w_block = w.take(levels, axis=1)
         order = np.argsort(-w_block, axis=1, kind="stable")
-        scaled.append(np.sqrt(np.take_along_axis(w_block, order, axis=1))[..., None] * block[order])
+        scaled.append(np.sqrt(w_block[states, order])[..., None] * block[order])
     joint = [_squared_singular_values(x) for x in scaled]
-    # both blocks of B end to end in each row, which the marginals gather from
-    b = np.concatenate([x.reshape(len(w), -1) for x in scaled], axis=1)
-    marginals = [_squared_singular_values(b.take(r + c, axis=1)) for r, c in _marginal_gathers(d)]
+    # position[n, m] is that of level n*d + m in its block; the first
+    # marginal's row (i, m) and column n read position.T[m, n]
+    position = np.arange(d * d).reshape(d, d) // 2
+    marginals = []
+    for c in (0, 1):
+        width = len(range(c, d, 2))
+        parts = [
+            x.take(table[(p + c) % 2::2, c::2], axis=2).reshape(len(w), -1, width)
+            for table in (position.T, position)
+            for p, x in enumerate(scaled)
+        ]
+        # both marginals' rows end to end: one (k, 2, rows, width) stack
+        pair = np.concatenate(parts, axis=1).reshape(len(w), 2, -1, width)
+        marginals.append(_squared_singular_values(pair))
     joint = np.sort(np.concatenate(joint, axis=-1)) / traces[:, None]
     marginals = np.sort(np.concatenate(marginals, axis=-1).swapaxes(0, 1)) / traces[:, None]
     if not (np.isfinite(joint).all() and np.isfinite(marginals).all()):
@@ -125,8 +142,8 @@ def thermal_spectra(weights: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray
 
 def _squared_singular_values(x: np.ndarray) -> np.ndarray:
     """Squared singular values of each matrix of a stack of blocks of B,
-    their rows sorted by descending weight as :func:`thermal_spectra`
-    gathers them.
+    their rows sorted by descending weight, block by block, as
+    :func:`thermal_spectra` takes them from the blocks of B.
 
     A block one column wide has one, its column's sum of squares, summed
     along the contiguous last axis so that each state rounds as it would
@@ -167,33 +184,6 @@ def _singular_values_2x2(x: np.ndarray) -> np.ndarray:
         large = (np.hypot(high + low, g) + np.hypot(high - low, g)) / 2
         small = np.where(high > 0, low * (high / large), 0.0)
     return np.stack([large, small], axis=-1)
-
-
-@lru_cache(maxsize=None)
-def _marginal_gathers(d: int) -> tuple:
-    """For each level parity c, even first, the gather of both marginals'
-    columns of level c from a row of B as :func:`thermal_spectra` lays it
-    out, the first marginal's then the second's: a row offset of shape
-    ``(2, rows, 1)`` and a column offset of shape ``(2, 1, cols)``, whose
-    sum, formed per call, is the index (cached, the indices would hold
-    12 MB at d = 31).  Level L is at position L // 2 of its block (see
-    :func:`~qubit_entropy.transform.parity_levels`); row (i, o) of C is row i of block p with the other label o of parity
-    p - c, and its column c + 2t is t*d positions after level ``c*d + o``
-    (first marginal) or t after ``o*d + c`` (second)."""
-    gathers = []
-    for c in (0, 1):
-        first, second, start = [], [], 0
-        for p, levels in enumerate(parity_levels(d)):
-            size = len(levels)
-            row = start + size * np.arange(size)[:, None]
-            other = np.arange((p + c) % 2, d, 2)
-            first.append((row + (c * d + other) // 2).ravel())
-            second.append((row + (other * d + c) // 2).ravel())
-            start += size * size
-        t = np.arange(len(range(c, d, 2)))
-        rows = np.stack([np.concatenate(first), np.concatenate(second)])[..., None]
-        gathers.append((rows, np.stack([t * d, t])[:, None]))
-    return tuple(gathers)
 
 
 def validity_diagnostics(weights: np.ndarray, blocks, d_small: int) -> tuple[np.ndarray, ...]:

@@ -219,6 +219,7 @@ class TestParseConfig:
         ("t-steps = x", "argument --t-steps: invalid int value: 'x'"),
         ("q = 1,a", "argument --q: could not parse q list from '1,a'"),
         ("t-scale = cubic", "argument --t-scale: invalid choice: 'cubic'"),
+        ("lambda 1.8", "expected 'key = value'"),
     ])
     def test_bad_config_value_names_its_line(self, line, message, tmp_path, capsys):
         path = tmp_path / "sweep.conf"
@@ -231,6 +232,8 @@ class TestParseConfig:
     @pytest.mark.parametrize("argv, message", [
         (["--t-steps", "x"], "argument --t-steps: invalid int value: 'x'"),
         (["--t-steps"], "argument --t-steps: expected one argument"),
+        (["--q", "0"], "q values must be positive"),
+        (["--levels-small", "1"], "levels-small must be at least 2"),
     ])
     def test_bad_flag_value_exits(self, argv, message, capsys):
         with pytest.raises(SystemExit) as err:
@@ -595,6 +598,29 @@ class TestRunSweep:
         with pytest.raises(SweepError) as err:
             run_sweep(config)
         assert str(err.value).startswith(f"sweep failed at T={grid[30]:.12g}: ")
+
+    def test_chunk_failure_without_a_failing_temperature_names_the_chunk(self, monkeypatch):
+        # a chunk that fails while each of its temperatures succeeds alone
+        # re-raises the chunk's error, which names the chunk's range
+        config = parse_config(["--t-steps", "60", "--q", "1.0"])
+        monkeypatch.setattr(cli_mod, "CHUNK_BYTES", 25 * chunk_bytes_per_temperature(config))
+        grid = cli_mod._temperature_grid(config)
+        real_spectra = cli_mod.thermal_spectra
+        sizes = []
+
+        def chunk_only_spectra(weights, blocks):
+            sizes.append(len(weights))
+            if len(weights) > 1:
+                raise ValueError("fails on chunks only")
+            return real_spectra(weights, blocks)
+
+        monkeypatch.setattr(cli_mod, "thermal_spectra", chunk_only_spectra)
+        with pytest.raises(SweepError) as err:
+            run_sweep(config)
+        assert str(err.value) == (
+            f"sweep failed at T in [{grid[0]:.12g}, {grid[24]:.12g}]: fails on chunks only"
+        )
+        assert sizes == [25] + [1] * 25
 
     @pytest.mark.parametrize(
         "argv",
@@ -1145,9 +1171,12 @@ class TestSweepConfigValidation:
             lambda tmp: SweepConfig(output=str(tmp / "missing" / "sweep.csv")),
             lambda tmp: dataclasses.replace(SweepConfig(), t_steps=1),
             lambda tmp: SweepConfig(frequencies="Exact"),
+            lambda tmp: SweepConfig(q_values=(0.0,)),
+            lambda tmp: SweepConfig(levels_small=1),
         ],
         ids=["t-scale", "descending", "one-step", "levels-big", "format",
-             "no-modes", "output-directory", "replace", "frequencies"],
+             "no-modes", "output-directory", "replace", "frequencies",
+             "q", "levels-small"],
     )
     def test_construction_checks_as_the_command_line(self, build, tmp_path):
         # the library path, run_sweep(SweepConfig(...)), gets every check
