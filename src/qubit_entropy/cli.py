@@ -17,6 +17,7 @@ import os
 import re
 import stat
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
 
@@ -26,7 +27,7 @@ from . import __version__
 from .entropy import bipartite_entropies
 from .model import FrequencyMethod, NormalModes, normal_modes
 from .state import thermal_spectra, thermal_weights, validity_diagnostics
-from .transform import build_transform, parity_levels
+from .transform import build_transform, leading_positions
 
 __all__ = ["Sweep", "SweepConfig", "SweepError", "emit", "main", "parse_config", "run_sweep"]
 
@@ -114,8 +115,14 @@ class SweepConfig:
             ("lambda", self.lam), ("g", self.g),
             ("t-min", self.t_min), ("t-max", self.t_max),
         ):
+            if not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        if isinstance(self.q_values, (str, bytes)) or not isinstance(self.q_values, Sequence):
+            raise ValueError(f"q values must be a sequence of numbers, got {self.q_values!r}")
+        if not all(isinstance(q, numbers.Real) for q in self.q_values):
+            raise ValueError(f"q values must be numbers, got {self.q_values!r}")
         if not all(math.isfinite(q) for q in self.q_values):
             raise ValueError("q values must be finite")
         for name in ("t_steps", "levels_small", "levels_big"):
@@ -142,6 +149,8 @@ class SweepConfig:
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.output_format!r}")
         self.modes  # a circuit without modes by the method: bad configuration
+        if self.output is not None and not isinstance(self.output, (str, os.PathLike)):
+            raise ValueError(f"--output must be a path, got {self.output!r}")
         if self.output == "":
             raise ValueError("--output must name a file")
         if not os.path.isdir(os.path.dirname(self.output or "") or "."):
@@ -265,11 +274,8 @@ def run_sweep(config: SweepConfig) -> Sweep:
     modes = config.modes
     u_big = build_transform(modes, d=config.levels_big)
     d_big, d_s = config.levels_big, config.levels_small
-    # level n*d_s + m is at position (n*d_big + m) // 2 of the levels_big block
     u_small = tuple(
-        block[np.ix_(kept, kept)]
-        for block, levels in zip(u_big, parity_levels(d_s))
-        for kept in [(levels // d_s * d_big + levels % d_s) // 2]
+        block[np.ix_(kept, kept)] for block, kept in zip(u_big, leading_positions(d_big, d_s))
     )
     grid = _temperature_grid(config)
     step = max(1, CHUNK_BYTES // (8 * (d_s**4 + d_big**2)))

@@ -17,12 +17,11 @@ A single state is a stack of one.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
 from .model import NormalModes
-from .transform import parity_levels
+from .transform import leading_positions, parity_levels
 
 __all__ = ["thermal_spectra", "thermal_weights", "validity_diagnostics"]
 
@@ -202,49 +201,39 @@ def validity_diagnostics(weights: np.ndarray, blocks, d_small: int) -> tuple[np.
     the kept block is ``U_K^T diag(w) U_K``, formed per state as
     ``(U_K^T w) @ U_K``, and the complement weight is
     ``w^T (G o G) w / tr^2`` with ``G = U_R U_R^T``, a sum of non-negative
-    terms, each a parity block formed from that block of U.  The state is
-    ``B^T B`` with ``B = sqrt(w) U``, so PSD for finite non-negative
-    weights, which are checked.
+    terms, each a parity block formed from that block of U, whose columns
+    K are those of :func:`~qubit_entropy.transform.leading_positions` and
+    R the rest.  The state is ``B^T B`` with ``B = sqrt(w) U``, so PSD for
+    finite non-negative weights, which are checked.
     """
     w, traces, d_big = _weights_and_traces(weights, blocks)
     if not 2 <= d_small < d_big:
         raise ValueError(f"need 2 <= d_small < d_big, got {d_small}, {d_big}")
-    by_parity, diagonal, off_diagonal = _diagnostic_indices(d_big, d_small)
     # (G o G) w per state and parity block, in bare order so that
     # w . (G o G) w sums over the bare index as one product would
-    gram_w, kept_blocks = np.empty_like(w), []
-    for block, levels, (kept, rest) in zip(blocks, parity_levels(d_big), by_parity):
+    gram_w, kept_blocks, flags = np.empty_like(w), [], []
+    leading = leading_positions(d_big, d_small)
+    for block, levels, kept in zip(blocks, parity_levels(d_big), leading):
         w_block = w.take(levels, axis=1)[:, None, :]
         u_kept = block.take(kept, axis=1)
         # one product per state, so a row rounds as it would alone; the
         # weights scale a C-ordered copy of U_K^T, which multiplies fastest
         product = (np.ascontiguousarray(u_kept.T) * w_block) @ u_kept
         kept_blocks.append(product.reshape(len(w), -1))
-        u_rest = block.take(rest, axis=1)
+        flags.append(np.eye(len(kept), dtype=bool).ravel())
+        rest = np.ones(len(levels), dtype=bool)
+        rest[kept] = False
+        u_rest = block.compress(rest, axis=1)
         gram = u_rest @ u_rest.T
         gram_w[:, levels] = (w_block @ (gram * gram))[:, 0]
     mu_complement = (gram_w * w).sum(axis=1) / traces**2
-    # both kept parity blocks end to end in each row; take keeps the rows
-    # C-ordered, so each row sums as it would alone
-    kept_block = np.concatenate(kept_blocks, axis=1)
-    kept_block /= kept_block.take(diagonal, axis=1).sum(axis=1, keepdims=True)
+    # both kept parity blocks end to end in each row; compress keeps the
+    # rows C-ordered, so each row sums as it would alone
+    kept_block, on_diagonal = np.concatenate(kept_blocks, axis=1), np.concatenate(flags)
+    kept_block /= kept_block.compress(on_diagonal, axis=1).sum(axis=1, keepdims=True)
     mu_block = (kept_block * kept_block).sum(axis=1)
-    offdiag = np.abs(kept_block.take(off_diagonal, axis=1)).sum(axis=1)
+    offdiag = np.abs(kept_block.compress(~on_diagonal, axis=1)).sum(axis=1)
     if not np.isfinite(mu_block + mu_complement).all():
         raise ValueError("validity diagnostics are not finite")
     return mu_block, mu_complement, offdiag
 
-
-@lru_cache(maxsize=None)
-def _diagnostic_indices(d_big: int, d_small: int) -> tuple:
-    """``(by_parity, diagonal, off_diagonal)`` for :func:`validity_diagnostics`:
-    per parity, even first, the positions in its block of the kept levels
-    ``n*d_big + m`` with ``n, m < d_small`` and of the others, and the
-    diagonal and off-diagonal positions in both kept blocks end to end."""
-    by_parity, flags = [], []
-    for levels in parity_levels(d_big):
-        kept = np.maximum(*np.divmod(levels, d_big)) < d_small
-        by_parity.append((np.flatnonzero(kept), np.flatnonzero(~kept)))
-        flags.append(np.eye(kept.sum(), dtype=bool).ravel())
-    on_diagonal = np.concatenate(flags)
-    return tuple(by_parity), np.flatnonzero(on_diagonal), np.flatnonzero(~on_diagonal)

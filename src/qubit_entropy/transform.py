@@ -47,6 +47,18 @@ def parity_levels(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
+def leading_positions(d: int, d_small: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per parity p, the read-only positions in block p of a d-level U of
+    the levels ``n*d + m`` with ``n, m < d_small``, in the order of
+    ``parity_levels(d_small)[p]``: the leading block of the d-level build."""
+    small = parity_levels(d_small)
+    positions = tuple((levels // d_small * d + levels % d_small) // 2 for levels in small)
+    for array in positions:
+        array.flags.writeable = False
+    return positions
+
+
+@lru_cache(maxsize=None)
 def _hermgauss_scaled(order: int) -> tuple[np.ndarray, np.ndarray]:
     # v = w * exp(t^2) are the weights for integrating a bare function;
     # the log-space product avoids underflow of w at high order.
@@ -93,8 +105,9 @@ def build_transform(modes: NormalModes, d: int = 2) -> tuple[np.ndarray, np.ndar
     bit for bit, where each integrand takes the factor (-1)^(n+m+n'+m').
     Only k2 up to the centre is evaluated, with every weight but the
     centre's doubled.  The entries whose four levels have an odd sum
-    vanish, so each parity p forms its own second product, over its
-    columns and, for each n, the bare mode-2 rows m of parity p - n.
+    vanish, so each parity p forms one second product over its columns and
+    keeps its rows: the others, odd integrands on the folded weights, which
+    sum only even ones, are dropped.
     """
     if d < 2:
         raise ValueError(f"need at least two levels per mode, got d={d}")
@@ -133,17 +146,11 @@ def build_transform(modes: NormalModes, d: int = 2) -> tuple[np.ndarray, np.ndar
     # sum over k1: (k2, n n', k1) @ (k2, k1, m') for each k2
     pairs = bare1.transpose(1, 0, 2)[:, :, None] * rotated1.transpose(1, 0, 2)[:, None]
     del bare1, rotated1, table
-    inner = pairs.reshape(d, d * d, -1) @ rotated2.transpose(1, 2, 0)
+    inner = (pairs.reshape(d, d * d, -1) @ rotated2.transpose(1, 2, 0)).reshape(d, d, d * d)
     del pairs
     # sum over k2 per parity p: (m, k2) @ (k2, n' m') for each n, on the
-    # columns n' m' of parity p, all n of one parity in one product
-    inner = inner.reshape(d, d, d * d)
-    blocks = []
-    for p, levels in enumerate(parity_levels(d)):
-        columns, block = inner.take(levels, axis=2), np.empty((len(levels), len(levels)))
-        odd = levels // d % 2 == 1
-        for n, rows in ((0, ~odd), (1, odd)):
-            product = bare2[(p - n) % 2::2] @ columns[:, n::2].transpose(1, 0, 2)
-            block[rows] = product.reshape(-1, len(levels))
-        blocks.append(block)
-    return tuple(blocks)
+    # columns n' m' of parity p, kept on the rows n m of parity p
+    return tuple(
+        (bare2 @ inner.take(levels, axis=2).transpose(1, 0, 2)).reshape(d * d, -1)[levels]
+        for levels in parity_levels(d)
+    )

@@ -1194,6 +1194,32 @@ class TestSweepConfigValidation:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             SweepConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("lam", "1.5", "lambda must be a number"),
+            ("g", None, "g must be a number"),
+            ("t_min", "0.1", "t-min must be a number"),
+            ("q_values", (1.0, "a"), "q values must be numbers"),
+            ("q_values", 0.5, "q values must be a sequence"),
+            ("q_values", "1,2", "q values must be a sequence"),
+            ("output", 3, "--output must be a path"),
+        ],
+        ids=["lambda-text", "g-none", "t-min-text", "q-text-item", "q-scalar", "q-text",
+             "output-int"],
+    )
+    def test_values_must_have_their_types(self, field, value, message):
+        # each would fail with TypeError, from math.isfinite or os.path
+        with pytest.raises(ValueError, match=message):
+            SweepConfig(**{field: value})
+
+    def test_numpy_scalars_and_q_list_accepted(self):
+        config = SweepConfig(
+            lam=np.float64(1.5), g=np.float32(0.1), t_min=np.float64(0.01), t_max=np.int64(1),
+            t_steps=3, q_values=[np.float64(1.0), 2.0],
+        )
+        assert run_sweep(config).entropies.shape == (2, 4, 3)
+
     def test_numpy_integer_counts_accepted(self):
         config = SweepConfig(
             t_steps=np.int64(3), levels_small=np.int32(2), levels_big=np.int64(4),

@@ -648,6 +648,17 @@ class TestValidityDiagnostics:
         for k, t in enumerate(temps):
             assert diagnostics_at(float(t)) == tuple(column[k] for column in stacked)
 
+    @pytest.mark.parametrize("d_small, d_big", [(3, 8), (4, 8), (5, 7)])
+    def test_stack_matches_single_states_at_larger_d_small(self, d_small, d_big):
+        # kept blocks of several rows and columns per parity: every
+        # reduction sums a state's row of the stack as it sums that state alone
+        u = build_transform(REF_MODES, d=d_big)
+        temps = np.concatenate([[5e-9], np.linspace(0.02, 0.6, 12)])
+        stacked = validity_diagnostics(thermal_weights(REF_MODES, temps, d_big), u, d_small)
+        for k, t in enumerate(temps):
+            alone = validity_diagnostics(thermal_weights(REF_MODES, [t], d_big), u, d_small)
+            assert tuple(column[k] for column in stacked) == tuple(x[0] for x in alone)
+
     @pytest.mark.parametrize(
         "bad, message",
         [(-1e-3, "non-negative"), (float("nan"), "non-negative"),
@@ -735,5 +746,15 @@ class TestMemoryLayout:
         for c_ordered, f_ordered in zip(
             validity_diagnostics(weights, u, 2),
             validity_diagnostics(np.asfortranarray(weights), u, 2),
+        ):
+            assert np.array_equal(c_ordered, f_ordered)
+
+    @pytest.mark.parametrize("d_big", [6, 8])
+    def test_validity_diagnostics_ignore_layout_at_three_levels(self, d_big):
+        u = build_transform(REF_MODES, d=d_big)
+        weights = thermal_weights(REF_MODES, self.TEMPS, d_big)
+        for c_ordered, f_ordered in zip(
+            validity_diagnostics(weights, u, 3),
+            validity_diagnostics(np.asfortranarray(weights), u, 3),
         ):
             assert np.array_equal(c_ordered, f_ordered)

@@ -16,7 +16,7 @@ from oracles import (
 )
 from qubit_entropy.hermite import ho_eigenfunctions
 from qubit_entropy.model import FrequencyMethod, normal_modes
-from qubit_entropy.transform import build_transform, parity_levels
+from qubit_entropy.transform import build_transform, leading_positions, parity_levels
 
 REF_MODES = normal_modes(1.5, 0.1)
 
@@ -437,6 +437,17 @@ class TestLeadingBlock:
             block = np.ix_(kept, kept)
             gap = np.abs(builds[d_big][block] - builds[d_small])
             assert np.all(gap <= bounds[d_big][block] + bounds[d_small])
+
+    def test_leading_positions_pick_the_small_levels(self):
+        # level n*d_small + m of a d_small-level block sits at the position
+        # of level n*d + m in the block of its parity of a d-level one
+        for d in range(3, 33):
+            for d_small in range(2, d):
+                positions = leading_positions(d, d_small)
+                for p, small in enumerate(parity_levels(d_small)):
+                    n, m = np.divmod(small, d_small)
+                    assert np.array_equal(parity_levels(d)[p][positions[p]], n * d + m)
+                    assert not positions[p].flags.writeable
 
 
 class TestTruncationLeakage:
