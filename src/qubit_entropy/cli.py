@@ -19,7 +19,7 @@ import stat
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -31,14 +31,18 @@ from .transform import build_transform, leading_positions
 
 __all__ = ["Sweep", "SweepConfig", "SweepError", "emit", "main", "parse_config", "run_sweep"]
 
-# The sweep evaluates temperatures in chunks of at most this many bytes:
+# The sweep evaluates temperatures, and the writer renders the rows of
+# temperatures, in chunks of at most this many bytes.  The sweep counts
 # 8 * (levels_small**4 + levels_big**2) per temperature, for the two
 # parity blocks of sqrt(w) U at levels_small (levels_small**4 / 2 values)
 # and their rows before sorting, and the levels-big weight row.  The
 # kept-block products of validity_diagnostics stack about
 # levels_small**2 * levels_big**2 / 2 more values per temperature, up to
-# 8 times the count above (reached at levels-big 32).  Larger chunks save
-# little, cost memory.
+# 8 times the count above (reached at levels-big 32), and at even
+# levels_small the one SVD call of both parity blocks takes a stacked copy
+# of them.  The writer counts CELL_BYTES per slot of a row: a cell per
+# column and, in JSON, per separator.  Larger chunks save little, cost
+# memory.
 CHUNK_BYTES = 256 * 1024
 
 # The largest array of the levels-big transform is the product of two
@@ -50,10 +54,6 @@ MAX_LEVELS_BIG = 32
 # --method and the config key method are accepted and ignored: the
 # transform is built by the one quadrature route.
 METHODS = ("closed-form", "quadrature")
-
-# The writer formats and writes this many temperatures at a time, so its
-# transient memory does not grow with the grid.
-WRITE_TEMPERATURES = 32
 
 CSV_COLUMNS = (
     "T",
@@ -125,6 +125,8 @@ class SweepConfig:
             raise ValueError(f"q values must be numbers, got {self.q_values!r}")
         if not all(math.isfinite(q) for q in self.q_values):
             raise ValueError("q values must be finite")
+        # a list is kept as a tuple, so the frozen config hashes
+        object.__setattr__(self, "q_values", tuple(self.q_values))
         for name in ("t_steps", "levels_small", "levels_big"):
             if not isinstance(value := getattr(self, name), numbers.Integral):
                 raise ValueError(f"{name.replace('_', '-')} must be an integer, got {value}")
@@ -393,71 +395,187 @@ def emit(sweep: Sweep, config: SweepConfig) -> None:
                         os.ftruncate(fd, end)
 
 
-def _cells(values: np.ndarray, as_json: bool) -> list[str]:
+# A rendered cell is the text of one number among zero bytes, in columns
+# 0 the sign, 1-5 a "0.000" prefix, 6-28 the 12 digits in the even columns
+# and a "." slot after each in the odd ones, 29-32 "e+XX", 33-34 JSON's
+# ".0".  A CSV cell's last byte holds the separator that follows it.
+CELL_BYTES = 35
+
+
+@cache
+def _cell_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The renderer's tables, built once per process.
+
+    - ``powers``: the correctly rounded ``10**(11 - e)`` at index ``e + 99``.
+    - ``triples``: per group g in 0..999 of three digits, its digits
+      interleaved with 0xFF in the "." slots after them, as one 6-byte item.
+    - ``templates``: per format (CSV, JSON), the bytes of ``%.12g``'s layout
+      for each exponent e in [-99, 99] and count s of significant digits,
+      at ``(e + 99) * 12 + s - 1``, with 0xFF in the digit columns it
+      shows and 0 in those it drops.
+    """
+    powers = np.array([float(f"1e{11 - e}") for e in range(-99, 100)])
+    group = np.arange(1000)
+    triples = np.full((1000, 6), 0xFF, dtype=np.uint8)
+    triples[:, ::2] = 48 + np.stack([group // 100, group // 10 % 10, group % 10], axis=1)
+    exponent = np.repeat(np.arange(-99, 100), 12)
+    significant = np.tile(np.arange(1, 13), 199)
+    fixed = (exponent >= -4) & (exponent < 12)
+    # digits before the point: all integer digits are shown, zeros included
+    whole = np.where(fixed, exponent + 1, 1)
+    shown = np.maximum(significant, whole)
+    templates = np.zeros((2, len(exponent), CELL_BYTES), dtype=np.uint8)
+    templates[:, :, 6:29:2] = np.where(np.arange(1, 13) <= shown[:, None], 0xFF, 0)
+    point = np.flatnonzero((whole >= 1) & (shown > whole))
+    templates[:, point, 5 + 2 * whole[point]] = ord(".")
+    leading = fixed & (exponent < 0)
+    templates[:, leading, 1:6] = np.where(
+        np.arange(5) < 1 - exponent[leading, None], np.frombuffer(b"0.000", np.uint8), 0
+    )
+    power = exponent[~fixed]
+    templates[:, ~fixed, 29:33] = np.stack([
+        np.full_like(power, ord("e")), np.where(power < 0, ord("-"), ord("+")),
+        48 + abs(power) // 10, 48 + abs(power) % 10,
+    ], axis=1)
+    # JSON spells an integral value as a float
+    templates[1, fixed & (shown == whole), 33:] = np.frombuffer(b".0", np.uint8)
+    tables = powers, triples.view("V6").ravel(), templates
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _render(values: np.ndarray, as_json: bool) -> np.ndarray:
     """``_fmt`` of every value of a flat array or, for JSON, the JSON text of
-    each value rounded as ``_fmt`` rounds it, in one formatting call."""
-    flat = values.tolist()
-    text = ("%.12g," * len(flat) % tuple(flat)).split(",")[:-1]
-    if as_json:
-        # JSON spells a float as its repr.  A normal double below 1e11 is
-        # recovered from its 12 digits and repr picks the same digits and
-        # notation, so the text is kept, with ".0" on an integer.  A
-        # subnormal may not round-trip, repr is positional up to 1e16
-        # where %.12g is not, and NaN and inf are spelled NaN, Infinity
-        # and -Infinity: those few take json.dumps.
-        size = np.abs(values)
-        kept = (size == 0) | ((size >= sys.float_info.min) & (size < 1e11))
-        spelled = [s if "." in s or "e" in s else s + ".0" for s in text]
-        for i in np.flatnonzero(~kept).tolist():
-            spelled[i] = json.dumps(float(text[i]))
-        text = spelled
-    return text
+    each value rounded as ``_fmt`` rounds it: row i of the returned
+    ``(len(values), CELL_BYTES)`` uint8 array holds the text of value i
+    among zero bytes.
+
+    The 12 digits are those of ``m = |v| * 10**(11 - e)`` rounded to an
+    integer, e the decimal exponent, and each text is the template of its
+    (e, s) with the digits and the sign laid in.  m errs by under 2e-4,
+    from the correctly rounded power and the product, so its rounding is
+    exact unless m lies within 5e-4 of a tie.  Those cells take Python's
+    spelling, as do values outside ``1e-98 <= |v| < 1e98`` but 0
+    (subnormals, NaN and infinities among them) and, for JSON,
+    ``|v| >= 1e11``, where ``repr`` writes positionally what ``%.12g``
+    writes with an exponent.  A JSON number is otherwise the ``%.12g``
+    text, with ".0" on an integer: a normal double below 1e11 is recovered
+    from its 12 digits, and its ``repr`` picks the same digits and notation.
+    """
+    powers, triples, templates = _cell_tables()
+    size = np.abs(values)
+    normal = (size >= 1e-98) & (size < (1e11 if as_json else 1e98))
+    scaled = np.where(normal, size, 1.0)
+    exponent = np.floor(np.log10(scaled)).astype(np.intp)
+    m = scaled * powers.take(exponent + 99)
+    rounded = np.rint(m)
+    # log10 may be one off next to a power of ten, leaving m outside
+    # [1e11, 1e12): those cells fall back too
+    fast = normal & (np.abs(m - rounded) < 0.4995) & (m >= 1e11) & (m < 1e12)
+    carry = rounded == 1e12
+    exponent += carry
+    rounded[carry] = 1e11
+    rounded *= fast  # zero, and the cells that fall back, take 12 zeros
+    # the digits by groups of three, in the columns of a cell's digits
+    whole = rounded.astype(np.intp)
+    groups = np.empty((len(values), 4), dtype=np.intp)
+    groups[:, 0], whole = np.divmod(whole, 10**9)
+    groups[:, 1], whole = np.divmod(whole, 10**6)
+    groups[:, 2], groups[:, 3] = np.divmod(whole, 1000)
+    digits = triples.take(groups).view(np.uint8).reshape(-1, 24)
+    # the significant digits end at the last digit that is not "0"; a zero
+    # takes the template of "0": e = 0, one digit
+    significant = 12 - np.argmax(digits[:, -2::-2] != ord("0"), axis=1)
+    key = np.where(fast, (exponent + 99) * 12 + significant - 1, 99 * 12)
+    cells = templates[int(as_json)].take(key, axis=0)
+    cells[:, 6:30] &= digits
+    cells[:, 0] = np.signbit(values) * np.uint8(ord("-"))
+    fallback = np.flatnonzero(~fast & (size != 0))
+    if len(fallback):
+        texts = [_fmt(value) for value in values[fallback].tolist()]
+        if as_json:
+            texts = [json.dumps(float(text)) for text in texts]
+        padded = "".join(text.ljust(CELL_BYTES, "\0") for text in texts).encode()
+        cells[fallback] = np.frombuffer(padded, np.uint8).reshape(len(fallback), CELL_BYTES)
+    return cells
 
 
-# The text around the cells of a row, one more than CSV_COLUMNS: a row is
-# separator 0, cell 0, separator 1, ..., the last cell, the last separator.
-# A JSON row opens with the comma that follows the previous one.
-_CSV_SEPARATORS = ("",) + (",",) * (len(CSV_COLUMNS) - 1) + ("\n",)
+# The text around the cells of a JSON row, one more than CSV_COLUMNS: a
+# row is separator 0, cell 0, separator 1, ..., the last cell, the last
+# separator, and opens with the comma that follows the previous one.  A
+# CSV cell is followed by "," or, the last of its row, by a newline.
 _JSON_SEPARATORS = tuple(
     ("," if i else ",\n  {") + f'\n    "{key}": ' for i, key in enumerate(CSV_COLUMNS)
 ) + ("\n  }",)
 
 
+@cache
+def _json_separator_cells() -> np.ndarray:
+    """The JSON separators as rendered cells, one zero-padded row each."""
+    padded = "".join(text.ljust(CELL_BYTES, "\0") for text in _JSON_SEPARATORS).encode()
+    return np.frombuffer(padded, np.uint8).reshape(len(_JSON_SEPARATORS), CELL_BYTES)
+
+
+@lru_cache(maxsize=8)
+def _cell_index(n_q: int, k: int, as_json: bool) -> np.ndarray:
+    """Per temperature and q, the positions of a row's slots among a block's
+    rendered cells: the q values, the k temperatures, the entropies in
+    ``(q, 4, k)`` order and the diagnostics in ``(3, k)`` order, one slot
+    per column of CSV_COLUMNS, margin taking the cell of I.  JSON rows put
+    the separators, rendered ahead of the cells, between the slots."""
+    # column j of the row of temperature t and q index i takes the cell
+    # start[j] + t * per_t[j] + i * per_q[j]
+    entropies = n_q + k + k * np.array([0, 1, 2, 3, 3])
+    diagnostics = n_q + k + 4 * n_q * k + k * np.arange(3)
+    start = np.concatenate([[n_q, 0], entropies, diagnostics])
+    per_t = np.array([1, 0] + [1] * 8)
+    per_q = np.array([0, 1] + [4 * k] * 5 + [0] * 3)
+    index = start + np.arange(k)[:, None, None] * per_t + np.arange(n_q)[:, None] * per_q
+    if as_json:
+        cells = index + len(_JSON_SEPARATORS)
+        index = np.empty((k, n_q, len(CSV_COLUMNS) + len(_JSON_SEPARATORS)), dtype=np.intp)
+        index[..., 0::2] = np.arange(len(_JSON_SEPARATORS))
+        index[..., 1::2] = cells
+    index.flags.writeable = False
+    return index
+
+
 def _write(sweep: Sweep, config: SweepConfig, stream) -> None:
-    # Each distinct number is formatted once: q per value, and per block
-    # of temperatures T, the entropies per (T, q) and the diagnostics per T
-    # together; margin reuses I.  The table holds one block of rows, its
-    # separators in the even columns and its cells, in CSV_COLUMNS order,
-    # in the odd ones, and is written with one join.
+    # Each distinct number is rendered once per block of temperatures: q
+    # per value, T and the diagnostics per T and the entropies per (T, q);
+    # margin reuses I.  A block's rows are one take of their slots from the
+    # rendered cells, whose zero bytes one translate drops.  A block holds
+    # as many temperatures as CHUNK_BYTES of slots.
     as_json = config.output_format == "json"
     if as_json:
-        separators = _JSON_SEPARATORS
         stream.write("[")
     else:
-        separators = _CSV_SEPARATORS
         for line in _header_lines(config):
             stream.write(line + "\n")
         stream.write(",".join(CSV_COLUMNS) + "\n")
-    n_q = len(sweep.q_values)
-    rows = min(WRITE_TEMPERATURES, len(sweep.temperatures))
-    table = np.empty((rows, n_q, len(separators) * 2 - 1), dtype=object)
-    table[:, :, ::2] = separators
-    table[:, :, 3] = _cells(np.asarray(sweep.q_values, dtype=float), as_json)
-    for start in range(0, len(sweep.temperatures), WRITE_TEMPERATURES):
-        stop = min(start + WRITE_TEMPERATURES, len(sweep.temperatures))
+    n_t, n_q = len(sweep.temperatures), len(sweep.q_values)
+    slots = len(CSV_COLUMNS) + len(_JSON_SEPARATORS) if as_json else len(CSV_COLUMNS)
+    step = max(1, CHUNK_BYTES // (n_q * slots * CELL_BYTES))
+    q_values = np.asarray(sweep.q_values, dtype=float)
+    for start in range(0, n_t, step):
+        stop = min(start + step, n_t)
         k = stop - start
-        cells = np.array(_cells(np.concatenate([
+        cells = _render(np.concatenate([
+            q_values,
             sweep.temperatures[start:stop],
             sweep.entropies[:, :, start:stop].ravel(),
             sweep.diagnostics[:, start:stop].ravel(),
-        ]), as_json), dtype=object)
-        block = table[:k]
-        block[:, :, 1] = cells[:k, None]
-        entropies = cells[k:-3 * k].reshape(n_q, 4, k).transpose(2, 0, 1)
-        block[:, :, 5:13:2] = entropies
-        block[:, :, 13] = entropies[:, :, 3]
-        block[:, :, 15::2] = cells[-3 * k:].reshape(3, k).T[:, None, :]
-        text = "".join(block.ravel().tolist())
+        ]), as_json)
+        if as_json:
+            cells = np.concatenate([_json_separator_cells(), cells])
+        else:
+            # the last byte of a CSV cell is free; offdiag_sum, rendered
+            # last, ends its row
+            cells[:, -1] = ord(",")
+            cells[-k:, -1] = ord("\n")
+        rows = cells.take(_cell_index(n_q, k, as_json), axis=0)
+        text = rows.tobytes().translate(None, b"\0").decode("ascii")
         # the first JSON row follows "[" with no comma
         stream.write(text[1:] if as_json and start == 0 else text)
     if as_json:

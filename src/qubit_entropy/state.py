@@ -21,7 +21,9 @@ import math
 import numpy as np
 
 from .model import NormalModes
-from .transform import leading_positions, parity_levels
+from .transform import (
+    complement_positions, diagonal_positions, leading_positions, parity_levels,
+)
 
 __all__ = ["thermal_spectra", "thermal_weights", "validity_diagnostics"]
 
@@ -102,13 +104,15 @@ def thermal_spectra(weights: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray
     and of odd level c, read from both blocks of B by one ``take`` each on
     the positions ``(n*d + m) // 2`` of
     :func:`~qubit_entropy.transform.parity_levels`: block p gives the rows
-    (i, o) with o of parity p - c.  Each block takes one SVD call, both
-    marginals' blocks of one parity together, but two shapes take none: a
-    block one column wide has one singular value, the column's norm, and a
-    2 x 2 block, each joint block at d = 2, has a closed form (LAPACK's
-    ``dlas2`` after one Givens rotation), as accurate and without the
-    per-call cost of LAPACK, which dominates at that size.  A non-finite
-    spectrum raises ValueError.
+    (i, o) with o of parity p - c.  The blocks of one shape take one SVD
+    call together: both marginals' blocks of one parity always, and at even
+    d both joint blocks and both parities of the marginals' blocks; at odd
+    d the parities differ in shape and take a call each.  Two shapes take
+    none: a block one column wide has one singular value, the column's
+    norm, and a 2 x 2 block, each joint block at d = 2, has a closed form
+    (LAPACK's ``dlas2`` after one Givens rotation), as accurate and without
+    the per-call cost of LAPACK, which dominates at that size.  A
+    non-finite spectrum raises ValueError.
     """
     w, traces, d = _weights_and_traces(weights, blocks)
     states = np.arange(len(w))[:, None]
@@ -117,11 +121,11 @@ def thermal_spectra(weights: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray
         w_block = w.take(levels, axis=1)
         order = np.argsort(-w_block, axis=1, kind="stable")
         scaled.append(np.sqrt(w_block[states, order])[..., None] * block[order])
-    joint = [_squared_singular_values(x) for x in scaled]
+    joint = _squared_singular_values_by_shape(scaled)
     # position[n, m] is that of level n*d + m in its block; the first
     # marginal's row (i, m) and column n read position.T[m, n]
     position = np.arange(d * d).reshape(d, d) // 2
-    marginals = []
+    pairs = []
     for c in (0, 1):
         width = len(range(c, d, 2))
         parts = [
@@ -130,13 +134,22 @@ def thermal_spectra(weights: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray
             for p, x in enumerate(scaled)
         ]
         # both marginals' rows end to end: one (k, 2, rows, width) stack
-        pair = np.concatenate(parts, axis=1).reshape(len(w), 2, -1, width)
-        marginals.append(_squared_singular_values(pair))
+        pairs.append(np.concatenate(parts, axis=1).reshape(len(w), 2, -1, width))
+    marginals = _squared_singular_values_by_shape(pairs)
     joint = np.sort(np.concatenate(joint, axis=-1)) / traces[:, None]
     marginals = np.sort(np.concatenate(marginals, axis=-1).swapaxes(0, 1)) / traces[:, None]
     if not (np.isfinite(joint).all() and np.isfinite(marginals).all()):
         raise ValueError("thermal spectra are not finite")
     return joint, marginals
+
+
+def _squared_singular_values_by_shape(stacks: list) -> list:
+    """:func:`_squared_singular_values` of each stack, in one call when all
+    have one shape (both parity blocks at even d): LAPACK's per-call cost
+    is paid once."""
+    if len({x.shape for x in stacks}) == 1:
+        return list(_squared_singular_values(np.stack(stacks)))
+    return [_squared_singular_values(x) for x in stacks]
 
 
 def _squared_singular_values(x: np.ndarray) -> np.ndarray:
@@ -203,36 +216,37 @@ def validity_diagnostics(weights: np.ndarray, blocks, d_small: int) -> tuple[np.
     ``w^T (G o G) w / tr^2`` with ``G = U_R U_R^T``, a sum of non-negative
     terms, each a parity block formed from that block of U, whose columns
     K are those of :func:`~qubit_entropy.transform.leading_positions` and
-    R the rest.  The state is ``B^T B`` with ``B = sqrt(w) U``, so PSD for
-    finite non-negative weights, which are checked.
+    R those of :func:`~qubit_entropy.transform.complement_positions`.  The
+    state is ``B^T B`` with ``B = sqrt(w) U``, so PSD for finite
+    non-negative weights, which are checked.
     """
     w, traces, d_big = _weights_and_traces(weights, blocks)
     if not 2 <= d_small < d_big:
         raise ValueError(f"need 2 <= d_small < d_big, got {d_small}, {d_big}")
     # (G o G) w per state and parity block, in bare order so that
     # w . (G o G) w sums over the bare index as one product would
-    gram_w, kept_blocks, flags = np.empty_like(w), [], []
-    leading = leading_positions(d_big, d_small)
-    for block, levels, kept in zip(blocks, parity_levels(d_big), leading):
+    gram_w, kept_blocks = np.empty_like(w), []
+    for block, levels, kept, rest in zip(
+        blocks, parity_levels(d_big),
+        leading_positions(d_big, d_small), complement_positions(d_big, d_small),
+    ):
         w_block = w.take(levels, axis=1)[:, None, :]
         u_kept = block.take(kept, axis=1)
         # one product per state, so a row rounds as it would alone; the
         # weights scale a C-ordered copy of U_K^T, which multiplies fastest
         product = (np.ascontiguousarray(u_kept.T) * w_block) @ u_kept
         kept_blocks.append(product.reshape(len(w), -1))
-        flags.append(np.eye(len(kept), dtype=bool).ravel())
-        rest = np.ones(len(levels), dtype=bool)
-        rest[kept] = False
-        u_rest = block.compress(rest, axis=1)
+        u_rest = block.take(rest, axis=1)
         gram = u_rest @ u_rest.T
         gram_w[:, levels] = (w_block @ (gram * gram))[:, 0]
     mu_complement = (gram_w * w).sum(axis=1) / traces**2
-    # both kept parity blocks end to end in each row; compress keeps the
-    # rows C-ordered, so each row sums as it would alone
-    kept_block, on_diagonal = np.concatenate(kept_blocks, axis=1), np.concatenate(flags)
-    kept_block /= kept_block.compress(on_diagonal, axis=1).sum(axis=1, keepdims=True)
+    # both kept parity blocks end to end in each row; take keeps the rows
+    # C-ordered, so each row sums as it would alone
+    kept_block = np.concatenate(kept_blocks, axis=1)
+    on_diagonal, off_diagonal = diagonal_positions(d_small)
+    kept_block /= kept_block.take(on_diagonal, axis=1).sum(axis=1, keepdims=True)
     mu_block = (kept_block * kept_block).sum(axis=1)
-    offdiag = np.abs(kept_block.compress(~on_diagonal, axis=1)).sum(axis=1)
+    offdiag = np.abs(kept_block.take(off_diagonal, axis=1)).sum(axis=1)
     if not np.isfinite(mu_block + mu_complement).all():
         raise ValueError("validity diagnostics are not finite")
     return mu_block, mu_complement, offdiag

@@ -32,6 +32,12 @@ from .model import NormalModes
 __all__ = ["build_transform", "parity_levels"]
 
 
+def _read_only(arrays) -> tuple[np.ndarray, ...]:
+    for array in arrays:
+        array.flags.writeable = False
+    return tuple(arrays)
+
+
 @lru_cache(maxsize=None)
 def parity_levels(d: int) -> tuple[np.ndarray, np.ndarray]:
     """The levels ``n*d + m`` of even and of odd ``n + m``, each ascending
@@ -40,10 +46,7 @@ def parity_levels(d: int) -> tuple[np.ndarray, np.ndarray]:
     ``parity_levels(d)[p]`` of the dense ``(d*d, d*d)`` matrix, whose
     other entries are zero."""
     level_sum = np.add.outer(np.arange(d), np.arange(d)).ravel()
-    levels = tuple(np.flatnonzero(level_sum % 2 == p) for p in (0, 1))
-    for array in levels:
-        array.flags.writeable = False
-    return levels
+    return _read_only([np.flatnonzero(level_sum % 2 == p) for p in (0, 1)])
 
 
 @lru_cache(maxsize=None)
@@ -52,10 +55,30 @@ def leading_positions(d: int, d_small: int) -> tuple[np.ndarray, np.ndarray]:
     the levels ``n*d + m`` with ``n, m < d_small``, in the order of
     ``parity_levels(d_small)[p]``: the leading block of the d-level build."""
     small = parity_levels(d_small)
-    positions = tuple((levels // d_small * d + levels % d_small) // 2 for levels in small)
-    for array in positions:
-        array.flags.writeable = False
-    return positions
+    return _read_only([(levels // d_small * d + levels % d_small) // 2 for levels in small])
+
+
+@lru_cache(maxsize=None)
+def complement_positions(d: int, d_small: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per parity p, the read-only positions in block p of a d-level U that
+    ``leading_positions(d, d_small)[p]`` leaves out, ascending."""
+    positions = []
+    for levels, kept in zip(parity_levels(d), leading_positions(d, d_small)):
+        rest = np.ones(len(levels), dtype=bool)
+        rest[kept] = False
+        positions.append(np.flatnonzero(rest))
+    return _read_only(positions)
+
+
+@lru_cache(maxsize=None)
+def diagonal_positions(d_small: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only positions, each ascending, of the on- and of the
+    off-diagonal entries in a row holding both C-ordered parity blocks of
+    a d_small-level matrix end to end."""
+    on = np.concatenate([
+        np.eye(len(levels), dtype=bool).ravel() for levels in parity_levels(d_small)
+    ])
+    return _read_only([np.flatnonzero(on), np.flatnonzero(~on)])
 
 
 @lru_cache(maxsize=None)

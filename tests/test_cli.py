@@ -78,6 +78,36 @@ def chunk_bytes_per_temperature(config):
     return 8 * (config.levels_small**4 + config.levels_big**2)
 
 
+def write_bytes_per_temperature(config):
+    """Bytes the writer's slots take per temperature, as CHUNK_BYTES counts
+    them: one rendered cell per column and, in JSON, per separator."""
+    slots = len(CSV_COLUMNS) + (len(CSV_COLUMNS) + 1) * (config.output_format == "json")
+    return len(config.q_values) * slots * cli_mod.CELL_BYTES
+
+
+def rendered_texts(values, as_json):
+    """The text of each cell the writer renders for ``values``."""
+    return [bytes(row).replace(b"\0", b"").decode() for row in cli_mod._render(values, as_json)]
+
+
+def spelling_values(rng):
+    """About 37,000 doubles: random bit patterns, subnormals, integers,
+    powers of ten, values around 1e11 to 1e16, NaN and infinities."""
+    return np.concatenate([
+        rng.integers(0, 2**64, size=20000, dtype=np.uint64).view(float),
+        rng.integers(1, 2**52, size=2000, dtype=np.uint64).view(float),
+        -rng.integers(1, 2**52, size=2000, dtype=np.uint64).view(float),
+        [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308,
+         2.225073858507201e-308, 99999999999.99999, 1e11, 1e16, -1e16],
+        np.arange(-2000.0, 2001.0),
+        rng.integers(-(2**53), 2**53, size=2000).astype(float),
+        10.0 ** np.arange(-320, 301),
+        rng.uniform(1e11, 1e16, size=2000),
+        -rng.uniform(1e11, 1e16, size=2000),
+        rng.standard_normal(2000) * 10.0 ** rng.integers(-300, 300, size=2000),
+    ])
+
+
 def reference_report(sweep, config):
     """The per-cell writer emit replaced: one ``_fmt`` call per cell of
     ``sweep_rows``, and JSON through ``json.dumps(indent=2)``."""
@@ -722,8 +752,13 @@ class TestEmit:
             ["--q", "1,1,2"],
             # a single q
             ["--q", "1.5", "--t-steps", "7"],
-            # one temperature past a full write block
-            ["--t-steps", "33"],
+            # one temperature past a full write block: a CSV block of the
+            # five default q values holds CHUNK_BYTES of their cells
+            ["--t-steps", str(cli_mod.CHUNK_BYTES // (5 * 10 * cli_mod.CELL_BYTES) + 1)],
+            # subnormal and 3-digit-exponent temperatures, which fall back
+            ["--t-min", "1e-320", "--t-scale", "log"],
+            # an uncoupled circuit: zeros and, at q < 1, negative margins
+            ["--g", "0", "--q", "0.5"],
         ],
     )
     def test_byte_identical_to_per_cell_writer(self, argv, output_format):
@@ -734,31 +769,56 @@ class TestEmit:
     def test_json_cells_spell_the_rounded_value(self):
         # a cell is json.dumps of the value _fmt prints, whether it keeps its
         # %.12g text or takes json.dumps (subnormal, |v| >= 1e11, non-finite)
-        rng = np.random.default_rng(26)
-        values = np.concatenate([
-            rng.integers(0, 2**64, size=20000, dtype=np.uint64).view(float),
-            rng.integers(1, 2**52, size=2000, dtype=np.uint64).view(float),
-            -rng.integers(1, 2**52, size=2000, dtype=np.uint64).view(float),
-            [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308,
-             2.225073858507201e-308, 99999999999.99999, 1e11, 1e16, -1e16],
-            np.arange(-2000.0, 2001.0),
-            rng.integers(-(2**53), 2**53, size=2000).astype(float),
-            10.0 ** np.arange(-320, 301),
-            rng.uniform(1e11, 1e16, size=2000),
-            -rng.uniform(1e11, 1e16, size=2000),
-            rng.standard_normal(2000) * 10.0 ** rng.integers(-300, 300, size=2000),
-        ])
-        cells = cli_mod._cells(values, True)
+        values = spelling_values(np.random.default_rng(26))
+        cells = rendered_texts(values, True)
         expected = [json.dumps(float("%.12g" % value)) for value in values.tolist()]
         mismatches = [(v, c, e) for v, c, e in zip(values.tolist(), cells, expected) if c != e]
         assert not mismatches[:5]
         assert len(cells) == len(values)
 
     @pytest.mark.parametrize("output_format", ["csv", "json"])
+    def test_rendered_cells_spell_python_formatting(self, output_format):
+        # the numpy digits against Python's on ties, near-ties and values
+        # that round up to the next power of ten, where the renderer must
+        # fall back or carry, and on 3-digit exponents, which fall back
+        rng = np.random.default_rng(30)
+        twelve_digits = rng.integers(10**11, 10**12, size=3000).astype(float)
+        below_powers = 10.0 ** np.arange(-320, 309)
+        values = np.concatenate([
+            spelling_values(rng),
+            # exact ties at the 12th digit round half to even
+            [123456789012.5, 123456789013.5, 999999999999.5, -100000000000.5],
+            twelve_digits + 0.5,
+            (twelve_digits + 0.5) * 10.0 ** rng.integers(-30, 30, size=3000),
+            [9.9999999999995, 99999999999.99999, 0.000099999999999995, -0.0],
+            np.nextafter(below_powers, 0.0),
+            np.nextafter(below_powers, math.inf),
+            [1e-100, -1.5e100, 9.99999999999e99, 9.999999999999e99, 1e-99, 1e99],
+            rng.uniform(-1, 1, size=5000) * 10.0 ** rng.integers(-6, 16, size=5000),
+        ])
+        as_json = output_format == "json"
+        cells = rendered_texts(values, as_json)
+        spell = (lambda text: json.dumps(float(text))) if as_json else str
+        expected = [spell("%.12g" % value) for value in values.tolist()]
+        mismatches = [(v, c, e) for v, c, e in zip(values.tolist(), cells, expected) if c != e]
+        assert not mismatches[:5]
+        assert len(cells) == len(values)
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_exponent_one_off_falls_back(self, shift, monkeypatch):
+        # a log10 one off scales the digits out of [1e11, 1e12): such a
+        # cell takes Python's spelling, never wrong digits
+        rng = np.random.default_rng(31)
+        values = rng.standard_normal(2000) * 10.0 ** rng.integers(-20, 20, size=2000)
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
+        assert rendered_texts(values, False) == ["%.12g" % value for value in values.tolist()]
+
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
     def test_blocks_ending_mid_grid(self, output_format, monkeypatch):
         # blocks of 7 temperatures: the 50-point grid ends with a block of 1
-        monkeypatch.setattr(cli_mod, "WRITE_TEMPERATURES", 7)
         config = parse_config(["--format", output_format])
+        monkeypatch.setattr(cli_mod, "CHUNK_BYTES", 7 * write_bytes_per_temperature(config))
         sweep = run_sweep(config)
         assert emitted(sweep, config) == reference_report(sweep, config)
 
@@ -766,8 +826,8 @@ class TestEmit:
     def test_one_temperature_per_block(self, output_format, monkeypatch):
         # every block is also the first or the last; JSON drops the comma
         # of the first row only
-        monkeypatch.setattr(cli_mod, "WRITE_TEMPERATURES", 1)
         config = parse_config(["--t-steps", "4", "--format", output_format])
+        monkeypatch.setattr(cli_mod, "CHUNK_BYTES", write_bytes_per_temperature(config))
         sweep = run_sweep(config)
         assert emitted(sweep, config) == reference_report(sweep, config)
 
@@ -1075,7 +1135,8 @@ class TestReportFile:
                 return self.stream.write(text)
 
         write = cli_mod._write
-        monkeypatch.setattr(cli_mod, "WRITE_TEMPERATURES", 1)
+        # a budget too small for one temperature: blocks of one
+        monkeypatch.setattr(cli_mod, "CHUNK_BYTES", 1)
         monkeypatch.setattr(
             cli_mod, "_write",
             lambda sweep, config, stream: write(sweep, config, FailingStream(stream)),
@@ -1219,6 +1280,13 @@ class TestSweepConfigValidation:
             t_steps=3, q_values=[np.float64(1.0), 2.0],
         )
         assert run_sweep(config).entropies.shape == (2, 4, 3)
+
+    def test_q_list_kept_as_tuple(self):
+        # a frozen config hashes, and the sweep reports the q values as a tuple
+        config = SweepConfig(q_values=[1.0, 2.0], t_steps=2)
+        assert hash(config) == hash(SweepConfig(q_values=(1.0, 2.0), t_steps=2))
+        assert run_sweep(config).q_values == (1.0, 2.0)
+        assert isinstance(run_sweep(config).q_values, tuple)
 
     def test_numpy_integer_counts_accepted(self):
         config = SweepConfig(

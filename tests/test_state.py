@@ -460,6 +460,23 @@ class TestSingularValues2x2:
             assert np.array_equal(got, want)
 
 
+    @pytest.mark.parametrize("d, calls", [(4, 2), (5, 4)])
+    def test_thermal_spectra_take_one_svd_call_per_block_shape(self, d, calls, monkeypatch):
+        # at even d both parity blocks share their shapes: one call for the
+        # joint blocks and one for the marginals'; at odd d each takes its own
+        svd, made = np.linalg.svd, []
+
+        def counted_svd(*args, **kwargs):
+            made.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        blocks = build_transform(REF_MODES, d=d)
+        weights = thermal_weights(REF_MODES, [0.05, 0.3], d)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        thermal_spectra(weights, blocks)
+        assert len(made) == calls
+
+
 class TestPartialTrace:
     def test_ground_projector_reduces_to_ground(self):
         for reduced in partial_traces(unit_trace(np.diag([1.0, 0.0, 0.0, 0.0]))):

@@ -16,7 +16,9 @@ from oracles import (
 )
 from qubit_entropy.hermite import ho_eigenfunctions
 from qubit_entropy.model import FrequencyMethod, normal_modes
-from qubit_entropy.transform import build_transform, leading_positions, parity_levels
+from qubit_entropy.transform import (
+    build_transform, complement_positions, diagonal_positions, leading_positions, parity_levels,
+)
 
 REF_MODES = normal_modes(1.5, 0.1)
 
@@ -448,6 +450,30 @@ class TestLeadingBlock:
                     n, m = np.divmod(small, d_small)
                     assert np.array_equal(parity_levels(d)[p][positions[p]], n * d + m)
                     assert not positions[p].flags.writeable
+
+    def test_complement_positions_are_the_rest(self):
+        for d in range(3, 33):
+            for d_small in range(2, d):
+                kept, rest = leading_positions(d, d_small), complement_positions(d, d_small)
+                for p, levels in enumerate(parity_levels(d)):
+                    together = np.sort(np.concatenate([kept[p], rest[p]]))
+                    assert np.array_equal(together, np.arange(len(levels)))
+                    assert np.all(np.diff(rest[p]) > 0)
+                    assert not rest[p].flags.writeable
+
+    def test_diagonal_positions_split_both_blocks(self):
+        # the even block's n x n entries, then the odd block's, row by row
+        for d_small in range(2, 32):
+            n_even, n_odd = (len(levels) for levels in parity_levels(d_small))
+            on, off = diagonal_positions(d_small)
+            expected = np.concatenate([
+                np.arange(n_even) * (n_even + 1), n_even**2 + np.arange(n_odd) * (n_odd + 1),
+            ])
+            assert np.array_equal(on, expected)
+            every = np.arange(n_even**2 + n_odd**2)
+            assert np.array_equal(np.sort(np.concatenate([on, off])), every)
+            assert np.all(np.diff(off) > 0)
+            assert not (on.flags.writeable or off.flags.writeable)
 
 
 class TestTruncationLeakage:
