@@ -17,7 +17,8 @@ factorizes into two matrix products, one per axis.  The sum is folded by
 parity: every integrand is even or odd under ``(x1, x2) -> (-x1, -x2)``,
 so half of the symmetric grid is evaluated, and the elements whose four
 levels have an odd sum vanish: the tensor is kept as two blocks, one per
-parity of ``n + m``, rows over bare and columns over normal-mode levels.
+parity of ``n + m``, rows over bare and columns over normal-mode levels,
+and each block's second product forms only its own rows.
 """
 from __future__ import annotations
 
@@ -47,6 +48,18 @@ def parity_levels(d: int) -> tuple[np.ndarray, np.ndarray]:
     other entries are zero."""
     level_sum = np.add.outer(np.arange(d), np.arange(d)).ravel()
     return _read_only([np.flatnonzero(level_sum % 2 == p) for p in (0, 1)])
+
+
+@lru_cache(maxsize=None)
+def _own_rows(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # Row n of block p pairs with the bare mode-2 levels m of parity p - n:
+    # per p, a (d, ceil(d/2)) table of them, ascending, whose rows with one
+    # level fewer (odd d) are padded with level d - 1.  Then, per p, the
+    # positions of the unpadded entries in the flattened table: the rows of
+    # block p in the order of parity_levels.
+    n = np.arange(d)[:, None]
+    m = np.array([(p + n) % 2 + 2 * np.arange((d + 1) // 2) for p in (0, 1)])
+    return _read_only([np.minimum(m, d - 1), *(np.flatnonzero(own < d) for own in m)])
 
 
 @lru_cache(maxsize=None)
@@ -82,12 +95,16 @@ def diagonal_positions(d_small: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _hermgauss_scaled(order: int) -> tuple[np.ndarray, np.ndarray]:
+def _hermgauss_scaled(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # v = w * exp(t^2) are the weights for integrating a bare function;
-    # the log-space product avoids underflow of w at high order.
+    # the log-space product avoids underflow of w at high order.  The
+    # folded weights run through the centre node, every one but the
+    # centre's doubled.
     t, w = np.polynomial.hermite.hermgauss(order)
     v = np.exp(np.log(w) + t * t)
-    return t, v
+    folded = 2.0 * v[:(order + 1) // 2]
+    folded[-1] = v[order // 2]
+    return t, v, folded
 
 
 def build_transform(modes: NormalModes, d: int = 2) -> tuple[np.ndarray, np.ndarray]:
@@ -120,17 +137,22 @@ def build_transform(modes: NormalModes, d: int = 2) -> tuple[np.ndarray, np.ndar
     of the Gaussian, ``t[k1] = sqrt(a11)*(x1 + a12/a11*x2)`` and
     ``t[k2] = sqrt(det/a11)*x2``, so the bare x2 depends on k2 alone and
     the sum factorizes: for each k2, one matrix product sums the bare
-    mode-1 and both normal-mode eigenfunctions over k1, and a second
-    product sums the bare mode-2 eigenfunctions over k2.
+    mode-1 and both normal-mode eigenfunctions over k1, against the
+    normal-mode-2 table laid out C-contiguous as ``(k2, k1, m')``, and a
+    second product sums the bare mode-2 eigenfunctions over k2.
 
     The k2 axis is folded by parity.  The rule is symmetric and the map
     linear, so node ``(N-1-k1, N-1-k2)`` is node ``(k1, k2)`` negated,
     bit for bit, where each integrand takes the factor (-1)^(n+m+n'+m').
     Only k2 up to the centre is evaluated, with every weight but the
     centre's doubled.  The entries whose four levels have an odd sum
-    vanish, so each parity p forms one second product over its columns and
-    keeps its rows: the others, odd integrands on the folded weights, which
-    sum only even ones, are dropped.
+    vanish, so block p's second product runs over the columns of parity p
+    and forms only the rows of parity p: for each n, the bare mode-2 rows m
+    of parity p - n, half of all rows.  The others, odd integrands on the
+    folded weights, which sum only even ones, are never formed.  At odd d
+    the two parities of n pair with different counts of m, so the shorter
+    rows are padded to one batched product, and a take by a cached row
+    order drops the padding (at even d it keeps every row).
     """
     if d < 2:
         raise ValueError(f"need at least two levels per mode, got d={d}")
@@ -147,33 +169,39 @@ def build_transform(modes: NormalModes, d: int = 2) -> tuple[np.ndarray, np.ndar
             raise ValueError(f"frequency {name}={value} is not positive")
     if modes.g == 0.0 and modes.phi == 0.0:
         return tuple(np.eye(len(levels)) for levels in parity_levels(d))
-    t, v = _hermgauss_scaled(2 * d - 1)
+    t, v, folded = _hermgauss_scaled(2 * d - 1)
     # k2 runs through the centre node, k1 over all nodes: grids are (k2, k1)
     x2 = t[:d] / sqrt(det / a11)
     x1 = t / sqrt(a11) - (a12 / a11) * x2[:, None]
     x1p = c * x1 + s * x2[:, None]
     x2p = c * x2[:, None] - s * x1
 
-    weights = v[:d] / sqrt(det)
-    weights[:-1] *= 2.0
+    weights = folded / sqrt(det)
     # one table for the four coordinates: per k2, the k1 nodes of x1, x1'
     # and x2' side by side, then x2, each column with its length scale.
     # bare1 takes its weights in place and rotated2 is copied out, so the
     # table is freed before inner is formed.
     nodes = len(t)
-    scales = np.repeat([1.0, 1.0 / sqrt(w1), 1.0 / sqrt(w2), 1.0 / sqrt(lam)], [nodes] * 3 + [1])
+    scales = np.array([1.0, 1.0 / sqrt(w1), 1.0 / sqrt(w2), 1.0 / sqrt(lam)])
+    scales = scales.repeat((nodes,) * 3 + (1,))
     table = ho_eigenfunctions(d, np.concatenate([x1, x1p, x2p, x2[:, None]], axis=1), scales)
     bare1, rotated1 = table[:, :, :nodes], table[:, :, nodes:2 * nodes]
     bare1 *= v
-    rotated2, bare2 = table[:, :, 2 * nodes:-1].copy(), table[:, :, -1] * weights
+    # rotated2, the first product's second operand, is laid out C-contiguous
+    rotated2 = table[:, :, 2 * nodes:-1].transpose(1, 2, 0).copy()
+    bare2 = table[:, :, -1] * weights
     # sum over k1: (k2, n n', k1) @ (k2, k1, m') for each k2
     pairs = bare1.transpose(1, 0, 2)[:, :, None] * rotated1.transpose(1, 0, 2)[:, None]
     del bare1, rotated1, table
-    inner = (pairs.reshape(d, d * d, -1) @ rotated2.transpose(1, 2, 0)).reshape(d, d, d * d)
+    inner = (pairs.reshape(d, d * d, -1) @ rotated2).reshape(d, d, d * d)
     del pairs
     # sum over k2 per parity p: (m, k2) @ (k2, n' m') for each n, on the
-    # columns n' m' of parity p, kept on the rows n m of parity p
+    # columns n' m' of parity p and the rows m of parity p - n, bare2 taking
+    # the shape (2, n, m, k2); the take drops the padded rows of odd d
+    m_rows, *kept = _own_rows(d)
+    bare2 = bare2[m_rows]
     return tuple(
-        (bare2 @ inner.take(levels, axis=2).transpose(1, 0, 2)).reshape(d * d, -1)[levels]
-        for levels in parity_levels(d)
+        (bare2[p] @ inner.take(levels, axis=2).transpose(1, 0, 2))
+        .reshape(-1, len(levels)).take(kept[p], axis=0)
+        for p, levels in enumerate(parity_levels(d))
     )

@@ -661,6 +661,7 @@ class TestRunSweep:
              "--t-steps", "40", "--t-scale", "log"],
             ["--method", "quadrature", "--levels-small", "3", "--levels-big", "5",
              "--t-steps", "30", "--q", "0.5,1.0,2.5"],
+            ["--levels-big", "20", "--t-steps", "20"],
         ],
     )
     def test_chunked_rows_match_per_temperature_composition(self, argv, monkeypatch):

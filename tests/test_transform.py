@@ -285,6 +285,9 @@ class TestBuildTransform:
             (1.5, 0.1, 32, FrequencyMethod.SMALL_ANGLE),
             (2.5, 0.9, 20, FrequencyMethod.EXACT),
             (2.5, 0.9, 32, FrequencyMethod.EXACT),
+            # odd d: the two parities of n pair with different counts of m
+            (1.5, 0.1, 21, FrequencyMethod.SMALL_ANGLE),
+            (2.5, 0.9, 31, FrequencyMethod.EXACT),
         ],
     )
     def test_quadrature_build_equals_per_entry_assembly(self, lam, g, d, method):
@@ -304,7 +307,7 @@ class TestBuildTransform:
         assert np.all(np.abs(built - reference) <= bound)
 
     @pytest.mark.parametrize("method", list(FrequencyMethod))
-    @pytest.mark.parametrize("d", [2, 4, 8, 20])
+    @pytest.mark.parametrize("d", [2, 4, 8, 9, 20, 21])
     def test_grid_mirrors_by_parity(self, d, method):
         # why the fold is exact: on the triangular grid, flat node N^2 - 1 - k
         # is node k negated, the weights are symmetric and each product of
@@ -317,7 +320,7 @@ class TestBuildTransform:
         np.testing.assert_array_equal(rotated[:, ::-1], sign[:, None] * rotated)
 
     @pytest.mark.parametrize("method", list(FrequencyMethod))
-    @pytest.mark.parametrize("d", [2, 4, 8, 20])
+    @pytest.mark.parametrize("d", [2, 4, 8, 9, 20, 21])
     def test_folded_build_within_rounding_of_full_grid(self, d, method):
         # The folded, factorized build and the full-grid sum on the same
         # triangular grid form their terms in different orders, so each is
