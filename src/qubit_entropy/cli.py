@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 a sweep point failed, 2 bad configuration.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import numbers
 import os
@@ -27,7 +26,7 @@ from . import __version__
 from .entropy import bipartite_entropies
 from .model import FrequencyMethod, NormalModes, normal_modes
 from .state import thermal_spectra, thermal_weights, validity_diagnostics
-from .transform import build_transform, leading_positions
+from .transform import build_transform, leading_block_positions
 
 __all__ = ["Sweep", "SweepConfig", "SweepError", "emit", "main", "parse_config", "run_sweep"]
 
@@ -38,8 +37,10 @@ __all__ = ["Sweep", "SweepConfig", "SweepError", "emit", "main", "parse_config",
 # and their rows before sorting, and the levels-big weight row.  The
 # kept-block products of validity_diagnostics stack about
 # levels_small**2 * levels_big**2 / 2 more values per temperature, up to
-# 8 times the count above (reached at levels-big 32), and at even
-# levels_small the one SVD call of both parity blocks takes a stacked copy
+# 8 times the count above (reached at levels-big 32).  The spectra copy
+# the blocks of sqrt(w) U end to end once, and one take of that copy per
+# shape reads the marginal factors, ready for their SVD call; at even
+# levels_small the one SVD call of both joint blocks takes a stacked copy
 # of them.  The writer counts CELL_BYTES per slot of a row: a cell per
 # column and, in JSON, per separator.  Larger chunks save little, cost
 # memory.
@@ -161,6 +162,10 @@ class SweepConfig:
             raise ValueError(f"--output {self.output} is a directory")
 
 
+# SweepConfig's field names, in order: parse_config reads one value each
+_FIELD_NAMES = tuple(f.name for f in fields(SweepConfig))
+
+
 def _parse_q_list(text: str) -> tuple[float, ...]:
     # an empty list parses; building the SweepConfig rejects it
     try:
@@ -244,7 +249,7 @@ def parse_config(argv: list[str] | None = None) -> SweepConfig:
         args = parser.parse_args(argv)
         if args.config is not None:
             args = parser.parse_args(_config_file_flags(args.config) + argv)
-        config = SweepConfig(**{f.name: getattr(args, f.name) for f in fields(SweepConfig)})
+        config = SweepConfig(**{name: getattr(args, name) for name in _FIELD_NAMES})
     except (argparse.ArgumentError, OSError, ValueError) as exc:
         parser.error(str(exc))
     return config
@@ -277,7 +282,7 @@ def run_sweep(config: SweepConfig) -> Sweep:
     u_big = build_transform(modes, d=config.levels_big)
     d_big, d_s = config.levels_big, config.levels_small
     u_small = tuple(
-        block[np.ix_(kept, kept)] for block, kept in zip(u_big, leading_positions(d_big, d_s))
+        block.take(kept) for block, kept in zip(u_big, leading_block_positions(d_big, d_s))
     )
     grid = _temperature_grid(config)
     step = max(1, CHUNK_BYTES // (8 * (d_s**4 + d_big**2)))
@@ -495,6 +500,8 @@ def _render(values: np.ndarray, as_json: bool) -> np.ndarray:
     if len(fallback):
         texts = [_fmt(value) for value in values[fallback].tolist()]
         if as_json:
+            import json  # only here: a CSV run never loads it
+
             texts = [json.dumps(float(text)) for text in texts]
         padded = "".join(text.ljust(CELL_BYTES, "\0") for text in texts).encode()
         cells[fallback] = np.frombuffer(padded, np.uint8).reshape(len(fallback), CELL_BYTES)

@@ -7,9 +7,12 @@ underflows to the exact ground-state projector); in the bare basis it is
 blocks ``(u_even, u_odd)``.  Its spectra and diagnostics are computed
 block by block from ``w`` and U without forming that matrix: the spectra
 take singular values, by one SVD call or, for a block one column wide or
-2 x 2 (every block at two levels per mode), in closed form, and a
-marginal's factor is read from both blocks by the one layout rule of
-:func:`~qubit_entropy.transform.parity_levels`.  Every
+2 x 2 (every block at two levels per mode), in closed form, and the
+marginals' factors are read from both blocks by one ``take`` per shape
+on :func:`~qubit_entropy.transform.marginal_positions`, the positions
+the layout rule of :func:`~qubit_entropy.transform.parity_levels` gives
+them, built once per d.  Every index a call uses is such a plan, cached
+by level counts alone.  Every
 function works on a stack: the leading axis indexes states (one per
 temperature in the sweep), the last axis holds one state's populations.
 A single state is a stack of one.
@@ -22,7 +25,8 @@ import numpy as np
 
 from .model import NormalModes
 from .transform import (
-    complement_positions, diagonal_positions, leading_positions, parity_levels,
+    complement_positions, diagonal_positions, leading_positions, marginal_positions,
+    parity_levels,
 )
 
 __all__ = ["thermal_spectra", "thermal_weights", "validity_diagnostics"]
@@ -101,13 +105,15 @@ def thermal_spectra(weights: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray
     Every spectrum is the union of two parity blocks: B is the two
     weight-scaled blocks of U, rows sorted by weight, and a marginal
     commutes with its own parity, so C splits into its columns of even
-    and of odd level c, read from both blocks of B by one ``take`` each on
-    the positions ``(n*d + m) // 2`` of
-    :func:`~qubit_entropy.transform.parity_levels`: block p gives the rows
-    (i, o) with o of parity p - c.  The blocks of one shape take one SVD
+    and of odd level c, in which block p gives the rows (i, o) with o of
+    parity p - c.  Both blocks of B are laid end to end in one row per
+    state, and one ``take`` per plan of
+    :func:`~qubit_entropy.transform.marginal_positions`, cached per d,
+    reads every factor from it.  The blocks of one shape take one SVD
     call together: both marginals' blocks of one parity always, and at even
-    d both joint blocks and both parities of the marginals' blocks; at odd
-    d the parities differ in shape and take a call each.  Two shapes take
+    d both joint blocks and both parities of the marginals' blocks, the
+    latter one ``take`` of one plan; at odd d the parities differ in shape
+    and take a ``take`` and a call each.  Two shapes take
     none: a block one column wide has one singular value, the column's
     norm, and a 2 x 2 block, each joint block at d = 2, has a closed form
     (LAPACK's ``dlas2`` after one Givens rotation), as accurate and without
@@ -120,22 +126,18 @@ def thermal_spectra(weights: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray
     for block, levels in zip(blocks, parity_levels(d)):
         w_block = w.take(levels, axis=1)
         order = np.argsort(-w_block, axis=1, kind="stable")
-        scaled.append(np.sqrt(w_block[states, order])[..., None] * block[order])
+        scaled.append(np.sqrt(w_block[states, order])[..., None] * block.take(order, axis=0))
     joint = _squared_singular_values_by_shape(scaled)
-    # position[n, m] is that of level n*d + m in its block; the first
-    # marginal's row (i, m) and column n read position.T[m, n]
-    position = np.arange(d * d).reshape(d, d) // 2
-    pairs = []
-    for c in (0, 1):
-        width = len(range(c, d, 2))
-        parts = [
-            x.take(table[(p + c) % 2::2, c::2], axis=2).reshape(len(w), -1, width)
-            for table in (position.T, position)
-            for p, x in enumerate(scaled)
-        ]
-        # both marginals' rows end to end: one (k, 2, rows, width) stack
-        pairs.append(np.concatenate(parts, axis=1).reshape(len(w), 2, -1, width))
-    marginals = _squared_singular_values_by_shape(pairs)
+    # both blocks end to end in each row, read by one take per plan: per
+    # column parity c a (k, 2, rows, width) stack of both marginals'
+    # factors, or at even d one (k, 2, 2, rows, width) stack of both
+    # parities, which takes one SVD call with c leading
+    row = np.concatenate([x.reshape(len(w), -1) for x in scaled], axis=1)
+    plans = marginal_positions(d)
+    if len(plans) == 1:
+        marginals = list(_squared_singular_values(row.take(plans[0], axis=1).swapaxes(0, 1)))
+    else:
+        marginals = [_squared_singular_values(row.take(plan, axis=1)) for plan in plans]
     joint = np.sort(np.concatenate(joint, axis=-1)) / traces[:, None]
     marginals = np.sort(np.concatenate(marginals, axis=-1).swapaxes(0, 1)) / traces[:, None]
     if not (np.isfinite(joint).all() and np.isfinite(marginals).all()):

@@ -19,6 +19,12 @@ so half of the symmetric grid is evaluated, and the elements whose four
 levels have an odd sum vanish: the tensor is kept as two blocks, one per
 parity of ``n + m``, rows over bare and columns over normal-mode levels,
 and each block's second product forms only its own rows.
+
+The layout of the blocks is stated once, here: every index that the
+build and the later stages derive from the level counts alone (the rows
+of a parity, the leading block of a truncation, the factors of the
+marginals) comes from a cache keyed by those counts, built once per
+process and read-only.
 """
 from __future__ import annotations
 
@@ -33,10 +39,12 @@ from .model import NormalModes
 __all__ = ["build_transform", "parity_levels"]
 
 
-def _read_only(arrays) -> tuple[np.ndarray, ...]:
-    for array in arrays:
-        array.flags.writeable = False
-    return tuple(arrays)
+def _read_only(items) -> tuple:
+    # arrays are locked, anything else (a slice) is kept as it is
+    for item in items:
+        if isinstance(item, np.ndarray):
+            item.flags.writeable = False
+    return tuple(items)
 
 
 @lru_cache(maxsize=None)
@@ -51,15 +59,18 @@ def parity_levels(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _own_rows(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _own_rows(d: int) -> tuple:
     # Row n of block p pairs with the bare mode-2 levels m of parity p - n:
     # per p, a (d, ceil(d/2)) table of them, ascending, whose rows with one
     # level fewer (odd d) are padded with level d - 1.  Then, per p, the
     # positions of the unpadded entries in the flattened table: the rows of
-    # block p in the order of parity_levels.
+    # block p in the order of parity_levels, or a whole slice where no row
+    # is padded (even d), so that indexing by it makes a view, not a copy.
     n = np.arange(d)[:, None]
     m = np.array([(p + n) % 2 + 2 * np.arange((d + 1) // 2) for p in (0, 1)])
-    return _read_only([np.minimum(m, d - 1), *(np.flatnonzero(own < d) for own in m)])
+    return _read_only([np.minimum(m, d - 1), *(
+        slice(None) if (own < d).all() else np.flatnonzero(own < d) for own in m
+    )])
 
 
 @lru_cache(maxsize=None)
@@ -69,6 +80,17 @@ def leading_positions(d: int, d_small: int) -> tuple[np.ndarray, np.ndarray]:
     ``parity_levels(d_small)[p]``: the leading block of the d-level build."""
     small = parity_levels(d_small)
     return _read_only([(levels // d_small * d + levels % d_small) // 2 for levels in small])
+
+
+@lru_cache(maxsize=None)
+def leading_block_positions(d: int, d_small: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per parity p, the read-only flat positions in the C-ordered block p
+    of a d-level U of the leading block: rows and columns
+    ``leading_positions(d, d_small)[p]``, one ``take`` of it."""
+    return _read_only([
+        kept[:, None] * len(levels) + kept
+        for kept, levels in zip(leading_positions(d, d_small), parity_levels(d))
+    ])
 
 
 @lru_cache(maxsize=None)
@@ -95,6 +117,35 @@ def diagonal_positions(d_small: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
+def marginal_positions(d: int) -> tuple[np.ndarray, ...]:
+    """Read-only positions of the factors of both marginals of a d-level
+    matrix in a row that holds its two C-ordered parity blocks end to end.
+
+    A plan per column parity c, of shape ``(2, rows, width)``: ``[0]`` the
+    first mode's factor, rows (i, m) and columns n of parity c, and ``[1]``
+    the second mode's, rows (i, n) and columns m, i being a row of a block.
+    Level ``n*d + m`` is at position ``(n*d + m) // 2`` of its block, and
+    block p gives the rows (i, o) with o of parity p - c, the even block's
+    first.  At even d both column parities have one shape, and the one
+    plan stacks them, c leading: ``(2, 2, rows, width)``.
+    """
+    position = np.arange(d * d).reshape(d, d) // 2
+    sizes = [len(levels) for levels in parity_levels(d)]
+    offsets = (0, sizes[0] ** 2)
+    plans = []
+    for c in (0, 1):
+        width = len(range(c, d, 2))
+        parts = [
+            (offset + size * np.arange(size)[:, None, None] + table[(p + c) % 2::2, c::2])
+            .reshape(-1, width)
+            for table in (position.T, position)
+            for p, (size, offset) in enumerate(zip(sizes, offsets))
+        ]
+        plans.append(np.concatenate(parts).reshape(2, -1, width))
+    return _read_only([np.stack(plans)] if d % 2 == 0 else plans)
+
+
+@lru_cache(maxsize=None)
 def _hermgauss_scaled(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # v = w * exp(t^2) are the weights for integrating a bare function;
     # the log-space product avoids underflow of w at high order.  The
@@ -104,7 +155,7 @@ def _hermgauss_scaled(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     v = np.exp(np.log(w) + t * t)
     folded = 2.0 * v[:(order + 1) // 2]
     folded[-1] = v[order // 2]
-    return t, v, folded
+    return _read_only([t, v, folded])
 
 
 def build_transform(modes: NormalModes, d: int = 2) -> tuple[np.ndarray, np.ndarray]:
@@ -151,8 +202,9 @@ def build_transform(modes: NormalModes, d: int = 2) -> tuple[np.ndarray, np.ndar
     of parity p - n, half of all rows.  The others, odd integrands on the
     folded weights, which sum only even ones, are never formed.  At odd d
     the two parities of n pair with different counts of m, so the shorter
-    rows are padded to one batched product, and a take by a cached row
-    order drops the padding (at even d it keeps every row).
+    rows are padded to one batched product, and indexing by a cached row
+    order drops the padding (at even d, where no row is padded, the index
+    is a whole slice and the block a view of the product).
     """
     if d < 2:
         raise ValueError(f"need at least two levels per mode, got d={d}")
@@ -197,11 +249,11 @@ def build_transform(modes: NormalModes, d: int = 2) -> tuple[np.ndarray, np.ndar
     del pairs
     # sum over k2 per parity p: (m, k2) @ (k2, n' m') for each n, on the
     # columns n' m' of parity p and the rows m of parity p - n, bare2 taking
-    # the shape (2, n, m, k2); the take drops the padded rows of odd d
+    # the shape (2, n, m, k2); the row index drops the padded rows of odd d
     m_rows, *kept = _own_rows(d)
     bare2 = bare2[m_rows]
     return tuple(
         (bare2[p] @ inner.take(levels, axis=2).transpose(1, 0, 2))
-        .reshape(-1, len(levels)).take(kept[p], axis=0)
+        .reshape(-1, len(levels))[kept[p]]
         for p, levels in enumerate(parity_levels(d))
     )

@@ -8,6 +8,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import threading
 import warnings
 
@@ -662,6 +664,12 @@ class TestRunSweep:
             ["--method", "quadrature", "--levels-small", "3", "--levels-big", "5",
              "--t-steps", "30", "--q", "0.5,1.0,2.5"],
             ["--levels-big", "20", "--t-steps", "20"],
+            # the circuit-scan shape: one marginal plan for both column
+            # parities, and a negative coupling
+            ["--lambda", "0.6", "--g", "-0.1", "--levels-small", "4", "--levels-big", "8",
+             "--t-steps", "20", "--t-scale", "log", "--q", "0.5,1.0,2.0"],
+            # marginal widths 3 and 2: a plan and an SVD call per width
+            ["--levels-small", "5", "--levels-big", "9", "--t-steps", "15"],
         ],
     )
     def test_chunked_rows_match_per_temperature_composition(self, argv, monkeypatch):
@@ -848,6 +856,24 @@ class TestMain:
         assert main(FAST + ["--output", str(first)]) == 0
         assert main(FAST + ["--output", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+    def test_csv_run_never_imports_json(self, tmp_path):
+        # json serves only the JSON fallback cells of _render: neither the
+        # import of the CLI nor a CSV run loads it
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli_mod.__file__)))
+        script = "\n".join([
+            "import sys",
+            f"sys.path.insert(0, {src!r})",
+            "import qubit_entropy.cli as cli",
+            "loaded = ['json' in sys.modules]",
+            f"code = cli.main(['--t-steps', '3', '--output', {str(tmp_path / 'r.csv')!r}])",
+            "print(code, loaded + ['json' in sys.modules])",
+        ])
+        # -I: no PYTHONPATH, user site or PYTHONSTARTUP that could load json
+        result = subprocess.run(
+            [sys.executable, "-I", "-c", script], capture_output=True, text=True, check=True
+        )
+        assert result.stdout == "0 [False, False]\n"
 
     def test_pipeline_failure_exits_one(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli_mod, "bipartite_entropies", failing_entropies)
