@@ -26,7 +26,7 @@ from . import __version__
 from .entropy import bipartite_entropies
 from .model import FrequencyMethod, NormalModes, normal_modes
 from .state import thermal_spectra, thermal_weights, validity_diagnostics
-from .transform import build_transform, leading_block_positions
+from .transform import build_transform, leading_positions
 
 __all__ = ["Sweep", "SweepConfig", "SweepError", "emit", "main", "parse_config", "run_sweep"]
 
@@ -39,11 +39,11 @@ __all__ = ["Sweep", "SweepConfig", "SweepError", "emit", "main", "parse_config",
 # levels_small**2 * levels_big**2 / 2 more values per temperature, up to
 # 8 times the count above (reached at levels-big 32).  The spectra copy
 # the blocks of sqrt(w) U end to end once, and one take of that copy per
-# shape reads the marginal factors, ready for their SVD call; at even
-# levels_small the one SVD call of both joint blocks takes a stacked copy
-# of them.  The writer counts CELL_BYTES per slot of a row: a cell per
-# column and, in JSON, per separator.  Larger chunks save little, cost
-# memory.
+# column parity reads the marginal factors; at even levels_small both the
+# joint blocks and the marginal factors take a stacked copy for their one
+# SVD call per shape.  The writer counts CELL_BYTES per slot of a row: a
+# cell per column and, in JSON, per separator.  Larger chunks save little,
+# cost memory.
 CHUNK_BYTES = 256 * 1024
 
 # The largest array of the levels-big transform is the product of two
@@ -278,11 +278,11 @@ def run_sweep(config: SweepConfig) -> Sweep:
     truncation, and the order-(2*levels_big - 1) rule is exact for every
     lower level, so the blocks equal a levels_small build to rounding.
     """
-    modes = config.modes
-    u_big = build_transform(modes, d=config.levels_big)
     d_big, d_s = config.levels_big, config.levels_small
+    u_big = build_transform(config.modes, d=d_big)
     u_small = tuple(
-        block.take(kept) for block, kept in zip(u_big, leading_block_positions(d_big, d_s))
+        block.take(kept, axis=0).take(kept, axis=1)
+        for block, kept in zip(u_big, leading_positions(d_big, d_s))
     )
     grid = _temperature_grid(config)
     step = max(1, CHUNK_BYTES // (8 * (d_s**4 + d_big**2)))
@@ -290,11 +290,11 @@ def run_sweep(config: SweepConfig) -> Sweep:
     for start in range(0, len(grid), step):
         temps = grid[start:start + step]
         try:
-            diag, by_q = _sweep_chunk(config, modes, u_small, u_big, temps)
+            diag, by_q = _sweep_chunk(config, u_small, u_big, temps)
         except SweepError:
             # name the first failing temperature of the chunk
             for k in range(len(temps)):
-                _sweep_chunk(config, modes, u_small, u_big, temps[k:k + 1])
+                _sweep_chunk(config, u_small, u_big, temps[k:k + 1])
             raise
         diagnostics.append(diag)
         entropies.append(by_q)
@@ -307,7 +307,7 @@ def run_sweep(config: SweepConfig) -> Sweep:
 
 
 def _sweep_chunk(
-    config: SweepConfig, modes: NormalModes, u_small: tuple, u_big: tuple, temps: np.ndarray
+    config: SweepConfig, u_small: tuple, u_big: tuple, temps: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Columns for a chunk of temperatures, every stage stacked over the
     chunk, from the parity blocks of the levels_small and levels_big U.
@@ -318,9 +318,9 @@ def _sweep_chunk(
     """
     current_q: float | None = None
     try:
-        weights = thermal_weights(modes, temps, config.levels_big)
+        weights = thermal_weights(config.modes, temps, config.levels_big)
         diag = validity_diagnostics(weights, u_big, config.levels_small)
-        small = thermal_weights(modes, temps, config.levels_small)
+        small = thermal_weights(config.modes, temps, config.levels_small)
         joint_spectra, marginal_spectra = thermal_spectra(small, u_small)
         by_q = []
         for q in config.q_values:
@@ -516,12 +516,11 @@ _JSON_SEPARATORS = tuple(
     ("," if i else ",\n  {") + f'\n    "{key}": ' for i, key in enumerate(CSV_COLUMNS)
 ) + ("\n  }",)
 
-
-@cache
-def _json_separator_cells() -> np.ndarray:
-    """The JSON separators as rendered cells, one zero-padded row each."""
-    padded = "".join(text.ljust(CELL_BYTES, "\0") for text in _JSON_SEPARATORS).encode()
-    return np.frombuffer(padded, np.uint8).reshape(len(_JSON_SEPARATORS), CELL_BYTES)
+# The JSON separators as rendered cells, one zero-padded row each, read-only
+# as a view of bytes.
+_JSON_SEPARATOR_CELLS = np.frombuffer(
+    "".join(text.ljust(CELL_BYTES, "\0") for text in _JSON_SEPARATORS).encode(), np.uint8
+).reshape(len(_JSON_SEPARATORS), CELL_BYTES)
 
 
 @lru_cache(maxsize=8)
@@ -575,7 +574,7 @@ def _write(sweep: Sweep, config: SweepConfig, stream) -> None:
             sweep.diagnostics[:, start:stop].ravel(),
         ]), as_json)
         if as_json:
-            cells = np.concatenate([_json_separator_cells(), cells])
+            cells = np.concatenate([_JSON_SEPARATOR_CELLS, cells])
         else:
             # the last byte of a CSV cell is free; offdiag_sum, rendered
             # last, ends its row

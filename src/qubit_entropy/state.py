@@ -6,16 +6,16 @@ underflows to the exact ground-state projector); in the bare basis it is
 ``U^T diag(w) U / tr``, U the overlap tensor, which comes as its parity
 blocks ``(u_even, u_odd)``.  Its spectra and diagnostics are computed
 block by block from ``w`` and U without forming that matrix: the spectra
-take singular values, by one SVD call or, for a block one column wide or
-2 x 2 (every block at two levels per mode), in closed form, and the
-marginals' factors are read from both blocks by one ``take`` per shape
-on :func:`~qubit_entropy.transform.marginal_positions`, the positions
-the layout rule of :func:`~qubit_entropy.transform.parity_levels` gives
+take singular values, by one SVD call per block shape or, for a block
+one column wide or 2 x 2 (every block at two levels per mode), in closed
+form, and the marginals' factors are read from both blocks by one
+``take`` per column parity on
+:func:`~qubit_entropy.transform.marginal_positions`, the positions the
+layout rule of :func:`~qubit_entropy.transform.parity_levels` gives
 them, built once per d.  Every index a call uses is such a plan, cached
-by level counts alone.  Every
-function works on a stack: the leading axis indexes states (one per
-temperature in the sweep), the last axis holds one state's populations.
-A single state is a stack of one.
+by level counts alone.  Every function works on a stack: the leading
+axis indexes states (one per temperature in the sweep), the last axis
+holds one state's populations.  A single state is a stack of one.
 """
 from __future__ import annotations
 
@@ -107,13 +107,14 @@ def thermal_spectra(weights: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray
     commutes with its own parity, so C splits into its columns of even
     and of odd level c, in which block p gives the rows (i, o) with o of
     parity p - c.  Both blocks of B are laid end to end in one row per
-    state, and one ``take`` per plan of
-    :func:`~qubit_entropy.transform.marginal_positions`, cached per d,
-    reads every factor from it.  The blocks of one shape take one SVD
-    call together: both marginals' blocks of one parity always, and at even
-    d both joint blocks and both parities of the marginals' blocks, the
-    latter one ``take`` of one plan; at odd d the parities differ in shape
-    and take a ``take`` and a call each.  Two shapes take
+    state, and one ``take`` per column parity, on the plans of
+    :func:`~qubit_entropy.transform.marginal_positions` cached per d,
+    reads both marginals' factors of that parity from it.  The joint
+    blocks and the marginal factors go through one rule,
+    :func:`_squared_singular_values_by_shape`: blocks of one shape take
+    one SVD call together, so both marginals' blocks of one parity always
+    share a call, and at even d, where the two parities have one shape,
+    so do both joint blocks and all four marginal blocks.  Two shapes take
     none: a block one column wide has one singular value, the column's
     norm, and a 2 x 2 block, each joint block at d = 2, has a closed form
     (LAPACK's ``dlas2`` after one Givens rotation), as accurate and without
@@ -128,16 +129,12 @@ def thermal_spectra(weights: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray
         order = np.argsort(-w_block, axis=1, kind="stable")
         scaled.append(np.sqrt(w_block[states, order])[..., None] * block.take(order, axis=0))
     joint = _squared_singular_values_by_shape(scaled)
-    # both blocks end to end in each row, read by one take per plan: per
-    # column parity c a (k, 2, rows, width) stack of both marginals'
-    # factors, or at even d one (k, 2, 2, rows, width) stack of both
-    # parities, which takes one SVD call with c leading
+    # both blocks end to end in each row, read by one take per column
+    # parity c: a (k, 2, rows, width) stack of both marginals' factors
     row = np.concatenate([x.reshape(len(w), -1) for x in scaled], axis=1)
-    plans = marginal_positions(d)
-    if len(plans) == 1:
-        marginals = list(_squared_singular_values(row.take(plans[0], axis=1).swapaxes(0, 1)))
-    else:
-        marginals = [_squared_singular_values(row.take(plan, axis=1)) for plan in plans]
+    marginals = _squared_singular_values_by_shape(
+        [row.take(plan, axis=1) for plan in marginal_positions(d)]
+    )
     joint = np.sort(np.concatenate(joint, axis=-1)) / traces[:, None]
     marginals = np.sort(np.concatenate(marginals, axis=-1).swapaxes(0, 1)) / traces[:, None]
     if not (np.isfinite(joint).all() and np.isfinite(marginals).all()):
@@ -146,8 +143,9 @@ def thermal_spectra(weights: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray
 
 
 def _squared_singular_values_by_shape(stacks: list) -> list:
-    """:func:`_squared_singular_values` of each stack, in one call when all
-    have one shape (both parity blocks at even d): LAPACK's per-call cost
+    """:func:`_squared_singular_values` of each stack, in one call on a
+    stacked copy when all have one shape (both parities of the joint
+    blocks or of the marginal factors at even d): LAPACK's per-call cost
     is paid once."""
     if len({x.shape for x in stacks}) == 1:
         return list(_squared_singular_values(np.stack(stacks)))

@@ -83,17 +83,6 @@ def leading_positions(d: int, d_small: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def leading_block_positions(d: int, d_small: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per parity p, the read-only flat positions in the C-ordered block p
-    of a d-level U of the leading block: rows and columns
-    ``leading_positions(d, d_small)[p]``, one ``take`` of it."""
-    return _read_only([
-        kept[:, None] * len(levels) + kept
-        for kept, levels in zip(leading_positions(d, d_small), parity_levels(d))
-    ])
-
-
-@lru_cache(maxsize=None)
 def complement_positions(d: int, d_small: int) -> tuple[np.ndarray, np.ndarray]:
     """Per parity p, the read-only positions in block p of a d-level U that
     ``leading_positions(d, d_small)[p]`` leaves out, ascending."""
@@ -117,17 +106,16 @@ def diagonal_positions(d_small: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def marginal_positions(d: int) -> tuple[np.ndarray, ...]:
+def marginal_positions(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only positions of the factors of both marginals of a d-level
     matrix in a row that holds its two C-ordered parity blocks end to end.
 
-    A plan per column parity c, of shape ``(2, rows, width)``: ``[0]`` the
-    first mode's factor, rows (i, m) and columns n of parity c, and ``[1]``
-    the second mode's, rows (i, n) and columns m, i being a row of a block.
-    Level ``n*d + m`` is at position ``(n*d + m) // 2`` of its block, and
-    block p gives the rows (i, o) with o of parity p - c, the even block's
-    first.  At even d both column parities have one shape, and the one
-    plan stacks them, c leading: ``(2, 2, rows, width)``.
+    One plan per column parity c, of shape ``(2, rows, width)``: ``[0]``
+    the first mode's factor, rows (i, m) and columns n of parity c, and
+    ``[1]`` the second mode's, rows (i, n) and columns m, i being a row of
+    a block.  Level ``n*d + m`` is at position ``(n*d + m) // 2`` of its
+    block, and block p gives the rows (i, o) with o of parity p - c, the
+    even block's first.
     """
     position = np.arange(d * d).reshape(d, d) // 2
     sizes = [len(levels) for levels in parity_levels(d)]
@@ -142,7 +130,7 @@ def marginal_positions(d: int) -> tuple[np.ndarray, ...]:
             for p, (size, offset) in enumerate(zip(sizes, offsets))
         ]
         plans.append(np.concatenate(parts).reshape(2, -1, width))
-    return _read_only([np.stack(plans)] if d % 2 == 0 else plans)
+    return _read_only(plans)
 
 
 @lru_cache(maxsize=None)

@@ -664,12 +664,14 @@ class TestRunSweep:
             ["--method", "quadrature", "--levels-small", "3", "--levels-big", "5",
              "--t-steps", "30", "--q", "0.5,1.0,2.5"],
             ["--levels-big", "20", "--t-steps", "20"],
-            # the circuit-scan shape: one marginal plan for both column
-            # parities, and a negative coupling
+            # the circuit-scan shape: one SVD call for the marginal factors
+            # of both column parities, and a negative coupling
             ["--lambda", "0.6", "--g", "-0.1", "--levels-small", "4", "--levels-big", "8",
              "--t-steps", "20", "--t-scale", "log", "--q", "0.5,1.0,2.0"],
             # marginal widths 3 and 2: a plan and an SVD call per width
             ["--levels-small", "5", "--levels-big", "9", "--t-steps", "15"],
+            # marginal width 3 at both parities: one stacked SVD call
+            ["--levels-small", "6", "--levels-big", "10", "--t-steps", "15"],
         ],
     )
     def test_chunked_rows_match_per_temperature_composition(self, argv, monkeypatch):
@@ -680,9 +682,9 @@ class TestRunSweep:
         sizes = []
         real_chunk = cli_mod._sweep_chunk
 
-        def recording_chunk(config, modes, u_small, u_big, temps):
+        def recording_chunk(config, u_small, u_big, temps):
             sizes.append(len(temps))
-            return real_chunk(config, modes, u_small, u_big, temps)
+            return real_chunk(config, u_small, u_big, temps)
 
         monkeypatch.setattr(cli_mod, "_sweep_chunk", recording_chunk)
         rows = sweep_rows(run_sweep(config))

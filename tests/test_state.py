@@ -460,10 +460,12 @@ class TestSingularValues2x2:
             assert np.array_equal(got, want)
 
 
-    @pytest.mark.parametrize("d, calls", [(4, 2), (5, 4)])
+    @pytest.mark.parametrize("d, calls", [(3, 3), (4, 2), (5, 4), (6, 2), (7, 4)])
     def test_thermal_spectra_take_one_svd_call_per_block_shape(self, d, calls, monkeypatch):
         # at even d both parity blocks share their shapes: one call for the
-        # joint blocks and one for the marginals'; at odd d each takes its own
+        # joint blocks and one for the marginals'; at odd d each parity
+        # takes its own, but a factor one column wide (the marginals' odd
+        # columns at d = 3) takes none
         svd, made = np.linalg.svd, []
 
         def counted_svd(*args, **kwargs):

@@ -17,8 +17,8 @@ from oracles import (
 from qubit_entropy.hermite import ho_eigenfunctions
 from qubit_entropy.model import FrequencyMethod, normal_modes
 from qubit_entropy.transform import (
-    build_transform, complement_positions, diagonal_positions, leading_block_positions,
-    leading_positions, marginal_positions, parity_levels,
+    build_transform, complement_positions, diagonal_positions, leading_positions,
+    marginal_positions, parity_levels,
 )
 
 REF_MODES = normal_modes(1.5, 0.1)
@@ -455,16 +455,6 @@ class TestLeadingBlock:
                     assert np.array_equal(parity_levels(d)[p][positions[p]], n * d + m)
                     assert not positions[p].flags.writeable
 
-    def test_leading_block_positions_take_the_leading_block(self):
-        rng = np.random.default_rng(7)
-        for d in range(3, 33):
-            blocks = [rng.standard_normal((len(levels),) * 2) for levels in parity_levels(d)]
-            for d_small in range(2, d):
-                flat = leading_block_positions(d, d_small)
-                for block, kept, positions in zip(blocks, leading_positions(d, d_small), flat):
-                    assert np.array_equal(block.take(positions), block[np.ix_(kept, kept)])
-                    assert not positions.flags.writeable
-
     def test_marginal_positions_read_each_marginal_factor(self):
         # B holds both parity blocks on the diagonal; the factor a plan reads
         # of each marginal, for columns of parity c, is C with C^T C that
@@ -480,12 +470,11 @@ class TestLeadingBlock:
             traced = (np.einsum("imjm->ij", state), np.einsum("mimj->ij", state))
             row = np.concatenate([block.ravel() for block in blocks])
             plans = marginal_positions(d)
-            assert len(plans) == (1 if d % 2 == 0 else 2)
-            per_parity = list(plans[0]) if d % 2 == 0 else plans
+            assert len(plans) == 2
             for marginal, reduced in enumerate(traced):
-                read = np.concatenate([plan[marginal].ravel() for plan in per_parity])
+                read = np.concatenate([plan[marginal].ravel() for plan in plans])
                 assert np.array_equal(np.sort(read), np.arange(len(row)))
-                for c, plan in enumerate(per_parity):
+                for c, plan in enumerate(plans):
                     factor = row.take(plan[marginal])
                     assert_allclose(
                         factor.T @ factor, reduced[c::2, c::2], rtol=1e-12, atol=1e-12
