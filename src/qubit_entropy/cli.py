@@ -5,7 +5,8 @@ circuit, reporting joint and marginal entropies for each requested
 entropic index together with the truncation diagnostics.  Identical
 configurations produce byte-identical output.
 
-Exit codes: 0 success, 1 a sweep point failed, 2 bad configuration.
+Exit codes: 0 success, 1 a sweep point or the write of the report
+failed, 2 bad configuration.
 """
 from __future__ import annotations
 
@@ -39,11 +40,9 @@ __all__ = ["Sweep", "SweepConfig", "SweepError", "emit", "main", "parse_config",
 # levels_small**2 * levels_big**2 / 2 more values per temperature, up to
 # 8 times the count above (reached at levels-big 32).  The spectra copy
 # the blocks of sqrt(w) U end to end once, and one take of that copy per
-# column parity reads the marginal factors; at even levels_small both the
-# joint blocks and the marginal factors take a stacked copy for their one
-# SVD call per shape.  The writer counts CELL_BYTES per slot of a row: a
-# cell per column and, in JSON, per separator.  Larger chunks save little,
-# cost memory.
+# column parity reads the marginal factors, which go to their SVD call as
+# read.  The writer counts CELL_BYTES per slot of a row: a cell per column
+# and, in JSON, per separator.  Larger chunks save little, cost memory.
 CHUNK_BYTES = 256 * 1024
 
 # The largest array of the levels-big transform is the product of two

@@ -25,7 +25,7 @@ def spectrum_entropies(p: np.ndarray, q: float) -> np.ndarray:
     von Neumann value ``-sum(p ln p)`` (with 0 ln 0 = 0) is returned,
     which the spectral formula approaches in that limit.
     """
-    if q <= 0:
+    if not q > 0:
         raise ValueError(f"entropic index must be positive, got q={q}")
     others = p[..., :-1]
     rest = others.sum(axis=-1)

@@ -8,6 +8,7 @@ Gaussian factors combine into one correlated 2-D Gaussian, and
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -28,10 +29,10 @@ def ho_eigenfunctions(
     tabulates several grids in one call: each entry is the same, bit for
     bit, as in the table of its own grid and scale.  Row n does not depend
     on ``d``: it is the same, bit for bit, in every table with more than n
-    rows.
+    rows.  ``d`` must be an integer (ValueError otherwise).
     """
-    if d < 1:
-        raise ValueError(f"need at least one level, got d={d}")
+    if not isinstance(d, numbers.Integral) or d < 1:
+        raise ValueError(f"need an integer of at least one level, got d={d}")
     scale = np.asarray(length_scale, dtype=float)
     if not (scale > 0).all():
         raise ValueError(f"length scale must be positive, got {length_scale}")

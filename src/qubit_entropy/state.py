@@ -6,10 +6,10 @@ underflows to the exact ground-state projector); in the bare basis it is
 ``U^T diag(w) U / tr``, U the overlap tensor, which comes as its parity
 blocks ``(u_even, u_odd)``.  Its spectra and diagnostics are computed
 block by block from ``w`` and U without forming that matrix: the spectra
-take singular values, by one SVD call per block shape or, for a block
-one column wide or 2 x 2 (every block at two levels per mode), in closed
-form, and the marginals' factors are read from both blocks by one
-``take`` per column parity on
+take singular values, by one SVD call per parity block and per marginal
+plan or, for a block one column wide or 2 x 2 (every block at two levels
+per mode), in closed form, and the marginals' factors are read from both
+blocks by one ``take`` per column parity on
 :func:`~qubit_entropy.transform.marginal_positions`, the positions the
 layout rule of :func:`~qubit_entropy.transform.parity_levels` gives
 them, built once per d.  Every index a call uses is such a plan, cached
@@ -20,6 +20,7 @@ holds one state's populations.  A single state is a stack of one.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -48,8 +49,8 @@ def thermal_weights(modes: NormalModes, temperatures, d: int) -> np.ndarray:
     bad = ~(temps > 0)
     if bad.any():
         raise ValueError(f"temperature must be positive, got {float(temps[bad][0])}")
-    if d < 2:
-        raise ValueError(f"need at least two levels per mode, got d={d}")
+    if not isinstance(d, numbers.Integral) or d < 2:
+        raise ValueError(f"need an integer of at least two levels per mode, got d={d}")
     n = np.arange(d, dtype=float)
     gaps = (modes.omega1 * n[:, None] + modes.omega2 * n[None, :]).ravel()
     with np.errstate(over="ignore"):
@@ -109,17 +110,14 @@ def thermal_spectra(weights: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray
     parity p - c.  Both blocks of B are laid end to end in one row per
     state, and one ``take`` per column parity, on the plans of
     :func:`~qubit_entropy.transform.marginal_positions` cached per d,
-    reads both marginals' factors of that parity from it.  The joint
-    blocks and the marginal factors go through one rule,
-    :func:`_squared_singular_values_by_shape`: blocks of one shape take
-    one SVD call together, so both marginals' blocks of one parity always
-    share a call, and at even d, where the two parities have one shape,
-    so do both joint blocks and all four marginal blocks.  Two shapes take
-    none: a block one column wide has one singular value, the column's
-    norm, and a 2 x 2 block, each joint block at d = 2, has a closed form
-    (LAPACK's ``dlas2`` after one Givens rotation), as accurate and without
-    the per-call cost of LAPACK, which dominates at that size.  A
-    non-finite spectrum raises ValueError.
+    reads both marginals' factors of that parity from it as one stack.
+    Each weight-scaled block and each such stack takes one SVD call, so
+    both marginals' factors of one parity share a call with no copy
+    beyond the take.  Two shapes take none: a block one column wide has
+    one singular value, the column's norm, and a 2 x 2 block, each joint
+    block at d = 2, has a closed form (LAPACK's ``dlas2`` after one Givens
+    rotation), as accurate and without the per-call cost of LAPACK, which
+    dominates at that size.  A non-finite spectrum raises ValueError.
     """
     w, traces, d = _weights_and_traces(weights, blocks)
     states = np.arange(len(w))[:, None]
@@ -128,28 +126,18 @@ def thermal_spectra(weights: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray
         w_block = w.take(levels, axis=1)
         order = np.argsort(-w_block, axis=1, kind="stable")
         scaled.append(np.sqrt(w_block[states, order])[..., None] * block.take(order, axis=0))
-    joint = _squared_singular_values_by_shape(scaled)
+    joint = [_squared_singular_values(x) for x in scaled]
     # both blocks end to end in each row, read by one take per column
     # parity c: a (k, 2, rows, width) stack of both marginals' factors
     row = np.concatenate([x.reshape(len(w), -1) for x in scaled], axis=1)
-    marginals = _squared_singular_values_by_shape(
-        [row.take(plan, axis=1) for plan in marginal_positions(d)]
-    )
+    marginals = [
+        _squared_singular_values(row.take(plan, axis=1)) for plan in marginal_positions(d)
+    ]
     joint = np.sort(np.concatenate(joint, axis=-1)) / traces[:, None]
     marginals = np.sort(np.concatenate(marginals, axis=-1).swapaxes(0, 1)) / traces[:, None]
     if not (np.isfinite(joint).all() and np.isfinite(marginals).all()):
         raise ValueError("thermal spectra are not finite")
     return joint, marginals
-
-
-def _squared_singular_values_by_shape(stacks: list) -> list:
-    """:func:`_squared_singular_values` of each stack, in one call on a
-    stacked copy when all have one shape (both parities of the joint
-    blocks or of the marginal factors at even d): LAPACK's per-call cost
-    is paid once."""
-    if len({x.shape for x in stacks}) == 1:
-        return list(_squared_singular_values(np.stack(stacks)))
-    return [_squared_singular_values(x) for x in stacks]
 
 
 def _squared_singular_values(x: np.ndarray) -> np.ndarray:
@@ -160,7 +148,7 @@ def _squared_singular_values(x: np.ndarray) -> np.ndarray:
     A block one column wide has one, its column's sum of squares, summed
     along the contiguous last axis so that each state rounds as it would
     alone; a 2 x 2 block takes the closed form of :func:`_singular_values_2x2`,
-    which makes no LAPACK call; any other block takes one SVD call.
+    which makes no LAPACK call; any other stack takes one SVD call.
     """
     if x.shape[-1] == 1:
         x = x[..., 0]
@@ -185,6 +173,7 @@ def _singular_values_2x2(x: np.ndarray) -> np.ndarray:
     ``max(f, h)``, so every matrix takes one path.
     """
     a, b, c, d = x[..., 0, 0], x[..., 0, 1], x[..., 1, 0], x[..., 1, 1]
+    values = np.empty(x.shape[:-1])
     f = np.hypot(a, c)
     with np.errstate(divide="ignore", invalid="ignore"):
         # a zero first column needs no rotation, and an all-zero
@@ -194,8 +183,8 @@ def _singular_values_2x2(x: np.ndarray) -> np.ndarray:
         g, h = np.abs(cos * b + sin * d), np.abs(cos * d - sin * b)
         low, high = np.minimum(f, h), np.maximum(f, h)
         large = (np.hypot(high + low, g) + np.hypot(high - low, g)) / 2
-        small = np.where(high > 0, low * (high / large), 0.0)
-    return np.stack([large, small], axis=-1)
+        values[..., 0], values[..., 1] = large, np.where(high > 0, low * (high / large), 0.0)
+    return values
 
 
 def validity_diagnostics(weights: np.ndarray, blocks, d_small: int) -> tuple[np.ndarray, ...]:
@@ -220,6 +209,9 @@ def validity_diagnostics(weights: np.ndarray, blocks, d_small: int) -> tuple[np.
     state is ``B^T B`` with ``B = sqrt(w) U``, so PSD for finite
     non-negative weights, which are checked.
     """
+    # checked first: a float d_small would key the position caches as an integer
+    if not isinstance(d_small, numbers.Integral):
+        raise ValueError(f"d_small must be an integer, got {d_small}")
     w, traces, d_big = _weights_and_traces(weights, blocks)
     if not 2 <= d_small < d_big:
         raise ValueError(f"need 2 <= d_small < d_big, got {d_small}, {d_big}")

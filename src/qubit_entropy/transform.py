@@ -28,6 +28,7 @@ process and read-only.
 """
 from __future__ import annotations
 
+import numbers
 from functools import lru_cache
 from math import sqrt
 
@@ -47,13 +48,17 @@ def _read_only(items) -> tuple:
     return tuple(items)
 
 
-@lru_cache(maxsize=None)
+# typed: a float d, which the body rejects, never finds an integer's entry
+@lru_cache(maxsize=None, typed=True)
 def parity_levels(d: int) -> tuple[np.ndarray, np.ndarray]:
     """The levels ``n*d + m`` of even and of odd ``n + m``, each ascending
     and read-only, so level L is at position L // 2: block p of
     :func:`build_transform` holds the rows and columns
     ``parity_levels(d)[p]`` of the dense ``(d*d, d*d)`` matrix, whose
-    other entries are zero."""
+    other entries are zero.  ``d`` must be an integer (ValueError
+    otherwise)."""
+    if not isinstance(d, numbers.Integral):
+        raise ValueError(f"the level count must be an integer, got d={d}")
     level_sum = np.add.outer(np.arange(d), np.arange(d)).ravel()
     return _read_only([np.flatnonzero(level_sum % 2 == p) for p in (0, 1)])
 
@@ -194,8 +199,8 @@ def build_transform(modes: NormalModes, d: int = 2) -> tuple[np.ndarray, np.ndar
     order drops the padding (at even d, where no row is padded, the index
     is a whole slice and the block a view of the product).
     """
-    if d < 2:
-        raise ValueError(f"need at least two levels per mode, got d={d}")
+    if not isinstance(d, numbers.Integral) or d < 2:
+        raise ValueError(f"need an integer of at least two levels per mode, got d={d}")
     lam, w1, w2 = modes.lam, modes.omega1, modes.omega2
     c, s = modes.rotation
     a11 = 0.5 * (1.0 + w1 * c * c + w2 * s * s)

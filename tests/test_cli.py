@@ -664,14 +664,16 @@ class TestRunSweep:
             ["--method", "quadrature", "--levels-small", "3", "--levels-big", "5",
              "--t-steps", "30", "--q", "0.5,1.0,2.5"],
             ["--levels-big", "20", "--t-steps", "20"],
-            # the circuit-scan shape: one SVD call for the marginal factors
-            # of both column parities, and a negative coupling
+            # the circuit-scan shape: marginal width 2 at both parities, an
+            # SVD call per plan, and a negative coupling
             ["--lambda", "0.6", "--g", "-0.1", "--levels-small", "4", "--levels-big", "8",
              "--t-steps", "20", "--t-scale", "log", "--q", "0.5,1.0,2.0"],
             # marginal widths 3 and 2: a plan and an SVD call per width
             ["--levels-small", "5", "--levels-big", "9", "--t-steps", "15"],
-            # marginal width 3 at both parities: one stacked SVD call
+            # marginal width 3 at both parities: an SVD call per plan
             ["--levels-small", "6", "--levels-big", "10", "--t-steps", "15"],
+            # joint blocks of one shape and marginal width 4 at both parities
+            ["--levels-small", "8", "--levels-big", "10", "--t-steps", "15"],
         ],
     )
     def test_chunked_rows_match_per_temperature_composition(self, argv, monkeypatch):

@@ -119,6 +119,13 @@ class TestTsallis:
         with pytest.raises(ValueError, match="entropic index must be positive"):
             entropy(rho, -1.0)
 
+    def test_nan_q_rejected(self):
+        spectrum = np.array([[0.5, 0.5]])
+        with pytest.raises(ValueError, match="entropic index must be positive"):
+            spectrum_entropies(spectrum, float("nan"))
+        with pytest.raises(ValueError, match="entropic index must be positive"):
+            bipartite_entropies(np.array([[0.25] * 4]), np.stack([spectrum, spectrum]), np.nan)
+
     def test_orthogonal_similarity_invariance(self):
         rng = np.random.default_rng(99)
         for _ in range(10):

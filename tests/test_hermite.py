@@ -97,6 +97,10 @@ class TestEigenfunction:
             ho_eigenfunctions(2, np.zeros(3), np.array([1.0, -1.0, 2.0]))
         with pytest.raises(ValueError, match="length scale must be positive"):
             ho_eigenfunctions(2, 0.0, float("nan"))
+        with pytest.raises(ValueError, match="integer"):
+            ho_eigenfunctions(2.5, 0.0, 1.0)
+        table = ho_eigenfunctions(np.int64(3), 0.4, 1.0)
+        assert np.array_equal(table, ho_eigenfunctions(3, 0.4, 1.0))
 
 
 # |x| / length_scale above about 37.6 puts exp(-y^2/2) below the normal

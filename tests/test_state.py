@@ -1,6 +1,9 @@
 """Thermal weights, spectra and validity diagnostics, and the formed-state
 references of tests/oracles.py."""
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -10,6 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import dense_states, dense_transform, partial_traces, spectra, unit_trace
+import qubit_entropy
 from qubit_entropy.entropy import spectrum_entropies
 from qubit_entropy.model import NormalModes, FrequencyMethod, normal_modes
 from qubit_entropy.state import (
@@ -98,6 +102,14 @@ class TestThermalDensity:
     def test_small_truncation_rejected(self):
         with pytest.raises(ValueError):
             thermal_weights(REF_MODES, [0.2], d=1)
+
+    def test_level_count_must_be_an_integer(self):
+        for d in (2.5, 2.0):
+            with pytest.raises(ValueError, match="integer"):
+                thermal_weights(REF_MODES, [0.2], d)
+        assert np.array_equal(
+            thermal_weights(REF_MODES, [0.2], np.int64(3)), thermal_weights(REF_MODES, [0.2], 3)
+        )
 
     def test_nan_temperature_rejected(self):
         with pytest.raises(ValueError, match="temperature must be positive"):
@@ -460,12 +472,13 @@ class TestSingularValues2x2:
             assert np.array_equal(got, want)
 
 
-    @pytest.mark.parametrize("d, calls", [(3, 3), (4, 2), (5, 4), (6, 2), (7, 4)])
-    def test_thermal_spectra_take_one_svd_call_per_block_shape(self, d, calls, monkeypatch):
-        # at even d both parity blocks share their shapes: one call for the
-        # joint blocks and one for the marginals'; at odd d each parity
-        # takes its own, but a factor one column wide (the marginals' odd
-        # columns at d = 3) takes none
+    @pytest.mark.parametrize("d, calls", [(3, 3), (4, 4), (5, 4), (6, 4), (7, 4), (8, 4)])
+    def test_thermal_spectra_take_one_svd_call_per_parity_block_and_plan(
+        self, d, calls, monkeypatch
+    ):
+        # one call per weight-scaled parity block and one per column-parity
+        # plan of the marginal factors, at even d as at odd, but a factor one
+        # column wide (the marginals' odd columns at d = 3) takes none
         svd, made = np.linalg.svd, []
 
         def counted_svd(*args, **kwargs):
@@ -741,6 +754,40 @@ class TestValidityDiagnostics:
             validity_diagnostics(thermal_weights(REF_MODES, [0.1], 5), u, 2)
         with pytest.raises(ValueError):
             validity_diagnostics(thermal_weights(REF_MODES, [0.1], 6), u, 6)
+
+    def test_float_truncation_leaves_the_caches_as_a_fresh_process_has_them(self):
+        # 2.0 == 2 as a cache key: a float d_small is rejected before any
+        # cache is read, so it leaves nothing that a later call with 2 reads
+        def fresh_process(*lines):
+            src = os.path.dirname(os.path.dirname(os.path.abspath(qubit_entropy.__file__)))
+            script = "\n".join([
+                f"import sys; sys.path.insert(0, {src!r})",
+                "from qubit_entropy import (",
+                "    build_transform, normal_modes, thermal_weights, validity_diagnostics)",
+                "modes = normal_modes(1.5, 0.1)",
+                "w, u = thermal_weights(modes, [0.1, 0.3], 6), build_transform(modes, 6)",
+                *lines,
+                "print([column.tolist() for column in validity_diagnostics(w, u, 2)])",
+            ])
+            return subprocess.run(
+                [sys.executable, "-I", "-c", script], capture_output=True, text=True, check=True
+            ).stdout
+
+        rejected = [
+            "try: validity_diagnostics(w, u, 2.0)",
+            "except ValueError as exc: print(exc)",
+        ]
+        expected = "d_small must be an integer, got 2.0\n" + fresh_process()
+        assert fresh_process(*rejected) == expected
+        weights = thermal_weights(REF_MODES, [0.1], 6)
+        for d_small in (2.5, np.float64(3)):
+            with pytest.raises(ValueError, match="integer"):
+                validity_diagnostics(weights, U_BIG, d_small)
+        for got, want in zip(
+            validity_diagnostics(weights, U_BIG, np.int64(3)),
+            validity_diagnostics(weights, U_BIG, 3),
+        ):
+            assert np.array_equal(got, want)
 
 
 class TestMemoryLayout:

@@ -383,6 +383,19 @@ class TestBuildTransform:
         with pytest.raises(ValueError):
             build_transform(REF_MODES, d=1)
 
+    def test_level_count_must_be_an_integer(self):
+        # 2.0 == 2 as a cache key: a float never reads or fills an integer's entry
+        for d in (3.0, 2.5):
+            with pytest.raises(ValueError, match="integer"):
+                build_transform(REF_MODES, d)
+            with pytest.raises(ValueError, match="integer"):
+                parity_levels(d)
+        pairs = [
+            *zip(build_transform(REF_MODES, np.int64(3)), build_transform(REF_MODES, 3)),
+            *zip(parity_levels(np.int64(3)), parity_levels(3)),
+        ]
+        assert all(np.array_equal(got, want) for got, want in pairs)
+
     def test_closed_form_limited_to_two_levels(self):
         # the closed forms cover levels 0 and 1 in every slot; the build
         # has no such limit, and its d = 3 tensor (order 5) agrees with them
