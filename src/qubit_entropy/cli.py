@@ -27,7 +27,7 @@ from . import __version__
 from .entropy import bipartite_entropies
 from .model import FrequencyMethod, NormalModes, normal_modes
 from .state import thermal_spectra, thermal_weights, validity_diagnostics
-from .transform import build_transform, leading_positions
+from .transform import build_transform, truncation_positions
 
 __all__ = ["Sweep", "SweepConfig", "SweepError", "emit", "main", "parse_config", "run_sweep"]
 
@@ -179,7 +179,11 @@ def _config_file_flags(path: str) -> list[str]:
     a key is any flag the parser recognizes but ``--config`` and ``--help``."""
     tokens = []
     with open(path, encoding="utf-8-sig") as handle:
-        for lineno, raw in enumerate(handle, start=1):
+        try:
+            lines = handle.readlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        for lineno, raw in enumerate(lines, start=1):
             # a comment starts at a "#" that opens the line or follows
             # whitespace, so a value such as run#1.csv is kept whole
             line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
@@ -273,15 +277,16 @@ def run_sweep(config: SweepConfig) -> Sweep:
     grid, which is evaluated in chunks of temperatures (see CHUNK_BYTES);
     the columns do not depend on the chunking.  Each levels_small parity
     block is the leading block of the levels_big one, its rows and columns
-    of levels below levels_small: an overlap does not depend on the
-    truncation, and the order-(2*levels_big - 1) rule is exact for every
-    lower level, so the blocks equal a levels_small build to rounding.
+    at the kept positions of truncation_positions: an overlap does not
+    depend on the truncation, and the order-(2*levels_big - 1) rule is
+    exact for every lower level, so the blocks equal a levels_small build
+    to rounding.
     """
     d_big, d_s = config.levels_big, config.levels_small
     u_big = build_transform(config.modes, d=d_big)
     u_small = tuple(
         block.take(kept, axis=0).take(kept, axis=1)
-        for block, kept in zip(u_big, leading_positions(d_big, d_s))
+        for block, kept in zip(u_big, truncation_positions(d_big, d_s)[0])
     )
     grid = _temperature_grid(config)
     step = max(1, CHUNK_BYTES // (8 * (d_s**4 + d_big**2)))

@@ -13,9 +13,12 @@ blocks by one ``take`` per column parity on
 :func:`~qubit_entropy.transform.marginal_positions`, the positions the
 layout rule of :func:`~qubit_entropy.transform.parity_levels` gives
 them, built once per d.  Every index a call uses is such a plan, cached
-by level counts alone.  Every function works on a stack: the leading
-axis indexes states (one per temperature in the sweep), the last axis
-holds one state's populations.  A single state is a stack of one.
+by level counts alone: the diagnostics read the kept and other columns
+and the diagonal of a truncation from one
+:func:`~qubit_entropy.transform.truncation_positions` plan.  Every
+function works on a stack: the leading axis indexes states (one per
+temperature in the sweep), the last axis holds one state's populations.
+A single state is a stack of one.
 """
 from __future__ import annotations
 
@@ -25,10 +28,7 @@ import numbers
 import numpy as np
 
 from .model import NormalModes
-from .transform import (
-    complement_positions, diagonal_positions, leading_positions, marginal_positions,
-    parity_levels,
-)
+from .transform import marginal_positions, parity_levels, truncation_positions
 
 __all__ = ["thermal_spectra", "thermal_weights", "validity_diagnostics"]
 
@@ -203,25 +203,22 @@ def validity_diagnostics(weights: np.ndarray, blocks, d_small: int) -> tuple[np.
     the kept block is ``U_K^T diag(w) U_K``, formed per state as
     ``(U_K^T w) @ U_K``, and the complement weight is
     ``w^T (G o G) w / tr^2`` with ``G = U_R U_R^T``, a sum of non-negative
-    terms, each a parity block formed from that block of U, whose columns
-    K are those of :func:`~qubit_entropy.transform.leading_positions` and
-    R those of :func:`~qubit_entropy.transform.complement_positions`.  The
-    state is ``B^T B`` with ``B = sqrt(w) U``, so PSD for finite
-    non-negative weights, which are checked.
+    terms, each a parity block formed from that block of U.  One plan,
+    :func:`~qubit_entropy.transform.truncation_positions`, gives per parity
+    the kept columns K and the other columns R, and where the kept block's
+    diagonal lies.  The state is ``B^T B`` with ``B = sqrt(w) U``, so PSD
+    for finite non-negative weights, which are checked.
     """
-    # checked first: a float d_small would key the position caches as an integer
     if not isinstance(d_small, numbers.Integral):
         raise ValueError(f"d_small must be an integer, got {d_small}")
     w, traces, d_big = _weights_and_traces(weights, blocks)
     if not 2 <= d_small < d_big:
         raise ValueError(f"need 2 <= d_small < d_big, got {d_small}, {d_big}")
+    kept_all, rest_all, (on_diagonal, off_diagonal) = truncation_positions(d_big, d_small)
     # (G o G) w per state and parity block, in bare order so that
     # w . (G o G) w sums over the bare index as one product would
     gram_w, kept_blocks = np.empty_like(w), []
-    for block, levels, kept, rest in zip(
-        blocks, parity_levels(d_big),
-        leading_positions(d_big, d_small), complement_positions(d_big, d_small),
-    ):
+    for block, levels, kept, rest in zip(blocks, parity_levels(d_big), kept_all, rest_all):
         w_block = w.take(levels, axis=1)[:, None, :]
         u_kept = block.take(kept, axis=1)
         # one product per state, so a row rounds as it would alone; the
@@ -235,7 +232,6 @@ def validity_diagnostics(weights: np.ndarray, blocks, d_small: int) -> tuple[np.
     # both kept parity blocks end to end in each row; take keeps the rows
     # C-ordered, so each row sums as it would alone
     kept_block = np.concatenate(kept_blocks, axis=1)
-    on_diagonal, off_diagonal = diagonal_positions(d_small)
     kept_block /= kept_block.take(on_diagonal, axis=1).sum(axis=1, keepdims=True)
     mu_block = (kept_block * kept_block).sum(axis=1)
     offdiag = np.abs(kept_block.take(off_diagonal, axis=1)).sum(axis=1)

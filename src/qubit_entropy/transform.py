@@ -22,9 +22,9 @@ and each block's second product forms only its own rows.
 
 The layout of the blocks is stated once, here: every index that the
 build and the later stages derive from the level counts alone (the rows
-of a parity, the leading block of a truncation, the factors of the
-marginals) comes from a cache keyed by those counts, built once per
-process and read-only.
+of a parity, the kept and other positions and the diagonal of a
+truncation, the factors of the marginals) comes from a cache keyed by
+those counts, built once per process and read-only.
 """
 from __future__ import annotations
 
@@ -79,35 +79,26 @@ def _own_rows(d: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def leading_positions(d: int, d_small: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per parity p, the read-only positions in block p of a d-level U of
-    the levels ``n*d + m`` with ``n, m < d_small``, in the order of
-    ``parity_levels(d_small)[p]``: the leading block of the d-level build."""
-    small = parity_levels(d_small)
-    return _read_only([(levels // d_small * d + levels % d_small) // 2 for levels in small])
+def truncation_positions(d: int, d_small: int) -> tuple[tuple, tuple, tuple]:
+    """The read-only plan ``(kept, rest, (on, off))`` that cuts a d-level U
+    down to d_small levels per mode.
 
-
-@lru_cache(maxsize=None)
-def complement_positions(d: int, d_small: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per parity p, the read-only positions in block p of a d-level U that
-    ``leading_positions(d, d_small)[p]`` leaves out, ascending."""
-    positions = []
-    for levels, kept in zip(parity_levels(d), leading_positions(d, d_small)):
-        rest = np.ones(len(levels), dtype=bool)
-        rest[kept] = False
-        positions.append(np.flatnonzero(rest))
-    return _read_only(positions)
-
-
-@lru_cache(maxsize=None)
-def diagonal_positions(d_small: int) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only positions, each ascending, of the on- and of the
-    off-diagonal entries in a row holding both C-ordered parity blocks of
-    a d_small-level matrix end to end."""
-    on = np.concatenate([
-        np.eye(len(levels), dtype=bool).ravel() for levels in parity_levels(d_small)
-    ])
-    return _read_only([np.flatnonzero(on), np.flatnonzero(~on)])
+    ``kept[p]`` holds the positions in block p of the levels ``n*d + m``
+    with ``n, m < d_small``, in the order of ``parity_levels(d_small)[p]``:
+    the leading block of the d-level build.  ``rest[p]`` holds the others,
+    ascending.  ``on`` and ``off`` hold, each ascending, the positions of
+    the on- and of the off-diagonal entries in a row holding both C-ordered
+    kept blocks end to end."""
+    kept, rest, on = [], [], []
+    for levels, small in zip(parity_levels(d), parity_levels(d_small)):
+        kept.append((small // d_small * d + small % d_small) // 2)
+        mask = np.ones(len(levels), dtype=bool)
+        mask[kept[-1]] = False
+        rest.append(np.flatnonzero(mask))
+        on.append(np.eye(len(small), dtype=bool).ravel())
+    on = np.concatenate(on)
+    diagonal = [np.flatnonzero(on), np.flatnonzero(~on)]
+    return _read_only(kept), _read_only(rest), _read_only(diagonal)
 
 
 @lru_cache(maxsize=None)

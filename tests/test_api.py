@@ -65,9 +65,7 @@ CACHES = {
     "cli._cell_index": [(2, 3, False), (2, 3, True)],
     "transform.parity_levels": [(2,), (5,)],
     "transform._own_rows": [(2,), (5,), (8,)],
-    "transform.leading_positions": [(5, 2), (8, 5)],
-    "transform.complement_positions": [(5, 2), (8, 5)],
-    "transform.diagonal_positions": [(2,), (5,)],
+    "transform.truncation_positions": [(5, 2), (8, 5)],
     "transform.marginal_positions": [(2,), (3,), (4,), (5,)],
     "transform._hermgauss_scaled": [(3,), (9,)],
 }

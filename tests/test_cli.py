@@ -261,6 +261,15 @@ class TestParseConfig:
         assert err.value.code == 2
         assert f"{path}:3: {message}" in capsys.readouterr().err
 
+    def test_undecodable_config_names_its_file(self, tmp_path, capsys):
+        path = tmp_path / "sweep.conf"
+        path.write_bytes(b"\xfflambda = 1.8\n")
+        with pytest.raises(SystemExit) as err:
+            parse_config(["--config", str(path)])
+        assert err.value.code == 2
+        message = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+        assert f"{path}: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, message", [
         (["--t-steps", "x"], "argument --t-steps: invalid int value: 'x'"),
         (["--t-steps"], "argument --t-steps: expected one argument"),
@@ -341,6 +350,8 @@ class TestParseConfig:
             (["--g", "1"], "|g| < 1 required for stable modes, got g=1.0"),
             # lam**2 overflows above about 1.34e154
             (["--lambda", "1e200"], "frequency ratio 1e+200 is too large"),
+            # omega2^2 underflows to 0 below about 1.5e-162
+            (["--lambda", "1e-200"], "non-positive squared frequency"),
         ],
     )
     def test_circuit_without_modes_exits_with_its_message(self, argv, message, capsys):
