@@ -456,30 +456,16 @@ class TestLeadingBlock:
             gap = np.abs(builds[d_big][block] - builds[d_small])
             assert np.all(gap <= bounds[d_big][block] + bounds[d_small])
 
-    def test_truncation_positions_cut_the_leading_block(self):
+    def test_leading_positions_pick_the_small_levels(self):
         # level n*d_small + m of a d_small-level block sits at the position
-        # of level n*d + m in the block of its parity of a d-level one; the
-        # rest are the other positions, ascending; the diagonal is read in
-        # the even kept block's entries, then the odd one's, row by row
+        # of level n*d + m in the block of its parity of a d-level one
         for d in range(3, 33):
             for d_small in range(2, d):
-                kept, rest, (on, off) = truncation_positions(d, d_small)
+                kept = truncation_positions(d, d_small)[0]
                 for p, small in enumerate(parity_levels(d_small)):
                     n, m = np.divmod(small, d_small)
-                    levels = parity_levels(d)[p]
-                    assert np.array_equal(levels[kept[p]], n * d + m)
-                    together = np.sort(np.concatenate([kept[p], rest[p]]))
-                    assert np.array_equal(together, np.arange(len(levels)))
-                    assert np.all(np.diff(rest[p]) > 0)
-                n_even, n_odd = (len(levels) for levels in parity_levels(d_small))
-                expected = np.concatenate([
-                    np.arange(n_even) * (n_even + 1), n_even**2 + np.arange(n_odd) * (n_odd + 1),
-                ])
-                assert np.array_equal(on, expected)
-                every = np.arange(n_even**2 + n_odd**2)
-                assert np.array_equal(np.sort(np.concatenate([on, off])), every)
-                assert np.all(np.diff(off) > 0)
-                assert not any(a.flags.writeable for a in (*kept, *rest, on, off))
+                    assert np.array_equal(parity_levels(d)[p][kept[p]], n * d + m)
+                    assert not kept[p].flags.writeable
 
     def test_marginal_positions_read_each_marginal_factor(self):
         # B holds both parity blocks on the diagonal; the factor a plan reads
@@ -506,6 +492,32 @@ class TestLeadingBlock:
                         factor.T @ factor, reduced[c::2, c::2], rtol=1e-12, atol=1e-12
                     )
             assert not any(plan.flags.writeable for plan in plans)
+
+    def test_complement_positions_are_the_rest(self):
+        for d in range(3, 33):
+            for d_small in range(2, d):
+                kept, rest, _ = truncation_positions(d, d_small)
+                for p, levels in enumerate(parity_levels(d)):
+                    together = np.sort(np.concatenate([kept[p], rest[p]]))
+                    assert np.array_equal(together, np.arange(len(levels)))
+                    assert np.all(np.diff(rest[p]) > 0)
+                    assert not rest[p].flags.writeable
+
+    def test_diagonal_positions_split_both_blocks(self):
+        # the even kept block's n x n entries, then the odd one's, row by
+        # row; the plan's diagonal depends on d_small alone
+        for d_small in range(2, 32):
+            n_even, n_odd = (len(levels) for levels in parity_levels(d_small))
+            expected = np.concatenate([
+                np.arange(n_even) * (n_even + 1), n_even**2 + np.arange(n_odd) * (n_odd + 1),
+            ])
+            every = np.arange(n_even**2 + n_odd**2)
+            for d in range(d_small + 1, 33):
+                on, off = truncation_positions(d, d_small)[2]
+                assert np.array_equal(on, expected)
+                assert np.array_equal(np.sort(np.concatenate([on, off])), every)
+                assert np.all(np.diff(off) > 0)
+                assert not (on.flags.writeable or off.flags.writeable)
 
 
 class TestTruncationLeakage:
